@@ -528,14 +528,13 @@ fn run(args: &[String]) -> Result<bool, String> {
     // Per-phase wall-clock aggregates from the registry histograms: the
     // process is single-purpose, so process totals are run totals.
     let metrics = FuzzMetrics::global();
-    let phase_json = |h: &nshot_obs::AtomicHistogram| {
-        let s = h.snapshot();
+    let phase_json = |h: &nshot_obs::Histogram| {
         format!(
             "{{\"count\": {}, \"sum_us\": {}, \"p50\": {}, \"p99\": {}}}",
-            s.count(),
-            s.sum_us(),
-            s.p50_us(),
-            s.p99_us()
+            h.count(),
+            h.sum_us(),
+            h.p50_us(),
+            h.p99_us()
         )
     };
     let phase_generate = phase_json(&metrics.generate_us);

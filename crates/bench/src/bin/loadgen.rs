@@ -64,7 +64,9 @@ use nshot_server::{
     SynthRequest,
 };
 use nshot_shard::{ShardConfig, ShardFront};
+use std::collections::{BTreeMap, HashMap};
 use std::net::SocketAddr;
+use std::path::Path;
 use std::time::Instant;
 
 struct Options {
@@ -112,7 +114,68 @@ impl Default for Options {
     }
 }
 
-/// Per-client tally, merged after the run.
+/// The replayed workload: the suite (or `--circuits`), then the `--gen`
+/// seeded specs, each checked against a netlist computed up front by a
+/// direct `synthesize` call.
+struct Workload {
+    /// `(name, spec text)` per request.
+    specs: Vec<(String, String)>,
+    /// The netlist `specs[i]` must answer with.
+    expected: Vec<String>,
+    /// Number of trailing `--gen` specs.
+    gen: usize,
+    /// The netlist field requested and checked (`none` skips the check).
+    format: String,
+}
+
+impl Workload {
+    fn build(opts: &Options, format: &str) -> Result<Workload, String> {
+        let names: Vec<String> = match &opts.circuits {
+            Some(list) => list.clone(),
+            None => nshot_benchmarks::suite()
+                .iter()
+                .map(|b| b.name.to_owned())
+                .collect(),
+        };
+        let mut specs: Vec<(String, String)> = Vec::new();
+        for n in names {
+            let b =
+                nshot_benchmarks::by_name(&n).ok_or_else(|| format!("unknown circuit '{n}'"))?;
+            specs.push((n, b.build().to_text()));
+        }
+        // High-cardinality mix: every seed yields a distinct spec text, so
+        // each is its own cache key.
+        let gen_cfg = nshot_gen::GenConfig::default();
+        for seed in 0..opts.gen as u64 {
+            let spec = nshot_gen::draw(seed, &gen_cfg)
+                .map_err(|r| format!("gen seed {seed} rejected: {r}"))?;
+            specs.push((format!("gen{seed}"), spec.sg.to_text()));
+        }
+        let expected = specs
+            .iter()
+            .map(|(name, spec)| {
+                let sg = nshot_sg::parse_sg(spec).map_err(|e| format!("{name}: {e}"))?;
+                let imp = synthesize(&sg, &SynthesisOptions::default())
+                    .map_err(|e| format!("{name}: {e}"))?;
+                Ok(match format {
+                    "blif" => imp.netlist.to_blif(),
+                    "verilog" => imp.netlist.to_verilog(),
+                    "none" => String::new(),
+                    other => return Err(format!("unknown format '{other}'")),
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(Workload {
+            specs,
+            expected,
+            gen: opts.gen,
+            format: format.to_owned(),
+        })
+    }
+}
+
+/// The tally of client requests: one per connection, folded with
+/// [`ClientReport::merge`] into one per pass, run or topology.
 #[derive(Default)]
 struct ClientReport {
     ok: u64,
@@ -124,6 +187,50 @@ struct ClientReport {
     gen_ok: u64,
     gen_hits: u64,
     gen_latency: Histogram,
+}
+
+impl ClientReport {
+    fn merge(&mut self, other: ClientReport) {
+        self.ok += other.ok;
+        self.rejected += other.rejected;
+        self.protocol_errors.extend(other.protocol_errors);
+        self.cache_hits += other.cache_hits;
+        self.latency.merge(&other.latency);
+        self.gen_ok += other.gen_ok;
+        self.gen_hits += other.gen_hits;
+        self.gen_latency.merge(&other.gen_latency);
+    }
+
+    /// Cache hits among the successful requests.
+    fn hit_rate(&self) -> f64 {
+        ratio(self.cache_hits, self.ok)
+    }
+
+    /// Answered requests (served or rejected) per second of `wall_ms`.
+    fn throughput(&self, wall_ms: f64) -> f64 {
+        (self.ok + self.rejected) as f64 / (wall_ms / 1e3)
+    }
+
+    /// The fields every `latency_us` object of the report carries.
+    fn latency_json(h: &Histogram) -> String {
+        format!(
+            "\"count\": {}, \"p50\": {}, \"p99\": {}, \"mean\": {}, \"max\": {}",
+            h.count(),
+            h.p50_us(),
+            h.p99_us(),
+            h.mean_us(),
+            h.max_us()
+        )
+    }
+}
+
+/// `n / of`, 0 when `of` is 0.
+fn ratio(n: u64, of: u64) -> f64 {
+    if of > 0 {
+        n as f64 / of as f64
+    } else {
+        0.0
+    }
 }
 
 fn main() -> std::process::ExitCode {
@@ -145,18 +252,14 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 .cloned()
                 .ok_or_else(|| format!("{name} needs a value"))
         };
+        let count = |name: &str, v: String| {
+            v.parse::<usize>()
+                .map_err(|_| format!("{name} must be an integer"))
+        };
         match flag.as_str() {
             "--addr" => opts.addr = Some(value("--addr")?),
-            "--concurrency" => {
-                opts.concurrency = value("--concurrency")?
-                    .parse()
-                    .map_err(|_| "--concurrency must be an integer".to_string())?;
-            }
-            "--passes" => {
-                opts.passes = value("--passes")?
-                    .parse()
-                    .map_err(|_| "--passes must be an integer".to_string())?;
-            }
+            "--concurrency" => opts.concurrency = count(flag, value(flag)?)?,
+            "--passes" => opts.passes = count(flag, value(flag)?)?,
             "--circuits" => {
                 opts.circuits =
                     Some(value("--circuits")?.split(',').map(str::to_owned).collect());
@@ -176,11 +279,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--out" => opts.out = value("--out")?,
             "--no-shutdown" => opts.shutdown = false,
             "--store" => opts.store = Some(value("--store")?),
-            "--gen" => {
-                opts.gen = value("--gen")?
-                    .parse()
-                    .map_err(|_| "--gen must be an integer".to_string())?;
-            }
+            "--gen" => opts.gen = count(flag, value(flag)?)?,
             "--shards" => {
                 opts.shards = value("--shards")?
                     .split(',')
@@ -236,65 +335,13 @@ fn run(args: &[String]) -> Result<(), String> {
     if opts.wire_cmp {
         return run_wire_cmp(&opts);
     }
-
-    // The workload: the full Table 2 suite unless a subset was requested.
-    let suite = nshot_benchmarks::suite();
-    let names: Vec<String> = match &opts.circuits {
-        Some(list) => list.clone(),
-        None => suite.iter().map(|b| b.name.to_owned()).collect(),
-    };
-    let mut specs: Vec<(String, String)> = names
-        .iter()
-        .map(|n| {
-            nshot_benchmarks::by_name(n)
-                .map(|b| (n.clone(), b.build().to_text()))
-                .ok_or_else(|| format!("unknown circuit '{n}'"))
-        })
-        .collect::<Result<_, _>>()?;
-
-    // High-cardinality mix: append `--gen` seeded specs from nshot-gen.
-    // Every seed yields a distinct spec text, so each is its own cache key.
-    let gen_cfg = nshot_gen::GenConfig::default();
-    for seed in 0..opts.gen as u64 {
-        let spec = nshot_gen::draw(seed, &gen_cfg)
-            .map_err(|r| format!("gen seed {seed} rejected: {r}"))?;
-        specs.push((format!("gen{seed}"), spec.sg.to_text()));
-    }
-    let specs = specs;
-
-    // Ground truth for the byte-identity check, computed once up front.
-    let expected: Vec<String> = specs
-        .iter()
-        .map(|(name, spec)| {
-            let sg = nshot_sg::parse_sg(spec).map_err(|e| format!("{name}: {e}"))?;
-            let imp = synthesize(&sg, &SynthesisOptions::default())
-                .map_err(|e| format!("{name}: {e}"))?;
-            Ok(match opts.format.as_str() {
-                "blif" => imp.netlist.to_blif(),
-                "verilog" => imp.netlist.to_verilog(),
-                "none" => String::new(),
-                other => return Err(format!("unknown format '{other}'")),
-            })
-        })
-        .collect::<Result<_, _>>()?;
+    let work = Workload::build(&opts, &opts.format)?;
 
     // Target service: external, or spawned in-process on an ephemeral port.
     let (server, addr): (Option<Server>, SocketAddr) = match &opts.addr {
-        Some(a) => (
-            None,
-            a.parse().map_err(|_| format!("bad address '{a}'"))?,
-        ),
+        Some(a) => (None, a.parse().map_err(|_| format!("bad address '{a}'"))?),
         None => {
-            // No request deadline: the heavy suite circuits legitimately take
-            // minutes on a single shared core, and this harness measures
-            // throughput and byte-identity, not timeout behaviour.
-            let server = Server::bind(ServerConfig {
-                queue_cap: (opts.concurrency * 2).max(64),
-                timeout_ms: 0,
-                store_dir: opts.store.as_ref().map(Into::into),
-                ..ServerConfig::default()
-            })
-            .map_err(|e| format!("bind: {e}"))?;
+            let server = bind(&opts, opts.store.as_deref().map(Path::new), None)?;
             let addr = server.local_addr();
             (Some(server), addr)
         }
@@ -303,47 +350,31 @@ fn run(args: &[String]) -> Result<(), String> {
         "loadgen: {} clients x {} passes x {} circuits against {addr}",
         opts.concurrency,
         opts.passes,
-        specs.len()
+        work.specs.len()
     );
 
     let t0 = Instant::now();
-    let mut reports: Vec<ClientReport> = Vec::new();
+    let mut total = ClientReport::default();
     let mut stage_timings: Vec<(String, StageStat)> = Vec::new();
     let mut server_cache = Json::Null;
     let mut pass_wall_ms: Vec<f64> = Vec::new();
     for pass in 0..opts.passes {
         let pass_t0 = Instant::now();
-        let pass_reports: Vec<ClientReport> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..opts.concurrency)
-                .map(|client| {
-                    let specs = &specs;
-                    let expected = &expected;
-                    let opts = &opts;
-                    s.spawn(move || client_loop(client, pass, addr, specs, expected, opts))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("client thread"))
-                .collect()
-        });
+        total.merge(drive_pass(addr, pass, &work, opts.concurrency, opts.binary));
         pass_wall_ms.push(pass_t0.elapsed().as_secs_f64() * 1e3);
-        reports.extend(pass_reports);
 
         // Scrape the metrics op: cumulative per-stage pipeline timings so
         // far, straight from the server's Prometheus exposition.
-        match client::request(addr, r#"{"id":"metrics","op":"metrics"}"#) {
-            Ok(m) => {
-                if let Some(expo) = m.get("exposition").and_then(Json::as_str) {
-                    stage_timings = parse_stage_histograms(expo);
-                    server_cache = response_cache_figures(expo);
-                    let line = stage_timings
-                        .iter()
-                        .map(|(s, st)| format!("{s} p50={} p99={}", st.p50_us, st.p99_us))
-                        .collect::<Vec<_>>()
-                        .join(", ");
-                    eprintln!("loadgen: pass {} stage timings (us): {line}", pass + 1);
-                }
+        match scrape_metrics(addr) {
+            Ok(expo) => {
+                stage_timings = parse_stage_histograms(&expo);
+                server_cache = response_cache_figures(&expo);
+                let line = stage_timings
+                    .iter()
+                    .map(|(s, st)| format!("{s} p50={} p99={}", st.p50_us, st.p99_us))
+                    .collect::<Vec<_>>()
+                    .join(", ");
+                eprintln!("loadgen: pass {} stage timings (us): {line}", pass + 1);
             }
             Err(e) => eprintln!("loadgen: pass {} metrics scrape failed: {e}", pass + 1),
         }
@@ -372,55 +403,25 @@ fn run(args: &[String]) -> Result<(), String> {
     // pass the byte-identity checks against direct synthesis. The warm
     // figures stay out of the main throughput/latency tallies (they
     // measure a different thing); only its protocol errors fail the run.
-    let mut warm_errors: Vec<String> = Vec::new();
+    let mut errors: Vec<String> = Vec::new();
     let store_json = match &opts.store {
         None => None,
         Some(dir) => {
-            let warm_server = Server::bind(ServerConfig {
-                queue_cap: (opts.concurrency * 2).max(64),
-                timeout_ms: 0,
-                store_dir: Some(dir.into()),
-                ..ServerConfig::default()
-            })
-            .map_err(|e| format!("warm bind: {e}"))?;
+            let warm_server = bind(&opts, Some(Path::new(dir)), None)?;
             let warm_addr = warm_server.local_addr();
             eprintln!("loadgen: warm-start pass against {warm_addr} (store {dir})");
             let warm_t0 = Instant::now();
-            let warm_reports: Vec<ClientReport> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..opts.concurrency)
-                    .map(|client| {
-                        let specs = &specs;
-                        let expected = &expected;
-                        let opts = &opts;
-                        s.spawn(move || {
-                            client_loop(client, opts.passes, warm_addr, specs, expected, opts)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("warm client thread"))
-                    .collect()
-            });
+            let warm = drive_pass(warm_addr, opts.passes, &work, opts.concurrency, opts.binary);
             let warm_wall_ms = warm_t0.elapsed().as_secs_f64() * 1e3;
             warm_server.shutdown();
             let warm_store = warm_server.wait().store;
 
-            let (mut warm_ok, mut warm_hits) = (0u64, 0u64);
-            for r in warm_reports {
-                warm_ok += r.ok;
-                warm_hits += r.cache_hits;
-                warm_errors.extend(r.protocol_errors);
-            }
-            let warm_hit_rate = if warm_ok > 0 {
-                warm_hits as f64 / warm_ok as f64
-            } else {
-                0.0
-            };
             let cold_ms = pass_wall_ms.first().copied().unwrap_or(0.0);
             eprintln!(
-                "loadgen: warm start: {warm_ok} ok, hit rate {warm_hit_rate:.4}, \
-                 first pass {warm_wall_ms:.0} ms (cold {cold_ms:.0} ms)"
+                "loadgen: warm start: {} ok, hit rate {:.4}, \
+                 first pass {warm_wall_ms:.0} ms (cold {cold_ms:.0} ms)",
+                warm.ok,
+                warm.hit_rate()
             );
             let report_json = warm_store.as_ref().map_or_else(
                 || "null".to_string(),
@@ -436,12 +437,15 @@ fn run(args: &[String]) -> Result<(), String> {
                     )
                 },
             );
-            Some(format!(
-                "{{\"dir\": {dir}, \"cold_first_pass_ms\": {cold:.2}, \"warm_first_pass_ms\": {warm:.2}, \"warm_ok\": {warm_ok}, \"warm_hits\": {warm_hits}, \"warm_hit_rate\": {warm_hit_rate:.4}, \"final\": {report_json}}}",
+            let json = format!(
+                "{{\"dir\": {dir}, \"cold_first_pass_ms\": {cold_ms:.2}, \"warm_first_pass_ms\": {warm_wall_ms:.2}, \"warm_ok\": {}, \"warm_hits\": {}, \"warm_hit_rate\": {:.4}, \"final\": {report_json}}}",
+                warm.ok,
+                warm.cache_hits,
+                warm.hit_rate(),
                 dir = Json::Str(dir.clone()),
-                cold = cold_ms,
-                warm = warm_wall_ms,
-            ))
+            );
+            errors.extend(warm.protocol_errors);
+            Some(json)
         }
     };
 
@@ -449,114 +453,125 @@ fn run(args: &[String]) -> Result<(), String> {
     // whatever `--shards` listed) fronts, each over fresh shared-nothing
     // backends, so the report carries honest scaling curves. Byte-identity
     // failures here fail the run exactly like the main phase's.
-    let mut sweep_errors: Vec<String> = Vec::new();
-    let shards_json = run_shard_sweep(&opts, &specs, &expected, &mut sweep_errors)?;
-
-    // Merge the per-client tallies.
-    let mut latency = Histogram::default();
-    let mut ok = 0u64;
-    let mut rejected = 0u64;
-    let mut cache_hits = 0u64;
-    let mut protocol_errors: Vec<String> = Vec::new();
-    let mut gen_ok = 0u64;
-    let mut gen_hits = 0u64;
-    let mut gen_latency = Histogram::default();
-    for r in reports {
-        latency.merge(&r.latency);
-        ok += r.ok;
-        rejected += r.rejected;
-        cache_hits += r.cache_hits;
-        protocol_errors.extend(r.protocol_errors);
-        gen_ok += r.gen_ok;
-        gen_hits += r.gen_hits;
-        gen_latency.merge(&r.gen_latency);
-    }
-    protocol_errors.extend(warm_errors);
-    protocol_errors.extend(sweep_errors);
-    let sent = (opts.concurrency * opts.passes * specs.len()) as u64;
-    let throughput = (ok + rejected) as f64 / (wall_ms / 1e3);
-
-    // The `--gen` section: cache behaviour and latency of the seeded,
-    // high-cardinality half of the mix on its own.
-    let gen_json = (opts.gen > 0).then(|| {
-        let gen_hit_rate = if gen_ok > 0 {
-            gen_hits as f64 / gen_ok as f64
-        } else {
-            0.0
-        };
-        format!(
-            "{{\"count\": {}, \"seeds\": \"0..{}\", \"ok\": {gen_ok}, \"cache_hits\": {gen_hits}, \"hit_rate\": {gen_hit_rate:.4}, \"latency_us\": {{\"count\": {}, \"p50\": {}, \"p99\": {}, \"mean\": {}, \"max\": {}}}}}",
-            opts.gen,
-            opts.gen,
-            gen_latency.count(),
-            gen_latency.p50_us(),
-            gen_latency.p99_us(),
-            gen_latency.mean_us(),
-            gen_latency.max_us(),
-        )
-    });
+    let shards_json = run_shard_sweep(&opts, &work, &mut errors)?;
+    total.protocol_errors.extend(errors);
 
     let report = render_report(
-        &opts, &names, sent, ok, rejected, cache_hits, &protocol_errors, wall_ms,
-        throughput, &latency, &server_cache, &stage_timings, store_json.as_deref(),
-        gen_json.as_deref(), shards_json.as_deref(),
+        &opts,
+        &work,
+        &total,
+        wall_ms,
+        &server_cache,
+        &stage_timings,
+        store_json.as_deref(),
+        shards_json.as_deref(),
     );
     std::fs::write(&opts.out, report).map_err(|e| format!("{}: {e}", opts.out))?;
     eprintln!(
-        "loadgen: {ok}/{sent} ok, {rejected} rejected, {} protocol errors, \
-         {throughput:.1} req/s -> {}",
-        protocol_errors.len(),
+        "loadgen: {}/{} ok, {} rejected, {} protocol errors, {:.1} req/s -> {}",
+        total.ok,
+        opts.concurrency * opts.passes * work.specs.len(),
+        total.rejected,
+        total.protocol_errors.len(),
+        total.throughput(wall_ms),
         opts.out
     );
 
-    if !protocol_errors.is_empty() {
-        for e in protocol_errors.iter().take(5) {
-            eprintln!("loadgen: protocol error: {e}");
-        }
-        return Err(format!("{} protocol errors", protocol_errors.len()));
-    }
-    Ok(())
+    check(&total.protocol_errors, "protocol error")
 }
 
-/// One client connection replaying the whole suite once (one pass).
+/// Fail with the count of `errors` (printing the first five), if any.
+fn check(errors: &[String], what: &str) -> Result<(), String> {
+    for e in errors.iter().take(5) {
+        eprintln!("loadgen: {what}: {e}");
+    }
+    match errors.len() {
+        0 => Ok(()),
+        n => Err(format!("{n} {what}s")),
+    }
+}
+
+/// An in-process server on an ephemeral loopback port, optionally
+/// persisting to `store_dir` or warming from `warm_dir`. No request
+/// deadline: the heavy suite circuits legitimately take minutes on a
+/// single shared core, and this harness measures throughput and byte
+/// identity, not timeout behaviour.
+fn bind(
+    opts: &Options,
+    store_dir: Option<&Path>,
+    warm_dir: Option<&Path>,
+) -> Result<Server, String> {
+    Server::bind(ServerConfig {
+        queue_cap: (opts.concurrency * 2).max(64),
+        timeout_ms: 0,
+        store_dir: store_dir.map(Path::to_path_buf),
+        warm_dir: warm_dir.map(Path::to_path_buf),
+        ..ServerConfig::default()
+    })
+    .map_err(|e| format!("bind: {e}"))
+}
+
+/// One client pass: `clients` connections to `addr`, each replaying the
+/// whole workload once from its own rotated offset, folded into one
+/// tally.
+fn drive_pass(
+    addr: SocketAddr,
+    pass: usize,
+    work: &Workload,
+    clients: usize,
+    binary: bool,
+) -> ClientReport {
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..clients)
+            .map(|client| s.spawn(move || client_loop(client, pass, addr, work, binary)))
+            .collect();
+        let mut total = ClientReport::default();
+        for h in handles {
+            total.merge(h.join().expect("client thread"));
+        }
+        total
+    })
+}
+
+/// A client connection to `addr`, upgraded to binary framing if asked.
+fn connect(addr: SocketAddr, binary: bool) -> Result<Client, String> {
+    let mut conn = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    if binary {
+        conn.upgrade_binary()
+            .map_err(|e| format!("binary upgrade: {e}"))?;
+    }
+    Ok(conn)
+}
+
+/// One client connection replaying the whole workload once.
 fn client_loop(
     client: usize,
     pass: usize,
     addr: SocketAddr,
-    specs: &[(String, String)],
-    expected: &[String],
-    opts: &Options,
+    work: &Workload,
+    binary: bool,
 ) -> ClientReport {
     let mut report = ClientReport::default();
-    let mut conn = match Client::connect(addr) {
+    let mut conn = match connect(addr, binary) {
         Ok(c) => c,
         Err(e) => {
-            report.protocol_errors.push(format!("client {client}: connect: {e}"));
+            report.protocol_errors.push(format!("client {client}: {e}"));
             return report;
         }
     };
-    if opts.binary {
-        if let Err(e) = conn.upgrade_binary() {
-            report
-                .protocol_errors
-                .push(format!("client {client}: binary upgrade: {e}"));
-            return report;
-        }
-    }
 
-    for k in 0..specs.len() {
-        let i = (k + client) % specs.len();
-        let (name, spec) = &specs[i];
-        let id = format!("{client}:{pass}:{name}");
-
-        let is_gen = i >= specs.len() - opts.gen;
-        let line = synth_line(&id, spec, &opts.format);
+    let n = work.specs.len();
+    for k in 0..n {
+        let i = (k + client) % n;
+        let (name, spec) = &work.specs[i];
+        let is_gen = i >= n - work.gen;
+        let line = synth_line(&format!("{client}:{pass}:{name}"), spec, &work.format);
         let env = parse_request(&line).map_err(|(_, e)| e);
         let t0 = Instant::now();
         // Both transports end at the same place: the response as a parsed
         // object. The binary client assembles it from frames; the NDJSON
         // client parses the line.
-        let response = if opts.binary {
+        let response = if binary {
             env.and_then(|env| conn.roundtrip_binary(&env).map_err(|e| e.to_string()))
         } else {
             conn.roundtrip_json(&line)
@@ -578,24 +593,21 @@ fn client_loop(
 
         match response.get("code").and_then(Json::as_u64) {
             Some(200) => {
+                let hit = u64::from(response.get("cached").and_then(Json::as_bool) == Some(true));
                 report.ok += 1;
+                report.cache_hits += hit;
                 if is_gen {
                     report.gen_ok += 1;
-                }
-                if response.get("cached").and_then(Json::as_bool) == Some(true) {
-                    report.cache_hits += 1;
-                    if is_gen {
-                        report.gen_hits += 1;
-                    }
+                    report.gen_hits += hit;
                 }
                 // Byte-identity against the direct library call.
-                if opts.format != "none" {
-                    let got = response.get(opts.format.as_str()).and_then(Json::as_str);
-                    if got != Some(expected[i].as_str()) {
-                        report.protocol_errors.push(format!(
-                            "client {client} {name}: netlist differs from direct call"
-                        ));
-                    }
+                if work.format != "none"
+                    && response.get(&work.format).and_then(Json::as_str)
+                        != Some(work.expected[i].as_str())
+                {
+                    report.protocol_errors.push(format!(
+                        "client {client} {name}: netlist differs from direct call"
+                    ));
                 }
             }
             Some(429) | Some(503) => report.rejected += 1,
@@ -619,23 +631,13 @@ fn synth_line(id: &str, spec: &str, format: &str) -> String {
     .to_string()
 }
 
-/// Per-shard routing and cache figures recovered from the front's merged
-/// metrics exposition (the `shard="i"`-labelled series).
-struct ShardFigures {
-    requests: u64,
-    hits: u64,
-    misses: u64,
-}
-
-/// Read one integer sample (`name{shard="i"} value`) from a merged
-/// exposition; a missing series reads as 0.
-fn shard_series_value(exposition: &str, name: &str, shard: usize) -> u64 {
-    let prefix = format!("{name}{{shard=\"{shard}\"}} ");
-    exposition
-        .lines()
-        .find_map(|l| l.strip_prefix(&prefix))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
+/// The Prometheus exposition returned by the `metrics` op at `addr`.
+fn scrape_metrics(addr: SocketAddr) -> Result<String, String> {
+    let m = client::request(addr, r#"{"id":"metrics","op":"metrics"}"#)?;
+    m.get("exposition")
+        .and_then(Json::as_str)
+        .map(str::to_owned)
+        .ok_or_else(|| format!("no exposition in {m}"))
 }
 
 /// Replay the workload through each requested shard topology and render
@@ -645,8 +647,7 @@ fn shard_series_value(exposition: &str, name: &str, shard: usize) -> u64 {
 /// phase, and the drain goes through the front's shutdown fan-out.
 fn run_shard_sweep(
     opts: &Options,
-    specs: &[(String, String)],
-    expected: &[String],
+    work: &Workload,
     errors: &mut Vec<String>,
 ) -> Result<Option<String>, String> {
     if opts.shards.is_empty() {
@@ -655,15 +656,8 @@ fn run_shard_sweep(
     let mut topologies: Vec<String> = Vec::new();
     for &n in &opts.shards {
         let backends: Vec<Server> = (0..n)
-            .map(|_| {
-                Server::bind(ServerConfig {
-                    queue_cap: (opts.concurrency * 2).max(64),
-                    timeout_ms: 0,
-                    ..ServerConfig::default()
-                })
-            })
-            .collect::<Result<_, _>>()
-            .map_err(|e| format!("shard sweep: backend bind: {e}"))?;
+            .map(|_| bind(opts, None, None))
+            .collect::<Result<_, _>>()?;
         let front = ShardFront::bind(ShardConfig {
             backends: backends.iter().map(Server::local_addr).collect(),
             // Let every client reach the same shard at once: the backend's
@@ -682,46 +676,30 @@ fn run_shard_sweep(
         );
 
         let t0 = Instant::now();
-        let mut reports: Vec<ClientReport> = Vec::new();
+        let mut total = ClientReport::default();
         for pass in 0..opts.passes {
-            let pass_reports: Vec<ClientReport> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..opts.concurrency)
-                    .map(|client| {
-                        s.spawn(move || client_loop(client, pass, addr, specs, expected, opts))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard client thread"))
-                    .collect()
-            });
-            reports.extend(pass_reports);
+            total.merge(drive_pass(addr, pass, work, opts.concurrency, opts.binary));
         }
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         // The merged exposition carries every backend's series under its
         // shard label — routing spread and per-shard cache behaviour.
-        let per_shard: Vec<ShardFigures> = match client::request(
-            addr,
-            r#"{"id":"metrics","op":"metrics"}"#,
-        ) {
-            Ok(m) => {
-                let expo = m
-                    .get("exposition")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_owned();
-                (0..n)
-                    .map(|i| ShardFigures {
-                        requests: shard_series_value(&expo, "nshot_shard_requests_total", i),
-                        hits: shard_series_value(&expo, "nshot_response_cache_hits_total", i),
-                        misses: shard_series_value(&expo, "nshot_response_cache_misses_total", i),
-                    })
-                    .collect()
-            }
+        let per_shard_json = match scrape_metrics(addr) {
+            Ok(expo) => (0..n)
+                .map(|i| {
+                    let value = |name| series_total(&expo, name, Some(i));
+                    format!(
+                        "{{\"shard\": {i}, \"requests\": {}, \"cache_hits\": {}, \"cache_misses\": {}}}",
+                        value("nshot_shard_requests_total"),
+                        value("nshot_response_cache_hits_total"),
+                        value("nshot_response_cache_misses_total")
+                    )
+                })
+                .collect::<Vec<_>>()
+                .join(", "),
             Err(e) => {
                 errors.push(format!("shard sweep {n}: metrics scrape: {e}"));
-                Vec::new()
+                String::new()
             }
         };
 
@@ -737,64 +715,54 @@ fn run_shard_sweep(
             backend.wait();
         }
 
-        let mut latency = Histogram::default();
-        let (mut ok, mut rejected, mut hits) = (0u64, 0u64, 0u64);
-        for r in reports {
-            latency.merge(&r.latency);
-            ok += r.ok;
-            rejected += r.rejected;
-            hits += r.cache_hits;
-            errors.extend(
-                r.protocol_errors
-                    .into_iter()
-                    .map(|e| format!("shard sweep {n}: {e}")),
-            );
-        }
-        let throughput = (ok + rejected) as f64 / (wall_ms / 1e3);
-        let hit_rate = if ok > 0 { hits as f64 / ok as f64 } else { 0.0 };
-        eprintln!(
-            "loadgen: shard sweep: {n} shard(s): {ok} ok, {rejected} rejected, \
-             hit rate {hit_rate:.4}, {wall_ms:.0} ms, {throughput:.1} req/s"
+        errors.extend(
+            total
+                .protocol_errors
+                .iter()
+                .map(|e| format!("shard sweep {n}: {e}")),
         );
-        let per_shard_json = per_shard
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                format!(
-                    "{{\"shard\": {i}, \"requests\": {}, \"cache_hits\": {}, \"cache_misses\": {}}}",
-                    s.requests, s.hits, s.misses
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
+        let (throughput, hit_rate) = (total.throughput(wall_ms), total.hit_rate());
+        eprintln!(
+            "loadgen: shard sweep: {n} shard(s): {} ok, {} rejected, \
+             hit rate {hit_rate:.4}, {wall_ms:.0} ms, {throughput:.1} req/s",
+            total.ok, total.rejected
+        );
         topologies.push(format!(
             "{{\"shards\": {n}, \"wall_ms\": {wall_ms:.2}, \"throughput_rps\": {throughput:.1}, \
-             \"ok\": {ok}, \"rejected\": {rejected}, \"cache_hits\": {hits}, \
-             \"hit_rate\": {hit_rate:.4}, \
-             \"latency_us\": {{\"p50\": {}, \"p99\": {}, \"mean\": {}, \"max\": {}}}, \
-             \"per_shard\": [{per_shard_json}]}}",
-            latency.p50_us(),
-            latency.p99_us(),
-            latency.mean_us(),
-            latency.max_us(),
+             \"ok\": {}, \"rejected\": {}, \"cache_hits\": {}, \"hit_rate\": {hit_rate:.4}, \
+             \"latency_us\": {{{}}}, \"per_shard\": [{per_shard_json}]}}",
+            total.ok,
+            total.rejected,
+            total.cache_hits,
+            ClientReport::latency_json(&total.latency),
         ));
     }
     Ok(Some(format!("[{}]", topologies.join(", "))))
 }
 
+/// The sum of metric `name`'s samples in an exposition: over every label
+/// set (a shard front's merged exposition carries one per shard), or only
+/// the one labelled exactly `shard="i"`.
+fn series_total(exposition: &str, name: &str, shard: Option<usize>) -> u64 {
+    let only = shard.map(|i| format!("{name}{{shard=\"{i}\"}}"));
+    exposition
+        .lines()
+        .filter_map(|l| l.rsplit_once(' '))
+        .filter(|(series, _)| match &only {
+            Some(only) => series == only,
+            None => series.split('{').next() == Some(name),
+        })
+        .filter_map(|(_, v)| v.parse::<u64>().ok())
+        .sum()
+}
+
 /// The server-side response-cache figures from a `metrics` exposition, as
-/// the report's `response_cache.server` object. A shard front's merged
-/// exposition carries one series per shard; those are summed.
+/// the report's `response_cache.server` object, summed over shards.
 fn response_cache_figures(exposition: &str) -> Json {
-    let total = |name: &str| -> u64 {
-        exposition
-            .lines()
-            .filter_map(|l| l.rsplit_once(' '))
-            .filter(|(series, _)| series.split('{').next() == Some(name))
-            .filter_map(|(_, v)| v.parse::<u64>().ok())
-            .sum()
+    let field = |key: &str, name: &str| {
+        let total = series_total(exposition, name, None);
+        (key.to_owned(), Json::Num(total as f64))
     };
-    let field = |key: &str, name: &str| (key.to_owned(), Json::Num(total(name) as f64));
     Json::Obj(vec![
         field("hits", "nshot_response_cache_hits_total"),
         field("misses", "nshot_response_cache_misses_total"),
@@ -805,6 +773,7 @@ fn response_cache_figures(exposition: &str) -> Json {
 
 /// Per-pipeline-stage summary recovered from the server's Prometheus
 /// exposition.
+#[derive(Debug, PartialEq)]
 struct StageStat {
     count: u64,
     sum_us: u64,
@@ -813,69 +782,70 @@ struct StageStat {
 }
 
 /// Extract the `nshot_stage_duration_us` histogram per stage from
-/// Prometheus text and compute conservative (upper-bucket-edge) p50/p99
-/// from the cumulative `le` buckets, the same convention the histogram
-/// itself uses.
+/// Prometheus text and compute conservative (upper-bucket-edge) p50/p99,
+/// the convention the histogram itself uses. A shard front's merged
+/// exposition carries one series per shard and stage: each series'
+/// cumulative buckets are turned back into bucket counts, and counts,
+/// sums and buckets are summed per stage across shards.
 fn parse_stage_histograms(exposition: &str) -> Vec<(String, StageStat)> {
-    // stage -> (ascending (le, cumulative) pairs, sum, count)
-    type Acc = Vec<(String, Vec<(u64, u64)>, u64, u64)>;
-    let mut stages: Acc = Vec::new();
-    fn entry(stages: &mut Acc, stage: &str) -> usize {
-        match stages.iter().position(|(s, ..)| s == stage) {
+    // stage -> (bucket counts by upper edge, sum, count)
+    let mut stages: Vec<(String, BTreeMap<u64, u64>, u64, u64)> = Vec::new();
+    // series (its labels up to `le`) -> cumulative count of its last bucket
+    let mut last_cumulative: HashMap<&str, u64> = HashMap::new();
+    for line in exposition.lines() {
+        let Some(rest) = line.strip_prefix("nshot_stage_duration_us_") else {
+            continue;
+        };
+        let (Some((kind, labels)), Some((_, value))) =
+            (rest.split_once('{'), rest.rsplit_once(' '))
+        else {
+            continue;
+        };
+        let labels = labels.split('}').next().unwrap_or_default();
+        let label = |name: &str| {
+            let kv = labels.split(',').find_map(|kv| kv.strip_prefix(name));
+            kv?.strip_prefix("=\"")?.strip_suffix('"')
+        };
+        let (Ok(value), Some(stage)) = (value.parse::<u64>(), label("stage")) else {
+            continue;
+        };
+        let i = match stages.iter().position(|s| s.0 == stage) {
             Some(i) => i,
             None => {
-                stages.push((stage.to_owned(), Vec::new(), 0, 0));
+                stages.push((stage.to_owned(), BTreeMap::new(), 0, 0));
                 stages.len() - 1
             }
-        }
-    }
-    for line in exposition.lines() {
-        let Some(rest) = line.strip_prefix("nshot_stage_duration_us") else {
-            continue;
         };
-        let Some((series, value)) = rest.rsplit_once(' ') else {
-            continue;
-        };
-        let Ok(value) = value.parse::<u64>() else { continue };
-        let stage_of = |s: &str| {
-            s.split("stage=\"")
-                .nth(1)
-                .and_then(|t| t.split('"').next())
-                .map(str::to_owned)
-        };
-        if let Some(labels) = series.strip_prefix("_bucket{") {
-            let Some(stage) = stage_of(labels) else { continue };
-            let Some(le) = labels.split("le=\"").nth(1).and_then(|t| t.split('"').next())
-            else {
-                continue;
-            };
-            if let Ok(le) = le.parse::<u64>() {
-                let i = entry(&mut stages, &stage);
-                stages[i].1.push((le, value));
+        match kind {
+            "bucket" => {
+                // `+Inf` closes the series; it adds no finite bucket.
+                let Some(le) = label("le").and_then(|le| le.parse::<u64>().ok()) else {
+                    continue;
+                };
+                let series = labels.rsplit_once(",le=").map_or(labels, |(s, _)| s);
+                let prev = last_cumulative.insert(series, value).unwrap_or(0);
+                *stages[i].1.entry(le).or_default() += value.saturating_sub(prev);
             }
-        } else if let Some(labels) = series.strip_prefix("_sum{") {
-            if let Some(stage) = stage_of(labels) {
-                let i = entry(&mut stages, &stage);
-                stages[i].2 = value;
-            }
-        } else if let Some(labels) = series.strip_prefix("_count{") {
-            if let Some(stage) = stage_of(labels) {
-                let i = entry(&mut stages, &stage);
-                stages[i].3 = value;
-            }
+            "sum" => stages[i].2 += value,
+            "count" => stages[i].3 += value,
+            _ => {}
         }
     }
     stages
         .into_iter()
         .filter(|(_, _, _, count)| *count > 0)
-        .map(|(stage, mut buckets, sum_us, count)| {
-            buckets.sort_unstable();
+        .map(|(stage, buckets, sum_us, count)| {
             let quantile = |q: f64| -> u64 {
                 let rank = ((q * count as f64).ceil() as u64).max(1);
+                let mut seen = 0;
                 buckets
                     .iter()
-                    .find(|(_, cum)| *cum >= rank)
-                    .map_or_else(|| buckets.last().map_or(0, |(le, _)| *le), |(le, _)| *le)
+                    .find(|&(_, &n)| {
+                        seen += n;
+                        seen >= rank
+                    })
+                    .or_else(|| buckets.last_key_value())
+                    .map_or(0, |(&le, _)| le)
             };
             let stat = StageStat {
                 count,
@@ -891,19 +861,12 @@ fn parse_stage_histograms(exposition: &str) -> Vec<(String, StageStat)> {
 #[allow(clippy::too_many_arguments)]
 fn render_report(
     opts: &Options,
-    names: &[String],
-    sent: u64,
-    ok: u64,
-    rejected: u64,
-    cache_hits: u64,
-    protocol_errors: &[String],
+    work: &Workload,
+    total: &ClientReport,
     wall_ms: f64,
-    throughput: f64,
-    latency: &Histogram,
     server_cache: &Json,
     stage_timings: &[(String, StageStat)],
     store_json: Option<&str>,
-    gen_json: Option<&str>,
     shards_json: Option<&str>,
 ) -> String {
     let stage_json = stage_timings
@@ -920,22 +883,31 @@ fn render_report(
         })
         .collect::<Vec<_>>()
         .join(", ");
-    let names_json = names
+    let names_json = work.specs[..work.specs.len() - work.gen]
         .iter()
-        .map(|n| Json::Str(n.clone()).to_string())
+        .map(|(name, _)| Json::Str(name.clone()).to_string())
         .collect::<Vec<_>>()
         .join(", ");
-    let buckets = latency
+    let buckets = total
+        .latency
         .nonzero_buckets()
         .into_iter()
         .map(|(lo, hi, n)| format!("[{lo}, {hi}, {n}]"))
         .collect::<Vec<_>>()
         .join(", ");
-    let hit_rate = if ok > 0 {
-        cache_hits as f64 / ok as f64
-    } else {
-        0.0
-    };
+    // The `--gen` section: cache behaviour and latency of the seeded,
+    // high-cardinality half of the mix on its own.
+    let gen_json = (opts.gen > 0).then(|| {
+        format!(
+            "{{\"count\": {gen}, \"seeds\": \"0..{gen}\", \"ok\": {}, \"cache_hits\": {}, \"hit_rate\": {:.4}, \"latency_us\": {{{}}}}}",
+            total.gen_ok,
+            total.gen_hits,
+            ratio(total.gen_hits, total.gen_ok),
+            ClientReport::latency_json(&total.gen_latency),
+            gen = opts.gen,
+        )
+    });
+    let perr = total.protocol_errors.len();
     format!(
         "{{\n\
          \x20 \"generated_by\": \"cargo run --release -p nshot-bench --bin loadgen\",\n\
@@ -946,14 +918,14 @@ fn render_report(
          \x20 \"byte_identical_with_direct_calls\": {ident},\n\
          \x20 \"wall_ms\": {wall_ms:.2},\n\
          \x20 \"throughput_rps\": {throughput:.1},\n\
-         \x20 \"client_latency_us\": {{\"count\": {count}, \"p50\": {p50}, \"p99\": {p99}, \"mean\": {mean}, \"max\": {max}, \"buckets\": [{buckets}]}},\n\
+         \x20 \"client_latency_us\": {{{latency}, \"buckets\": [{buckets}]}},\n\
          \x20 \"stage_timings_us\": {{{stage_json}}},\n\
-         \x20 \"response_cache\": {{\"client_observed_hits\": {cache_hits}, \"client_hit_rate\": {hit_rate:.4}, \"server\": {server_cache}}},\n\
+         \x20 \"response_cache\": {{\"client_observed_hits\": {hits}, \"client_hit_rate\": {hit_rate:.4}, \"server\": {server_cache}}},\n\
          \x20 \"generated\": {gen_line},\n\
          \x20 \"store\": {store_line},\n\
          \x20 \"shards\": {shards_line}\n\
          }}\n",
-        gen_line = gen_json.unwrap_or("null"),
+        gen_line = gen_json.as_deref().unwrap_or("null"),
         store_line = store_json.unwrap_or("null"),
         shards_line = shards_json.unwrap_or("null"),
         par = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
@@ -962,13 +934,14 @@ fn render_report(
         conc = opts.concurrency,
         passes = opts.passes,
         format = opts.format,
-        perr = protocol_errors.len(),
-        ident = protocol_errors.is_empty(),
-        count = latency.count(),
-        p50 = latency.p50_us(),
-        p99 = latency.p99_us(),
-        mean = latency.mean_us(),
-        max = latency.max_us(),
+        sent = opts.concurrency * opts.passes * work.specs.len(),
+        ok = total.ok,
+        rejected = total.rejected,
+        ident = perr == 0,
+        throughput = total.throughput(wall_ms),
+        latency = ClientReport::latency_json(&total.latency),
+        hits = total.cache_hits,
+        hit_rate = total.hit_rate(),
     )
 }
 
@@ -993,98 +966,35 @@ fn render_report(
 /// Responses must be byte-identical across transports (and against direct
 /// synthesis); any divergence fails the run.
 fn run_wire_cmp(opts: &Options) -> Result<(), String> {
-    let suite = nshot_benchmarks::suite();
-    let names: Vec<String> = match &opts.circuits {
-        Some(list) => list.clone(),
-        None => suite.iter().map(|b| b.name.to_owned()).collect(),
-    };
-    let specs: Vec<(String, String)> = names
-        .iter()
-        .map(|n| {
-            nshot_benchmarks::by_name(n)
-                .map(|b| (n.clone(), b.build().to_text()))
-                .ok_or_else(|| format!("unknown circuit '{n}'"))
-        })
-        .collect::<Result<_, _>>()?;
-
-    // Ground truth once, via the same service path the server runs: the
-    // full response (fields included) is what the store comparison
-    // persists, and its BLIF field is the byte-identity reference.
-    let direct: Vec<(SynthRequest, nshot_server::Response)> = specs
-        .iter()
-        .map(|(_, spec)| {
-            let req = SynthRequest {
-                spec: spec.clone(),
-                method: Method::Nshot,
-                minimizer: Minimizer::Heuristic,
-                trials: 0,
-                format: OutputFormat::Blif,
-                share: false,
-            };
-            let resp = process_synth(&req, &Deadline::unlimited());
-            (req, resp)
-        })
-        .collect();
-    let expected: Vec<&str> = direct
-        .iter()
-        .enumerate()
-        .map(|(i, (_, resp))| {
-            resp.body
-                .iter()
-                .find(|(k, _)| k == "blif")
-                .and_then(|(_, v)| v.as_str())
-                .ok_or_else(|| format!("{}: direct synthesis failed: {:?}", names[i], resp.code))
-        })
-        .collect::<Result<_, _>>()?;
-
-    let server = Server::bind(ServerConfig {
-        queue_cap: 64,
-        timeout_ms: 0,
-        ..ServerConfig::default()
-    })
-    .map_err(|e| format!("bind: {e}"))?;
+    let work = Workload::build(opts, "blif")?;
+    let server = bind(opts, None, None)?;
     let addr = server.local_addr();
-    eprintln!(
-        "loadgen: wire-cmp: {} circuits against {addr}",
-        specs.len()
-    );
-
-    let mut json_conn =
-        Client::connect(addr).map_err(|e| format!("connect (json): {e}"))?;
-    let mut bin_conn =
-        Client::connect(addr).map_err(|e| format!("connect (binary): {e}"))?;
-    bin_conn
-        .upgrade_binary()
-        .map_err(|e| format!("binary upgrade: {e}"))?;
-
-    let mut errors: Vec<String> = Vec::new();
+    let n = work.specs.len();
+    eprintln!("loadgen: wire-cmp: {n} circuits against {addr}");
 
     // Cold pass: populate the cache so the measured passes compare
     // transport cost on identical cache-hit work.
-    for (i, (name, spec)) in specs.iter().enumerate() {
-        let line = synth_line(&format!("wire:cold:{name}"), spec, "blif");
-        let obj = json_conn
-            .roundtrip_json(&line)
-            .map_err(|e| format!("{name}: cold pass: {e}"))?;
-        if obj.get("code").and_then(Json::as_u64) != Some(200) {
-            return Err(format!("{name}: cold pass rejected: {obj}"));
-        }
-        if obj.get("blif").and_then(Json::as_str) != Some(expected[i]) {
-            errors.push(format!("{name}: cold netlist differs from direct call"));
-        }
+    let cold = drive_pass(addr, 0, &work, 1, false);
+    if cold.ok != n as u64 {
+        let errors = &cold.protocol_errors;
+        return Err(format!("cold pass: {} of {n} ok: {errors:?}", cold.ok));
     }
+    let mut errors = cold.protocol_errors;
+
+    let mut json_conn = connect(addr, false)?;
+    let mut bin_conn = connect(addr, true)?;
 
     // Measured passes (all cache hits). Byte counts come from the first
     // repetition — responses are deterministic, so every repetition puts
     // the same bytes on the wire.
     let reps = opts.passes.max(8);
-    let mut json_lat = Histogram::default();
-    let mut bin_lat = Histogram::default();
+    let json_lat = Histogram::default();
+    let bin_lat = Histogram::default();
     let (mut json_req_bytes, mut json_resp_bytes) = (0u64, 0u64);
     let (mut bin_req_bytes, mut bin_resp_bytes) = (0u64, 0u64);
     let mut json_netlists: Vec<String> = Vec::new();
     for rep in 0..reps {
-        for (i, (name, spec)) in specs.iter().enumerate() {
+        for (i, (name, spec)) in work.specs.iter().enumerate() {
             let line = synth_line(&format!("wire:json:{name}"), spec, "blif");
             let t0 = Instant::now();
             let raw = json_conn
@@ -1099,7 +1009,7 @@ fn run_wire_cmp(opts: &Options) -> Result<(), String> {
                     errors.push(format!("{name}: json measured pass missed the cache"));
                 }
                 let got = obj.get("blif").and_then(Json::as_str).unwrap_or_default();
-                if got != expected[i] {
+                if got != work.expected[i] {
                     errors.push(format!("{name}: json netlist differs from direct call"));
                 }
                 json_netlists.push(got.to_owned());
@@ -1107,7 +1017,7 @@ fn run_wire_cmp(opts: &Options) -> Result<(), String> {
         }
     }
     for rep in 0..reps {
-        for (i, (name, spec)) in specs.iter().enumerate() {
+        for (i, (name, spec)) in work.specs.iter().enumerate() {
             let line = synth_line(&format!("wire:bin:{name}"), spec, "blif");
             let env = parse_request(&line).map_err(|(_, e)| format!("{name}: {e}"))?;
             let frame = wirecodec::encode_request(&env)
@@ -1126,7 +1036,7 @@ fn run_wire_cmp(opts: &Options) -> Result<(), String> {
                     .map_err(|e| format!("{name}: re-encode response: {e}"))?;
                 bin_resp_bytes += frames.iter().map(|f| f.len() as u64).sum::<u64>();
                 let got = obj.get("blif").and_then(Json::as_str).unwrap_or_default();
-                if got != expected[i] {
+                if got != work.expected[i] {
                     errors.push(format!("{name}: binary netlist differs from direct call"));
                 }
                 if got != json_netlists[i] {
@@ -1137,10 +1047,7 @@ fn run_wire_cmp(opts: &Options) -> Result<(), String> {
     }
 
     // Done with the shared server.
-    let ack = client::request(addr, r#"{"id":"ctl","op":"shutdown"}"#)?;
-    if ack.get("drained").and_then(Json::as_bool) != Some(true) {
-        return Err(format!("shutdown did not drain: {ack}"));
-    }
+    server.shutdown();
     server.wait();
 
     // Store comparison: the same responses persisted both ways.
@@ -1149,20 +1056,30 @@ fn run_wire_cmp(opts: &Options) -> Result<(), String> {
     let legacy_dir = base.join("legacy");
     let binary_dir = base.join("binary");
     let mut legacy_store_bytes = nshot_store::HEADER_LEN;
+    let binary_store_bytes;
     {
-        let mut legacy = nshot_store::Store::open(nshot_store::StoreConfig {
-            fsync: nshot_server::FsyncPolicy::Never,
-            value_version: 1,
-            ..nshot_store::StoreConfig::new(&legacy_dir)
-        })
-        .map_err(|e| format!("open legacy store: {e}"))?;
-        let mut binary = nshot_store::Store::open(nshot_store::StoreConfig {
-            fsync: nshot_server::FsyncPolicy::Never,
-            value_version: nshot_server::RESPONSE_STORE_VERSION,
-            ..nshot_store::StoreConfig::new(&binary_dir)
-        })
-        .map_err(|e| format!("open binary store: {e}"))?;
-        for (req, resp) in &direct {
+        let open = |dir: &Path, value_version| {
+            nshot_store::Store::open(nshot_store::StoreConfig {
+                fsync: nshot_server::FsyncPolicy::Never,
+                value_version,
+                ..nshot_store::StoreConfig::new(dir)
+            })
+            .map_err(|e| format!("open store {}: {e}", dir.display()))
+        };
+        let mut legacy = open(&legacy_dir, 1)?;
+        let mut binary = open(&binary_dir, nshot_server::RESPONSE_STORE_VERSION)?;
+        for (_, spec) in &work.specs {
+            // The full response (fields included) is what the store
+            // persists, computed by the same service path the server runs.
+            let req = SynthRequest {
+                spec: spec.clone(),
+                method: Method::Nshot,
+                minimizer: Minimizer::Heuristic,
+                trials: 0,
+                format: OutputFormat::Blif,
+                share: false,
+            };
+            let resp = process_synth(&req, &Deadline::unlimited());
             let key = req.cache_key();
             // v1 records store the bare rendered fields (the cache's
             // legacy string); the warm path re-wraps them in braces.
@@ -1186,12 +1103,12 @@ fn run_wire_cmp(opts: &Options) -> Result<(), String> {
         }
         legacy.flush().map_err(|e| format!("legacy flush: {e}"))?;
         binary.flush().map_err(|e| format!("binary flush: {e}"))?;
+        binary_store_bytes = binary.report().bytes;
     }
-    let binary_store_bytes = dir_size(&binary_dir)?;
 
     // Warm-start wall: bind + one full cache-hit pass, per value format.
-    let legacy_warm_ms = warm_wall(&legacy_dir, &specs, &expected)?;
-    let binary_warm_ms = warm_wall(&binary_dir, &specs, &expected)?;
+    let legacy_warm_ms = warm_wall(opts, &legacy_dir, &work)?;
+    let binary_warm_ms = warm_wall(opts, &binary_dir, &work)?;
     let _ = std::fs::remove_dir_all(&base);
 
     let json_wire = json_req_bytes + json_resp_bytes;
@@ -1217,8 +1134,8 @@ fn run_wire_cmp(opts: &Options) -> Result<(), String> {
          \x20   \"warm_start_ms\": {{\"legacy_v1_json\": {lwarm:.2}, \"binary_v2\": {bwarm:.2}}},\n\
          \x20   \"byte_identical\": {byte_identical}\n\
          \x20 }}",
-        n = specs.len(),
-        rt = reps as u64 * specs.len() as u64,
+        n = work.specs.len(),
+        rt = reps as u64 * work.specs.len() as u64,
         jreq = json_req_bytes,
         jresp = json_resp_bytes,
         jtot = json_wire,
@@ -1237,63 +1154,31 @@ fn run_wire_cmp(opts: &Options) -> Result<(), String> {
     patch_wire_section(&opts.out, &wire_json)?;
     eprintln!("loadgen: wire-cmp: patched `wire` section into {}", opts.out);
 
-    if !errors.is_empty() {
-        for e in errors.iter().take(5) {
-            eprintln!("loadgen: wire-cmp error: {e}");
-        }
-        return Err(format!("{} wire-cmp errors", errors.len()));
-    }
-    Ok(())
+    check(&errors, "wire-cmp error")
 }
 
 /// Bind a fresh server warming from `dir` and prove the warm start with a
 /// full cache-hit pass (byte-identity included); returns the wall time of
 /// bind + pass in milliseconds.
-fn warm_wall(
-    dir: &std::path::Path,
-    specs: &[(String, String)],
-    expected: &[&str],
-) -> Result<f64, String> {
+fn warm_wall(opts: &Options, dir: &Path, work: &Workload) -> Result<f64, String> {
     let t0 = Instant::now();
-    let server = Server::bind(ServerConfig {
-        queue_cap: 64,
-        timeout_ms: 0,
-        warm_dir: Some(dir.to_path_buf()),
-        ..ServerConfig::default()
-    })
-    .map_err(|e| format!("warm bind {}: {e}", dir.display()))?;
-    let addr = server.local_addr();
-    let mut conn = Client::connect(addr).map_err(|e| format!("warm connect: {e}"))?;
-    for (i, (name, spec)) in specs.iter().enumerate() {
-        let line = synth_line(&format!("wire:warm:{name}"), spec, "blif");
-        let obj = conn
-            .roundtrip_json(&line)
-            .map_err(|e| format!("{name}: warm pass: {e}"))?;
-        if obj.get("cached").and_then(Json::as_bool) != Some(true) {
-            return Err(format!("{name}: warm start missed the cache: {obj}"));
-        }
-        if obj.get("blif").and_then(Json::as_str) != Some(expected[i]) {
-            return Err(format!("{name}: warmed netlist differs from direct call"));
-        }
-    }
+    let server = bind(opts, None, Some(dir))?;
+    let pass = drive_pass(server.local_addr(), 0, work, 1, false);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     server.shutdown();
     server.wait();
-    Ok(wall_ms)
-}
-
-/// Total size of the files directly inside `dir` (store directories are
-/// flat).
-fn dir_size(dir: &std::path::Path) -> Result<u64, String> {
-    let mut total = 0u64;
-    for entry in std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))? {
-        let entry = entry.map_err(|e| format!("{}: {e}", dir.display()))?;
-        let meta = entry.metadata().map_err(|e| format!("{}: {e}", dir.display()))?;
-        if meta.is_file() {
-            total += meta.len();
-        }
+    if let Some(e) = pass.protocol_errors.first() {
+        return Err(format!("warm start from {}: {e}", dir.display()));
     }
-    Ok(total)
+    if pass.cache_hits != work.specs.len() as u64 {
+        return Err(format!(
+            "warm start from {} missed the cache: {} of {} hits",
+            dir.display(),
+            pass.cache_hits,
+            work.specs.len()
+        ));
+    }
+    Ok(wall_ms)
 }
 
 /// Splice `"wire": {...}` into the report at `path` as its final section,
@@ -1317,4 +1202,80 @@ fn patch_wire_section(path: &str, wire_json: &str) -> Result<(), String> {
     let patched = format!("{head},\n  \"wire\": {wire_json}\n}}\n");
     json::parse(&patched).map_err(|e| format!("{path}: patched report is not valid JSON: {e}"))?;
     std::fs::write(path, patched).map_err(|e| format!("{path}: {e}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A shard front's merged exposition of `observations[i]` recorded on
+    /// shard `i`, plus one histogram that recorded them all.
+    fn two_shards(observations: [&[u64]; 2]) -> (String, Histogram) {
+        let whole = Histogram::default();
+        let mut text = String::new();
+        for (i, values) in observations.iter().enumerate() {
+            let shard = Histogram::default();
+            for &us in *values {
+                shard.record(us);
+                whole.record(us);
+            }
+            let labels = format!("shard=\"{i}\",stage=\"minimize\"");
+            shard.render_prometheus(&mut text, "nshot_stage_duration_us", &labels);
+        }
+        (text, whole)
+    }
+
+    #[test]
+    fn stage_timings_sum_across_shards() {
+        // Shard 0: three observations ≤ 8 µs (sum 20); shard 1: one in
+        // (512, 1024] µs (sum 900).
+        let (text, whole) = two_shards([&[6, 7, 7], &[900]]);
+        let stats = parse_stage_histograms(&text);
+        assert_eq!(stats.len(), 1);
+        assert_eq!(stats[0].0, "minimize");
+        let want = StageStat {
+            count: 4,
+            sum_us: 920,
+            p50_us: 8,
+            p99_us: 1024,
+        };
+        assert_eq!(stats[0].1, want);
+        assert_eq!(want.count, whole.count());
+        assert_eq!(want.sum_us, whole.sum_us());
+        assert_eq!(want.p50_us, whole.p50_us());
+        let top_edge = whole.nonzero_buckets().last().map(|b| b.1);
+        assert_eq!(Some(want.p99_us), top_edge);
+    }
+
+    #[test]
+    fn interleaved_shard_buckets_are_not_read_as_cumulative() {
+        // Summing each shard's cumulative counts per `le` would put the
+        // median at 1024; the merged distribution is 3, 5, 900.
+        let (text, whole) = two_shards([&[5], &[3, 900]]);
+        let stats = parse_stage_histograms(&text);
+        let want = StageStat {
+            count: 3,
+            sum_us: 908,
+            p50_us: 8,
+            p99_us: 1024,
+        };
+        assert_eq!(stats[0].1, want);
+        assert_eq!(want.count, whole.count());
+        assert_eq!(want.p50_us, whole.p50_us());
+    }
+
+    #[test]
+    fn a_single_server_exposition_reads_back_unchanged() {
+        let h = Histogram::default();
+        for us in [1, 1, 3, 900, 70_000] {
+            h.record(us);
+        }
+        let mut text = String::new();
+        h.render_prometheus(&mut text, "nshot_stage_duration_us", "stage=\"parse\"");
+        let stats = parse_stage_histograms(&text);
+        assert_eq!(stats[0].0, "parse");
+        assert_eq!(stats[0].1.count, h.count());
+        assert_eq!(stats[0].1.sum_us, h.sum_us());
+        assert_eq!(stats[0].1.p50_us, h.p50_us());
+    }
 }

@@ -18,7 +18,7 @@
 //! * `nshot_fuzz_phase_us{phase="generate"|"synthesize"|"verify"}` —
 //!   per-seed phase latency histograms.
 
-use nshot_obs::{AtomicHistogram, Counter, Registry};
+use nshot_obs::{Counter, Histogram, Registry};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -41,11 +41,11 @@ pub struct FuzzMetrics {
     /// Shrink predicate evaluations across all delta-debugging runs.
     pub shrink_steps: Arc<Counter>,
     /// Per-seed `draw` latency.
-    pub generate_us: Arc<AtomicHistogram>,
+    pub generate_us: Arc<Histogram>,
     /// Per-seed synthesis latency (accepted seeds only).
-    pub synthesize_us: Arc<AtomicHistogram>,
+    pub synthesize_us: Arc<Histogram>,
     /// Per-seed budgeted-verification latency (synthesized seeds only).
-    pub verify_us: Arc<AtomicHistogram>,
+    pub verify_us: Arc<Histogram>,
 }
 
 impl FuzzMetrics {
@@ -74,7 +74,7 @@ impl FuzzMetrics {
 
 /// Run `f`, recording its wall-clock in `h`. The timing is observability
 /// only — it never feeds back into the measured computation.
-pub fn timed<T>(h: &AtomicHistogram, f: impl FnOnce() -> T) -> T {
+pub fn timed<T>(h: &Histogram, f: impl FnOnce() -> T) -> T {
     let t0 = Instant::now();
     let out = f();
     h.record(t0.elapsed().as_micros() as u64);

@@ -20,7 +20,7 @@
 //!   minimization and Monte-Carlo chunks are attributed to the request that
 //!   spawned them.
 //! * **Registry** ([`Registry`]) — named counters, gauges and fixed-bucket
-//!   power-of-two-µs histograms ([`AtomicHistogram`]), renderable as
+//!   power-of-two-µs histograms ([`Histogram`]), renderable as
 //!   Prometheus text exposition. A process-global registry
 //!   ([`Registry::global`]) holds the pipeline-stage histograms and the
 //!   espresso-cache counters; the server additionally keeps a per-instance
@@ -30,7 +30,7 @@
 //!   concurrent workers do not serialize on a single writer mutex. Off by
 //!   default; the enabled check is one atomic.
 //! * **Flight recorder** ([`event`] / [`dump`], env
-//!   `NSHOT_FLIGHT=path|stderr`, capacity `NSHOT_FLIGHT_CAP`) — a bounded
+//!   `NSHOT_FLIGHT=path|stderr`, [`DEFAULT_FLIGHT_CAP`] events) — a bounded
 //!   lock-striped ring of structured events with sequence numbers, dumped
 //!   on demand or automatically on panic via a chained hook
 //!   ([`install_panic_hook`], which also flushes the trace sink).
@@ -50,20 +50,18 @@ pub mod recorder;
 pub mod registry;
 pub mod sink;
 pub mod span;
+mod target;
 
 pub use progress::{
-    progress_enabled, set_progress, set_progress_interval_ms, HeartbeatGuard, Progress,
-    DEFAULT_PROGRESS_INTERVAL_MS,
+    progress_enabled, set_progress, HeartbeatGuard, Progress, DEFAULT_PROGRESS_INTERVAL_MS,
 };
 pub use recorder::{
-    dump, event, flight_enabled, flight_events, install_panic_hook, set_flight,
-    DEFAULT_FLIGHT_CAP,
+    dump, event, flight_enabled, flight_events, install_panic_hook, set_flight, DEFAULT_FLIGHT_CAP,
 };
-pub use registry::{
-    AtomicHistogram, CacheStats, Counter, Gauge, Histogram, Registry, NUM_BUCKETS,
-};
-pub use sink::{flush_trace, set_trace, trace_enabled, TraceTarget};
+pub use registry::{CacheStats, Counter, Gauge, Histogram, Registry, NUM_BUCKETS};
+pub use sink::{flush_trace, set_trace};
 pub use span::{
-    current_context, next_trace_id, span, stage_histograms, with_context, with_request,
-    SpanGuard, Stage, StageTimings, TraceContext, PIPELINE_STAGES, STAGES,
+    current_context, next_trace_id, span, stage_histograms, trace_enabled, with_context,
+    with_request, SpanGuard, Stage, StageTimings, TraceContext, PIPELINE_STAGES, STAGES,
 };
+pub use target::TraceTarget;

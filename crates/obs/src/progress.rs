@@ -27,112 +27,58 @@
 //! verdicts, certificates and netlists are byte-identical with progress
 //! on or off (the byte-identity tests in `nshot-mc` enforce this).
 
-use std::io::{self, Write as IoWrite};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::io;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::recorder::escape_json;
 use crate::registry::Gauge;
-use crate::sink::TraceTarget;
+use crate::target::{lock, open_env, Gate, Output, TraceTarget};
 
 /// Default heartbeat interval when `NSHOT_PROGRESS_MS` is unset.
 pub const DEFAULT_PROGRESS_INTERVAL_MS: u64 = 1000;
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+static PROGRESS: Gate = Gate::new();
+static OUT: Mutex<Option<Arc<Mutex<Output>>>> = Mutex::new(None);
 
-enum Writer {
-    Stderr,
-    File(std::fs::File),
-}
-
-impl Writer {
-    fn write_line(&mut self, line: &str) {
-        let _ = match self {
-            Writer::Stderr => {
-                let mut e = io::stderr().lock();
-                e.write_all(line.as_bytes()).and_then(|()| e.flush())
-            }
-            Writer::File(f) => f.write_all(line.as_bytes()).and_then(|()| f.flush()),
-        };
-    }
-}
-
-struct Out {
-    writer: Mutex<Writer>,
-}
-
-// 0 = uninitialized (env not consulted), 1 = off, 2 = on.
-static PROGRESS: AtomicU32 = AtomicU32::new(0);
-static INTERVAL_MS: AtomicU64 = AtomicU64::new(DEFAULT_PROGRESS_INTERVAL_MS);
-
-fn out_slot() -> &'static Mutex<Option<Arc<Out>>> {
-    static SLOT: Mutex<Option<Arc<Out>>> = Mutex::new(None);
-    &SLOT
-}
-
-/// Install (or remove, with `None`) the heartbeat writer. Takes
+/// Install (or remove, with `None`) the heartbeat output. Takes
 /// precedence over `NSHOT_PROGRESS`. All jobs in the process share the
-/// writer; a `File` target is truncated once here and appended to by
+/// output; a `File` target is truncated once here and appended to by
 /// every subsequent heartbeat.
 pub fn set_progress(target: Option<TraceTarget>) -> io::Result<()> {
-    let new = match target {
-        None => None,
-        Some(TraceTarget::Stderr) => Some(Arc::new(Out {
-            writer: Mutex::new(Writer::Stderr),
-        })),
-        Some(TraceTarget::File(path)) => Some(Arc::new(Out {
-            writer: Mutex::new(Writer::File(std::fs::File::create(path)?)),
-        })),
-    };
-    let on = new.is_some();
-    *lock(out_slot()) = new;
-    PROGRESS.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    install(target.map(|t| t.open()).transpose()?);
     Ok(())
 }
 
-/// Override the heartbeat interval (floor 10 ms). Wins over
-/// `NSHOT_PROGRESS_MS`.
-pub fn set_progress_interval_ms(ms: u64) {
-    INTERVAL_MS.store(ms.max(10), Ordering::Relaxed);
+fn install(out: Option<Output>) {
+    let on = out.is_some();
+    *lock(&OUT) = out.map(|out| Arc::new(Mutex::new(out)));
+    PROGRESS.set(on);
 }
 
-#[cold]
-fn init_from_env() -> bool {
-    static ONCE: OnceLock<()> = OnceLock::new();
-    ONCE.get_or_init(|| {
-        if let Some(ms) = std::env::var("NSHOT_PROGRESS_MS")
+/// Resolve `NSHOT_PROGRESS` from its value: the target must open, or
+/// heartbeats stay off.
+fn init(value: Option<&str>) {
+    install(open_env("NSHOT_PROGRESS", value).map(|(_, out)| out));
+}
+
+/// The heartbeat interval: `NSHOT_PROGRESS_MS`, floor 10 ms.
+fn interval_ms() -> u64 {
+    static MS: OnceLock<u64> = OnceLock::new();
+    *MS.get_or_init(|| {
+        std::env::var("NSHOT_PROGRESS_MS")
             .ok()
             .and_then(|v| v.parse::<u64>().ok())
-        {
-            set_progress_interval_ms(ms);
-        }
-        match std::env::var("NSHOT_PROGRESS") {
-            Ok(v) if v == "stderr" => {
-                let _ = set_progress(Some(TraceTarget::Stderr));
-            }
-            Ok(v) if !v.is_empty() => {
-                if let Err(e) = set_progress(Some(TraceTarget::File(PathBuf::from(&v)))) {
-                    eprintln!("nshot-obs: cannot open NSHOT_PROGRESS={v}: {e}");
-                }
-            }
-            _ => PROGRESS.store(1, Ordering::Relaxed),
-        }
-    });
-    PROGRESS.load(Ordering::Relaxed) == 2
+            .unwrap_or(DEFAULT_PROGRESS_INTERVAL_MS)
+            .max(10)
+    })
 }
 
 /// Is heartbeat reporting on? Off path: one relaxed atomic load.
 #[inline]
 pub fn progress_enabled() -> bool {
-    match PROGRESS.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => init_from_env(),
-    }
+    PROGRESS.on(|| init(std::env::var("NSHOT_PROGRESS").ok().as_deref()))
 }
 
 struct Field {
@@ -148,7 +94,7 @@ struct Inner {
     start: Instant,
     fields: Mutex<Vec<Field>>,
     seq: AtomicU64,
-    out: Option<Arc<Out>>,
+    out: Option<Arc<Mutex<Output>>>,
     stop: Mutex<bool>,
     cv: Condvar,
 }
@@ -165,7 +111,7 @@ impl Progress {
     /// A handle for the job named `job` (the heartbeat `"hb"` field).
     pub fn new(job: impl Into<String>) -> Progress {
         let out = if progress_enabled() {
-            lock(out_slot()).clone()
+            lock(&OUT).clone()
         } else {
             None
         };
@@ -247,7 +193,7 @@ impl Progress {
         drop(fields);
         let _ = write!(line, ",\"final\":{final_}}}");
         line.push('\n');
-        lock(&out.writer).write_line(&line);
+        lock(out).write(line.as_bytes());
     }
 
     /// Emit one heartbeat now (`"final":false`). Useful for event-driven
@@ -272,24 +218,17 @@ impl Progress {
         let p = self.clone();
         let handle = std::thread::Builder::new()
             .name("nshot-heartbeat".into())
-            .spawn(move || {
-                let mut stopped = lock(&inner.stop);
-                loop {
-                    let interval = INTERVAL_MS.load(Ordering::Relaxed).max(10);
-                    let (guard, timeout) = inner
-                        .cv
-                        .wait_timeout(stopped, Duration::from_millis(interval))
-                        .unwrap_or_else(PoisonError::into_inner);
-                    stopped = guard;
-                    if *stopped {
-                        return;
-                    }
-                    if timeout.timed_out() {
-                        drop(stopped);
-                        p.emit(false);
-                        stopped = lock(&inner.stop);
-                    }
+            .spawn(move || loop {
+                let interval = Duration::from_millis(interval_ms());
+                let (stopped, _) = inner
+                    .cv
+                    .wait_timeout_while(lock(&inner.stop), interval, |stop| !*stop)
+                    .unwrap_or_else(PoisonError::into_inner);
+                if *stopped {
+                    return;
                 }
+                drop(stopped);
+                p.emit(false);
             })
             .ok();
         HeartbeatGuard {
@@ -374,5 +313,16 @@ mod tests {
         // No writer installed → nothing to assert beyond not panicking,
         // and the reporter spawned no thread.
         assert!(_hb.handle.is_none());
+    }
+
+    #[test]
+    fn unopenable_env_target_resolves_progress_off() {
+        let _l = crate::span::test_lock();
+        let bad = std::env::temp_dir().join("nshot_obs_no_such_dir/hb.ndjson");
+        init(bad.to_str());
+        assert!(lock(&OUT).is_none());
+        // Resolved to off: the check never re-enters the cold path.
+        assert!(!PROGRESS.on(|| unreachable!("gate left unresolved")));
+        assert!(!Progress::new("off:job").enabled());
     }
 }

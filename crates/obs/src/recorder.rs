@@ -24,25 +24,23 @@
 //!   is warm (beyond the detail string itself).
 //!
 //! Enabled by the environment (`NSHOT_FLIGHT=stderr` or
-//! `NSHOT_FLIGHT=/path/to/file`, capacity via `NSHOT_FLIGHT_CAP`, default
-//! 4096 events) or programmatically with [`set_flight`]. A dump is one
-//! JSON object per event, oldest first, in sequence order:
+//! `NSHOT_FLIGHT=/path/to/file`, [`DEFAULT_FLIGHT_CAP`] events) or
+//! programmatically with [`set_flight`]. A dump is one JSON object per
+//! event, oldest first, in sequence order:
 //!
 //! ```json
 //! {"flight":17,"at_us":109211,"thread":3,"kind":"slow_request","detail":"..."}
 //! ```
 
 use std::collections::VecDeque;
-use std::io;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::sink::TraceTarget;
+use crate::target::{lock, open_env, Gate, TraceTarget};
 
 const STRIPES: usize = 8;
 
-/// Default ring capacity (events) when `NSHOT_FLIGHT_CAP` is unset.
+/// Ring capacity (events) of a recorder enabled by `NSHOT_FLIGHT`.
 pub const DEFAULT_FLIGHT_CAP: usize = 4096;
 
 /// One recorded event.
@@ -113,20 +111,11 @@ impl Recorder {
     }
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-// 0 = uninitialized (env not consulted), 1 = off, 2 = on.
-static FLIGHT: AtomicU32 = AtomicU32::new(0);
-
-fn recorder_slot() -> &'static Mutex<Option<Arc<Recorder>>> {
-    static SLOT: Mutex<Option<Arc<Recorder>>> = Mutex::new(None);
-    &SLOT
-}
+static FLIGHT: Gate = Gate::new();
+static RECORDER: Mutex<Option<Arc<Recorder>>> = Mutex::new(None);
 
 fn current_recorder() -> Option<Arc<Recorder>> {
-    lock(recorder_slot()).clone()
+    lock(&RECORDER).clone()
 }
 
 /// Install (or remove, with `None`) the flight recorder with the given
@@ -135,41 +124,24 @@ fn current_recorder() -> Option<Arc<Recorder>> {
 pub fn set_flight(target: Option<TraceTarget>, capacity: usize) {
     let new = target.map(|t| Arc::new(Recorder::new(t, capacity)));
     let on = new.is_some();
-    *lock(recorder_slot()) = new;
-    FLIGHT.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    *lock(&RECORDER) = new;
+    FLIGHT.set(on);
     if on {
         install_panic_hook();
     }
 }
 
-#[cold]
-fn init_from_env() -> bool {
-    static ONCE: OnceLock<()> = OnceLock::new();
-    ONCE.get_or_init(|| {
-        let cap = std::env::var("NSHOT_FLIGHT_CAP")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(DEFAULT_FLIGHT_CAP);
-        match std::env::var("NSHOT_FLIGHT") {
-            Ok(v) if v == "stderr" => set_flight(Some(TraceTarget::Stderr), cap),
-            Ok(v) if !v.is_empty() => {
-                set_flight(Some(TraceTarget::File(PathBuf::from(v))), cap)
-            }
-            _ => FLIGHT.store(1, Ordering::Relaxed),
-        }
-    });
-    FLIGHT.load(Ordering::Relaxed) == 2
+/// Resolve `NSHOT_FLIGHT` from its value: the target must open, or the
+/// recorder stays off.
+fn init(value: Option<&str>) {
+    let target = open_env("NSHOT_FLIGHT", value).map(|(target, _)| target);
+    set_flight(target, DEFAULT_FLIGHT_CAP);
 }
 
 /// Is the flight recorder on? Off path: one relaxed atomic load.
 #[inline]
 pub fn flight_enabled() -> bool {
-    match FLIGHT.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => init_from_env(),
-    }
+    FLIGHT.on(|| init(std::env::var("NSHOT_FLIGHT").ok().as_deref()))
 }
 
 /// Record an event. The `detail` closure only runs when the recorder is
@@ -205,20 +177,9 @@ pub fn dump() {
             escape_json(&e.detail)
         );
     }
-    write_to_target(&r.target, &out);
-}
-
-fn write_to_target(target: &TraceTarget, text: &str) {
-    match target {
-        TraceTarget::Stderr => {
-            use std::io::Write as _;
-            let mut err = io::stderr().lock();
-            let _ = err.write_all(text.as_bytes());
-            let _ = err.flush();
-        }
-        TraceTarget::File(path) => {
-            let _ = std::fs::write(path, text);
-        }
+    // Opening truncates: each dump rewrites the target whole.
+    if let Ok(mut target) = r.target.open() {
+        target.write(out.as_bytes());
     }
 }
 
@@ -266,11 +227,7 @@ pub fn install_panic_hook() {
     ONCE.get_or_init(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if flight_enabled() {
-                if let Some(r) = current_recorder() {
-                    r.record("panic", info.to_string());
-                }
-            }
+            event("panic", || info.to_string());
             crate::sink::flush_trace();
             dump();
             prev(info);
@@ -291,5 +248,15 @@ mod tests {
         assert_eq!(escape_json("a\"b\\c"), "a\\\"b\\\\c");
         assert_eq!(escape_json("x\ny"), "x\\ny");
         assert_eq!(escape_json("\u{1}"), "\\u0001");
+    }
+
+    #[test]
+    fn unopenable_env_target_resolves_flight_off() {
+        let _l = crate::span::test_lock();
+        let bad = std::env::temp_dir().join("nshot_obs_no_such_dir/flight.ndjson");
+        init(bad.to_str());
+        assert!(current_recorder().is_none());
+        assert!(!FLIGHT.on(|| unreachable!("gate left unresolved")));
+        event("never", || unreachable!("off path must stay lazy"));
     }
 }

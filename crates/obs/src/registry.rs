@@ -8,12 +8,10 @@
 //! computed from the counts on demand, conservatively reporting the *upper*
 //! edge of the bucket the quantile falls in. All timing comes from
 //! [`std::time::Instant`] at the call sites; histograms never consult a
-//! clock. Two flavours share the bucket layout:
-//!
-//! * [`Histogram`] — plain, mergeable; used by load generators that tally
-//!   per-client and fold at the end.
-//! * [`AtomicHistogram`] — lock-free shared recording for the [`Registry`];
-//!   snapshots produce a plain [`Histogram`].
+//! clock. Recording is a handful of relaxed atomic adds, so one
+//! [`Histogram`] is shared by every recorder (the [`Registry`]'s series,
+//! a load generator's per-client tallies) and readers fold or render it
+//! from one read of its buckets.
 //!
 //! Metric names may carry a fixed Prometheus label set inline
 //! (`name{stage="minimize"}`); the renderer splits base name and labels so
@@ -21,7 +19,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock};
+
+use crate::target::lock;
 
 /// Number of power-of-two buckets (see module docs).
 pub const NUM_BUCKETS: usize = 40;
@@ -44,72 +44,75 @@ fn upper_edge(i: usize) -> u64 {
     }
 }
 
-/// A fixed-bucket histogram of microsecond latencies.
-#[derive(Debug, Clone)]
+/// A fixed-bucket histogram of microsecond latencies, recorded through
+/// `&self`. The count is the sum of the buckets, so every reading is
+/// self-consistent even while records race with it.
+#[derive(Debug)]
 pub struct Histogram {
-    buckets: [u64; NUM_BUCKETS],
-    count: u64,
-    sum_us: u64,
-    max_us: u64,
+    buckets: [AtomicU64; NUM_BUCKETS],
+    sum_us: AtomicU64,
+    max_us: AtomicU64,
 }
 
 impl Default for Histogram {
     fn default() -> Self {
         Histogram {
-            buckets: [0; NUM_BUCKETS],
-            count: 0,
-            sum_us: 0,
-            max_us: 0,
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            sum_us: AtomicU64::new(0),
+            max_us: AtomicU64::new(0),
         }
     }
 }
 
 impl Histogram {
-    /// Record one observation.
-    pub fn record(&mut self, us: u64) {
-        self.buckets[bucket_of(us)] += 1;
-        self.count += 1;
-        self.sum_us += us;
-        self.max_us = self.max_us.max(us);
+    /// Record one observation (relaxed atomic adds).
+    pub fn record(&self, us: u64) {
+        self.buckets[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
+        self.sum_us.fetch_add(us, Ordering::Relaxed);
+        self.max_us.fetch_max(us, Ordering::Relaxed);
+    }
+
+    /// One read of the bucket counts. Buckets are read one by one, not
+    /// as a set, which is fine for monitoring: each counter is monotone.
+    fn counts(&self) -> [u64; NUM_BUCKETS] {
+        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.count
+        self.counts().iter().sum()
     }
 
     /// Sum of all observations in µs.
     pub fn sum_us(&self) -> u64 {
-        self.sum_us
+        self.sum_us.load(Ordering::Relaxed)
     }
 
     /// Mean latency in µs (0 with no observations).
     pub fn mean_us(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.sum_us / self.count
-        }
+        self.sum_us() / self.count().max(1)
     }
 
     /// Largest observation in µs.
     pub fn max_us(&self) -> u64 {
-        self.max_us
+        self.max_us.load(Ordering::Relaxed)
     }
 
     /// The `q`-quantile (0 < q ≤ 1) as the upper edge of the bucket it
     /// falls in; 0 with no observations.
     pub fn quantile_us(&self, q: f64) -> u64 {
-        if self.count == 0 {
+        let counts = self.counts();
+        let count: u64 = counts.iter().sum();
+        if count == 0 {
             return 0;
         }
         // Rank of the target observation, 1-based, clamped into range.
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
         let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
+        for (i, &n) in counts.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                return upper_edge(i).min(self.max_us.max(1));
+                return upper_edge(i).min(self.max_us().max(1));
             }
         }
         upper_edge(NUM_BUCKETS - 1)
@@ -126,9 +129,9 @@ impl Histogram {
     }
 
     /// The non-empty buckets as `(lower_us, upper_us, count)` triples, for
-    /// reports and the stats endpoint.
+    /// reports.
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
-        self.buckets
+        self.counts()
             .iter()
             .enumerate()
             .filter(|&(_, &n)| n > 0)
@@ -141,13 +144,12 @@ impl Histogram {
 
     /// Fold another histogram into this one (loadgen merges per-client
     /// histograms).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
+    pub fn merge(&self, other: &Histogram) {
+        for (a, n) in self.buckets.iter().zip(other.counts()) {
+            a.fetch_add(n, Ordering::Relaxed);
         }
-        self.count += other.count;
-        self.sum_us += other.sum_us;
-        self.max_us = self.max_us.max(other.max_us);
+        self.sum_us.fetch_add(other.sum_us(), Ordering::Relaxed);
+        self.max_us.fetch_max(other.max_us(), Ordering::Relaxed);
     }
 
     /// Render this histogram as Prometheus text series `base_bucket{…,le}`,
@@ -157,10 +159,10 @@ impl Histogram {
         use std::fmt::Write;
         let sep = if labels.is_empty() { "" } else { "," };
         let mut cumulative = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
+        for (i, n) in self.counts().into_iter().enumerate() {
             cumulative += n;
-            // Keep the exposition compact: only emit a bucket boundary when
-            // it carries information (non-empty or first/last).
+            // Keep the exposition compact: only non-empty buckets get a
+            // boundary line; `+Inf` always closes the series.
             if n > 0 {
                 let _ = writeln!(
                     out,
@@ -169,66 +171,15 @@ impl Histogram {
                 );
             }
         }
-        let _ = writeln!(out, "{base}_bucket{{{labels}{sep}le=\"+Inf\"}} {}", self.count);
+        let (count, sum) = (cumulative, self.sum_us());
+        let _ = writeln!(out, "{base}_bucket{{{labels}{sep}le=\"+Inf\"}} {count}");
         if labels.is_empty() {
-            let _ = writeln!(out, "{base}_sum {}", self.sum_us);
-            let _ = writeln!(out, "{base}_count {}", self.count);
+            let _ = writeln!(out, "{base}_sum {sum}");
+            let _ = writeln!(out, "{base}_count {count}");
         } else {
-            let _ = writeln!(out, "{base}_sum{{{labels}}} {}", self.sum_us);
-            let _ = writeln!(out, "{base}_count{{{labels}}} {}", self.count);
+            let _ = writeln!(out, "{base}_sum{{{labels}}} {sum}");
+            let _ = writeln!(out, "{base}_count{{{labels}}} {count}");
         }
-    }
-}
-
-/// Lock-free shared histogram with the same bucket layout as [`Histogram`].
-#[derive(Debug)]
-pub struct AtomicHistogram {
-    buckets: [AtomicU64; NUM_BUCKETS],
-    count: AtomicU64,
-    sum_us: AtomicU64,
-    max_us: AtomicU64,
-}
-
-impl Default for AtomicHistogram {
-    fn default() -> Self {
-        AtomicHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum_us: AtomicU64::new(0),
-            max_us: AtomicU64::new(0),
-        }
-    }
-}
-
-impl AtomicHistogram {
-    /// Record one observation (a handful of relaxed atomic adds).
-    pub fn record(&self, us: u64) {
-        self.buckets[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_us.fetch_add(us, Ordering::Relaxed);
-        self.max_us.fetch_max(us, Ordering::Relaxed);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// A plain snapshot for quantiles, merging and rendering. Buckets are
-    /// read one by one (not atomically as a set), which is fine for
-    /// monitoring: each counter is monotone.
-    pub fn snapshot(&self) -> Histogram {
-        let mut h = Histogram::default();
-        for (dst, src) in h.buckets.iter_mut().zip(self.buckets.iter()) {
-            *dst = src.load(Ordering::Relaxed);
-        }
-        // Derive count/sum from what we saw if a racing record lands between
-        // the bucket reads and these loads; staying self-consistent matters
-        // more than being up-to-the-instant.
-        h.count = h.buckets.iter().sum();
-        h.sum_us = self.sum_us.load(Ordering::Relaxed);
-        h.max_us = self.max_us.load(Ordering::Relaxed);
-        h
     }
 }
 
@@ -327,11 +278,7 @@ fn split_name(name: &str) -> (&str, &str) {
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<AtomicHistogram>>>,
-}
-
-fn unpoison<T>(r: Result<T, PoisonError<T>>) -> T {
-    r.unwrap_or_else(PoisonError::into_inner)
+    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
 impl Registry {
@@ -348,34 +295,30 @@ impl Registry {
 
     /// The counter named `name`, created on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = unpoison(self.counters.lock());
+        let mut map = lock(&self.counters);
         Arc::clone(map.entry(name.to_owned()).or_default())
     }
 
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = unpoison(self.gauges.lock());
+        let mut map = lock(&self.gauges);
         Arc::clone(map.entry(name.to_owned()).or_default())
     }
 
     /// The histogram named `name`, created on first use.
-    pub fn histogram(&self, name: &str) -> Arc<AtomicHistogram> {
-        let mut map = unpoison(self.histograms.lock());
+    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+        let mut map = lock(&self.histograms);
         Arc::clone(map.entry(name.to_owned()).or_default())
     }
 
     /// Current value of a counter, 0 when it has never been created.
     pub fn counter_value(&self, name: &str) -> u64 {
-        unpoison(self.counters.lock())
-            .get(name)
-            .map_or(0, |c| c.get())
+        lock(&self.counters).get(name).map_or(0, |c| c.get())
     }
 
     /// Current value of a gauge, 0 when it has never been created.
     pub fn gauge_value(&self, name: &str) -> u64 {
-        unpoison(self.gauges.lock())
-            .get(name)
-            .map_or(0, |g| g.get())
+        lock(&self.gauges).get(name).map_or(0, |g| g.get())
     }
 
     /// Render every metric as Prometheus text exposition (version 0.0.4):
@@ -384,32 +327,29 @@ impl Registry {
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        let mut last_base = String::new();
-        for (name, c) in unpoison(self.counters.lock()).iter() {
+        let counters = lock(&self.counters);
+        let gauges = lock(&self.gauges);
+        let scalars = counters
+            .iter()
+            .map(|(name, c)| (name, "counter", c.get()))
+            .chain(gauges.iter().map(|(name, g)| (name, "gauge", g.get())));
+        let mut last = ("", "");
+        for (name, kind, value) in scalars {
             let (base, _) = split_name(name);
-            if base != last_base {
-                let _ = writeln!(out, "# TYPE {base} counter");
-                last_base = base.to_owned();
+            if (base, kind) != last {
+                let _ = writeln!(out, "# TYPE {base} {kind}");
+                last = (base, kind);
             }
-            let _ = writeln!(out, "{name} {}", c.get());
+            let _ = writeln!(out, "{name} {value}");
         }
-        last_base.clear();
-        for (name, g) in unpoison(self.gauges.lock()).iter() {
-            let (base, _) = split_name(name);
-            if base != last_base {
-                let _ = writeln!(out, "# TYPE {base} gauge");
-                last_base = base.to_owned();
-            }
-            let _ = writeln!(out, "{name} {}", g.get());
-        }
-        last_base.clear();
-        for (name, h) in unpoison(self.histograms.lock()).iter() {
+        let mut last_base = "";
+        for (name, h) in lock(&self.histograms).iter() {
             let (base, labels) = split_name(name);
             if base != last_base {
                 let _ = writeln!(out, "# TYPE {base} histogram");
-                last_base = base.to_owned();
+                last_base = base;
             }
-            h.snapshot().render_prometheus(&mut out, base, labels);
+            h.render_prometheus(&mut out, base, labels);
         }
         out
     }
@@ -446,7 +386,7 @@ mod tests {
 
     #[test]
     fn quantiles_are_conservative_upper_bounds() {
-        let mut h = Histogram::default();
+        let h = Histogram::default();
         for us in [10, 11, 12, 13, 900, 950, 1000, 1100, 9000, 100_000] {
             h.record(us);
         }
@@ -461,7 +401,7 @@ mod tests {
 
     #[test]
     fn single_observation_everything_agrees() {
-        let mut h = Histogram::default();
+        let h = Histogram::default();
         h.record(5000);
         assert_eq!(h.p50_us(), h.p99_us());
         assert_eq!(h.mean_us(), 5000);
@@ -472,7 +412,7 @@ mod tests {
     fn merge_equals_recording_into_one() {
         let mut a = Histogram::default();
         let mut b = Histogram::default();
-        let mut whole = Histogram::default();
+        let whole = Histogram::default();
         for (i, us) in [3u64, 17, 200, 4096, 0, 65_000].iter().enumerate() {
             if i % 2 == 0 { &mut a } else { &mut b }.record(*us);
             whole.record(*us);
@@ -485,18 +425,23 @@ mod tests {
     }
 
     #[test]
-    fn atomic_histogram_snapshot_matches_plain() {
-        let ah = AtomicHistogram::default();
-        let mut plain = Histogram::default();
-        for us in [0u64, 1, 7, 63, 64, 100_000, 5, 5, 5] {
-            ah.record(us);
-            plain.record(us);
+    fn concurrent_recording_matches_sequential() {
+        let values: Vec<u64> = (0..8_000u64).map(|i| (i * 7919) % 100_003).collect();
+        let sequential = Histogram::default();
+        for &us in &values {
+            sequential.record(us);
         }
-        let snap = ah.snapshot();
-        assert_eq!(snap.count(), plain.count());
-        assert_eq!(snap.sum_us(), plain.sum_us());
-        assert_eq!(snap.max_us(), plain.max_us());
-        assert_eq!(snap.nonzero_buckets(), plain.nonzero_buckets());
+        let shared = Histogram::default();
+        std::thread::scope(|s| {
+            for chunk in values.chunks(values.len() / 8) {
+                let shared = &shared;
+                s.spawn(move || chunk.iter().for_each(|&us| shared.record(us)));
+            }
+        });
+        assert_eq!(shared.count(), sequential.count());
+        assert_eq!(shared.sum_us(), sequential.sum_us());
+        assert_eq!(shared.max_us(), sequential.max_us());
+        assert_eq!(shared.nonzero_buckets(), sequential.nonzero_buckets());
     }
 
     #[test]
@@ -527,7 +472,7 @@ mod tests {
 
     #[test]
     fn prometheus_buckets_are_cumulative() {
-        let mut h = Histogram::default();
+        let h = Histogram::default();
         for us in [1u64, 1, 3, 900] {
             h.record(us);
         }

@@ -17,64 +17,27 @@
 //! `NSHOT_TRACE=/path/to/file`, consulted once on first span) or
 //! programmatically with [`set_trace`] (which wins over the environment).
 //! Writes go through 8 lock-striped string buffers keyed by thread
-//! number, flushed to the shared writer at 32 KiB, so concurrent workers
+//! number, flushed to the shared output at 32 KiB, so concurrent workers
 //! do not serialize on one writer mutex; no lock is ever held while
 //! taking another.
 
-use std::fs::File;
-use std::io::{self, Write};
-use std::path::PathBuf;
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock};
+
+use crate::target::{lock, open_env, Output, TraceTarget};
 
 const STRIPES: usize = 8;
 const FLUSH_AT: usize = 32 * 1024;
 
-/// Where trace lines go.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceTarget {
-    /// Standard error of the process.
-    Stderr,
-    /// A file, created (truncated) when the sink is installed.
-    File(PathBuf),
-}
-
-enum Writer {
-    Stderr,
-    File(File),
-}
-
-impl Writer {
-    fn write_all(&mut self, bytes: &[u8]) {
-        let _ = match self {
-            Writer::Stderr => io::stderr().lock().write_all(bytes),
-            Writer::File(f) => f.write_all(bytes),
-        };
-    }
-
-    fn flush(&mut self) {
-        let _ = match self {
-            Writer::Stderr => io::stderr().lock().flush(),
-            Writer::File(f) => f.flush(),
-        };
-    }
-}
-
 struct Sink {
-    writer: Mutex<Writer>,
+    out: Mutex<Output>,
     stripes: [Mutex<String>; STRIPES],
 }
 
 impl Sink {
-    fn new(writer: Writer) -> Sink {
-        Sink {
-            writer: Mutex::new(writer),
-            stripes: std::array::from_fn(|_| Mutex::new(String::new())),
-        }
-    }
-
-    /// Drain every stripe into the writer and flush it. Stripe contents
-    /// are collected first so no two locks are held at once.
+    /// Drain every stripe into the output. Stripe contents are collected
+    /// first so no two locks are held at once.
     fn flush_all(&self) {
         let chunks: Vec<String> = self
             .stripes
@@ -82,25 +45,17 @@ impl Sink {
             .map(|s| std::mem::take(&mut *lock(s)))
             .filter(|c| !c.is_empty())
             .collect();
-        let mut w = lock(&self.writer);
+        let mut out = lock(&self.out);
         for c in &chunks {
-            w.write_all(c.as_bytes());
+            out.write(c.as_bytes());
         }
-        w.flush();
     }
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn sink_slot() -> &'static Mutex<Option<Arc<Sink>>> {
-    static SINK: Mutex<Option<Arc<Sink>>> = Mutex::new(None);
-    &SINK
-}
+static SINK: Mutex<Option<Arc<Sink>>> = Mutex::new(None);
 
 fn current_sink() -> Option<Arc<Sink>> {
-    lock(sink_slot()).clone()
+    lock(&SINK).clone()
 }
 
 /// A small, stable, process-local number for the current thread (used for
@@ -119,47 +74,37 @@ pub(crate) fn thread_no() -> u64 {
 /// this to trace into temp files without touching the environment.
 pub fn set_trace(target: Option<TraceTarget>) -> io::Result<()> {
     flush_trace();
-    let new = match target {
-        None => None,
-        Some(TraceTarget::Stderr) => Some(Arc::new(Sink::new(Writer::Stderr))),
-        Some(TraceTarget::File(path)) => {
-            Some(Arc::new(Sink::new(Writer::File(File::create(path)?))))
-        }
-    };
-    let on = new.is_some();
-    *lock(sink_slot()) = new;
+    install(target.map(|t| t.open()).transpose()?);
+    Ok(())
+}
+
+fn install(out: Option<Output>) {
+    let on = out.is_some();
+    *lock(&SINK) = out.map(|out| {
+        Arc::new(Sink {
+            out: Mutex::new(out),
+            stripes: std::array::from_fn(|_| Mutex::new(String::new())),
+        })
+    });
     crate::span::set_sink_flag(on);
     if on {
         // A worker that panics must not lose its buffered trace lines.
         crate::recorder::install_panic_hook();
     }
-    Ok(())
 }
 
-/// Consult `NSHOT_TRACE` once: `stderr` → stderr, any other non-empty
-/// value → file path, unset/empty → disabled. A later [`set_trace`] still
-/// overrides.
+/// Consult `NSHOT_TRACE` once; a later [`set_trace`] still overrides.
 pub(crate) fn init_from_env() {
     static ONCE: OnceLock<()> = OnceLock::new();
-    ONCE.get_or_init(|| match std::env::var("NSHOT_TRACE") {
-        Ok(v) if v == "stderr" => {
-            let _ = set_trace(Some(TraceTarget::Stderr));
+    ONCE.get_or_init(|| {
+        let value = std::env::var("NSHOT_TRACE").ok();
+        if let Some((_, out)) = open_env("NSHOT_TRACE", value.as_deref()) {
+            install(Some(out));
         }
-        Ok(v) if !v.is_empty() => {
-            if let Err(e) = set_trace(Some(TraceTarget::File(PathBuf::from(&v)))) {
-                eprintln!("nshot-obs: cannot open NSHOT_TRACE={v}: {e}");
-            }
-        }
-        _ => {}
     });
 }
 
-/// Is the trace sink currently on?
-pub fn trace_enabled() -> bool {
-    crate::span::sink_flag()
-}
-
-/// Drain all striped buffers to the underlying writer and flush it.
+/// Drain all striped buffers to the underlying output.
 /// Call before process exit (the `serve` bin does on graceful shutdown)
 /// or before reading a trace file in tests.
 pub fn flush_trace() {
@@ -186,16 +131,17 @@ pub(crate) fn write_span(trace: u64, span: &str, stack: &str, start_us: u64, us:
     let mut buf = lock(stripe);
     buf.push_str(&line);
     if buf.len() >= FLUSH_AT {
-        let out = std::mem::take(&mut *buf);
+        let chunk = std::mem::take(&mut *buf);
         drop(buf);
-        lock(&sink.writer).write_all(out.as_bytes());
+        lock(&sink.out).write(chunk.as_bytes());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{next_trace_id, span, with_request, Stage};
+    use crate::span::{next_trace_id, span, trace_enabled, with_request, Stage};
+    use std::path::PathBuf;
 
     fn tmp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("nshot_obs_{}_{}", std::process::id(), name))

@@ -32,10 +32,11 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::registry::{AtomicHistogram, Registry};
+use crate::registry::{Histogram, Registry};
+use crate::target::lock;
 
 /// A pipeline stage (the fixed span vocabulary). The first seven are the
 /// synthesis pipeline proper; `MonteCarlo` covers conformance validation.
@@ -146,8 +147,8 @@ pub(crate) fn set_sink_flag(on: bool) {
     }
 }
 
-/// Is the NDJSON sink currently on?
-pub(crate) fn sink_flag() -> bool {
+/// Is the trace sink currently on?
+pub fn trace_enabled() -> bool {
     state() & SINK_ON != 0
 }
 
@@ -166,10 +167,6 @@ fn epoch_us(at: Instant) -> u64 {
 /// event timestamps share the trace sink's clock).
 pub(crate) fn now_us() -> u64 {
     epoch_us(Instant::now())
-}
-
-fn unpoison<T>(r: Result<T, PoisonError<T>>) -> T {
-    r.unwrap_or_else(PoisonError::into_inner)
 }
 
 // --- trace contexts --------------------------------------------------------
@@ -200,14 +197,14 @@ impl TraceContext {
     }
 
     fn record(&self, stage: Stage, us: u64) {
-        unpoison(self.0.spans.lock()).push((stage, us));
+        lock(&self.0.spans).push((stage, us));
     }
 
     /// Aggregate the finished spans into per-stage totals.
     pub fn timings(&self) -> StageTimings {
         let mut count = [0u64; STAGES.len()];
         let mut total = [0u64; STAGES.len()];
-        for &(stage, us) in unpoison(self.0.spans.lock()).iter() {
+        for &(stage, us) in lock(&self.0.spans).iter() {
             count[stage.index()] += 1;
             total[stage.index()] += us;
         }
@@ -348,8 +345,8 @@ pub fn with_request<R>(trace_id: u64, f: impl FnOnce() -> R) -> (R, StageTimings
 /// [`Stage::index`]. First use registers all of them (with zero counts)
 /// in [`Registry::global`], so a `metrics` scrape sees every stage even
 /// before traffic arrives.
-pub fn stage_histograms() -> &'static [Arc<AtomicHistogram>; STAGES.len()] {
-    static CACHE: OnceLock<[Arc<AtomicHistogram>; STAGES.len()]> = OnceLock::new();
+pub fn stage_histograms() -> &'static [Arc<Histogram>; STAGES.len()] {
+    static CACHE: OnceLock<[Arc<Histogram>; STAGES.len()]> = OnceLock::new();
     CACHE.get_or_init(|| {
         std::array::from_fn(|i| {
             Registry::global().histogram(&format!(
@@ -461,7 +458,7 @@ impl Drop for SpanGuard {
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
-    unpoison(LOCK.lock())
+    lock(&LOCK)
 }
 
 #[cfg(test)]

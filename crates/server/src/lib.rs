@@ -58,7 +58,7 @@ pub use protocol::{
 pub use service::{load_spec, process_synth, process_verify, Deadline};
 
 use nshot_logic::BoundedCache;
-use nshot_obs::{AtomicHistogram, Counter, Gauge, Registry, StageTimings};
+use nshot_obs::{Counter, Gauge, Histogram, Registry, StageTimings};
 use nshot_par::PushError;
 use nshot_store::{Store, StoreConfig, StoreReport};
 use protocol::Decoded;
@@ -157,7 +157,7 @@ struct Counters {
     queue_capacity: Arc<Gauge>,
     queue_high_water: Arc<Gauge>,
     slow_requests: Arc<Counter>,
-    latency: Arc<AtomicHistogram>,
+    latency: Arc<Histogram>,
 }
 
 impl Counters {

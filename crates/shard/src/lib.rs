@@ -51,7 +51,7 @@ pub mod ring;
 pub use pool::BackendPool;
 pub use ring::{HashRing, DEFAULT_VNODES};
 
-use nshot_obs::{AtomicHistogram, Counter, Gauge, HeartbeatGuard, Progress, Registry};
+use nshot_obs::{Counter, Gauge, HeartbeatGuard, Histogram, Progress, Registry};
 use nshot_server::json::{self, Json};
 use nshot_server::protocol::{self, Decoded, Envelope, Request, Response};
 use nshot_server::runtime::{FrameReply, LineHandler, LineReply, TcpLineServer};
@@ -95,7 +95,7 @@ struct ShardSeries {
     requests: Arc<Counter>,
     errors: Arc<Counter>,
     up: Arc<Gauge>,
-    latency: Arc<AtomicHistogram>,
+    latency: Arc<Histogram>,
 }
 
 /// The front's mutable state: ring, pools, metrics. This is the

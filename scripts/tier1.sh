@@ -71,7 +71,7 @@ echo "== tier1: 2-circuit smoke (synth + validate) =="
 cargo run --release --bin assassin -- bench chu133
 cargo run --release --bin assassin -- bench full
 
-echo "== tier1: server smoke (ready-line discovery, synth + stats + shutdown) =="
+echo "== tier1: server smoke (ready-line discovery, synth + metrics + shutdown) =="
 # The server prints `ready ADDR` on stdout once it is accepting — no
 # port-file polling race (a file can exist but still be mid-write; the
 # ready line is written after the bind and flushed atomically).
