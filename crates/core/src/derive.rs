@@ -11,24 +11,18 @@
 //! | `QR(-a)`    |  0  |   *   | `a = 0`  |
 //! | unreachable |  *  |   *   | memory   |
 //!
-//! The don't-care sets are built directly from Table 1: the quiescent
-//! minterms of the firing direction plus the unreachable-code cover, which
-//! is computed once per graph (not once per signal per function) by
-//! recursively splitting the `2^n` code space on its most significant free
-//! bit and emitting a cube for every subspace containing no reachable code.
-//! That replaces the two `Cover::complement` calls per signal the flow
-//! used to pay — the complement of a few hundred minterm cubes over 16
-//! variables is the dominant cost of classification on the larger
-//! benchmarks — with shared work linear in the number of reachable codes.
-//!
-//! The resulting DC covers have a different *cube structure* than the
-//! complement-based ones but denote exactly the same point sets whenever
-//! states sharing a code agree on their Table 1 mode — which CSC
-//! guarantees, and specs are only derived for CSC-valid graphs. The
-//! minimizer consumes DC covers purely semantically (containment and
-//! tautology queries), so derived netlists are unchanged.
+//! Each function is built in the point form of [`Function::from_points`]:
+//! the ON, quiescent (reachable don't-care) and OFF codes straight from the
+//! table, with every code no reachable state uses left implicit as a
+//! don't-care. The minimizer answers its EXPAND, IRREDUNDANT and REDUCE
+//! queries over these codes (see `nshot_logic`'s oracle module), so no DC
+//! cover is built on the heuristic synthesis path at all.
+//! [`Function::dc_set`] materializes one on demand, for the exact minimizer
+//! and for tests: the quiescent minterms of the firing direction, then a
+//! prefix-split cover of the unreachable codes. Exact-mode prime
+//! tie-breaks depend on that cube structure, so it is fixed.
 
-use nshot_logic::{Cover, Cube, Function};
+use nshot_logic::Function;
 use nshot_sg::{RegionMode, SignalId, StateGraph};
 
 /// The ON/DC/OFF specification of one signal's set and reset functions.
@@ -46,21 +40,11 @@ impl SetResetSpec {
     /// Derive the specification for non-input signal `a` from the reachable
     /// states of `sg`, per Table 1.
     ///
-    /// When deriving specs for several signals of one graph, prefer
-    /// [`derive_all`], which shares the unreachable-code cover across
-    /// signals.
-    ///
     /// # Panics
     ///
     /// Panics if `a` is an input signal (inputs are driven by the
     /// environment and are never implemented).
     pub fn derive(sg: &StateGraph, a: SignalId) -> Self {
-        Self::derive_with_dc(sg, a, &unreachable_cover(sg))
-    }
-
-    /// [`SetResetSpec::derive`] with the unreachable-code cover supplied by
-    /// the caller.
-    fn derive_with_dc(sg: &StateGraph, a: SignalId, unreachable: &Cover) -> Self {
         assert!(
             sg.signal_kind(a).is_non_input(),
             "input signal '{}' is not synthesized",
@@ -80,19 +64,13 @@ impl SetResetSpec {
                 RegionMode::StableLow => qr_down.push(code),
             }
         }
-        let cover = |codes: &[u64]| Cover::from_minterms(n, codes);
 
-        // SET: on = ER(+a); off = ER(-a) ∪ QR(-a); dc = QR(+a) ∪ unreachable.
-        let set_on = cover(&er_up);
-        let set_off = cover(&er_down).union(&cover(&qr_down));
-        let set_dc = cover(&qr_up).union(unreachable);
-        let set = Function::with_off(set_on, set_dc, set_off);
-
-        // RESET: on = ER(-a); off = ER(+a) ∪ QR(+a); dc = QR(-a) ∪ unreachable.
-        let reset_on = cover(&er_down);
-        let reset_off = cover(&er_up).union(&cover(&qr_up));
-        let reset_dc = cover(&qr_down).union(unreachable);
-        let reset = Function::with_off(reset_on, reset_dc, reset_off);
+        // SET: on = ER(+a); dc = QR(+a) ∪ unreachable; off = ER(-a) ∪ QR(-a).
+        let set_off = [er_down.as_slice(), &qr_down].concat();
+        // RESET: on = ER(-a); dc = QR(-a) ∪ unreachable; off = ER(+a) ∪ QR(+a).
+        let reset_off = [er_up.as_slice(), &qr_up].concat();
+        let set = Function::from_points(n, er_up, qr_up, set_off);
+        let reset = Function::from_points(n, er_down, qr_down, reset_off);
 
         SetResetSpec { signal: a, set, reset }
     }
@@ -110,59 +88,12 @@ impl SetResetSpec {
     }
 }
 
-/// Derive the specifications of every non-input signal, sharing one
-/// unreachable-code cover and working the signals in parallel (deterministic
-/// output order regardless of `NSHOT_THREADS`).
+/// Derive the specifications of every non-input signal, working the
+/// signals in parallel (deterministic output order regardless of
+/// `NSHOT_THREADS`).
 pub fn derive_all(sg: &StateGraph) -> Vec<SetResetSpec> {
-    let unreachable = unreachable_cover(sg);
     let signals: Vec<SignalId> = sg.non_input_signals().collect();
-    nshot_par::par_map(&signals, |&a| {
-        SetResetSpec::derive_with_dc(sg, a, &unreachable)
-    })
-}
-
-/// A cube cover of exactly the codes not used by any reachable state.
-///
-/// Splits the code space recursively on the most significant free bit
-/// (0-half first): a subspace with no reachable code becomes one cube, a
-/// fully-populated subspace is dropped, anything else recurses. The cube
-/// order is therefore a fixed function of the reachable code set.
-pub fn unreachable_cover(sg: &StateGraph) -> Cover {
-    let n = sg.num_signals();
-    let mut codes: Vec<u64> = sg.reachable().iter().map(|&s| sg.code(s)).collect();
-    codes.sort_unstable();
-    codes.dedup();
-    let mut cubes = Vec::new();
-    let mut fixed: Vec<(usize, bool)> = Vec::new();
-    split_unreachable(n, &codes, n, &mut fixed, &mut cubes);
-    Cover::from_cubes(n, cubes)
-}
-
-fn split_unreachable(
-    n: usize,
-    codes: &[u64],
-    bits_left: usize,
-    fixed: &mut Vec<(usize, bool)>,
-    out: &mut Vec<Cube>,
-) {
-    if codes.is_empty() {
-        out.push(Cube::from_literals(n, fixed));
-        return;
-    }
-    if bits_left < 64 && codes.len() == 1usize << bits_left {
-        return; // subspace fully reachable
-    }
-    // codes is non-empty and not full, so at least one free bit remains.
-    let bit = bits_left - 1;
-    // Within this branch all higher bits are equal, so the sorted slice
-    // partitions cleanly on `bit`.
-    let split_at = codes.partition_point(|&c| c & (1u64 << bit) == 0);
-    fixed.push((bit, false));
-    split_unreachable(n, &codes[..split_at], bit, fixed, out);
-    fixed.pop();
-    fixed.push((bit, true));
-    split_unreachable(n, &codes[split_at..], bit, fixed, out);
-    fixed.pop();
+    nshot_par::par_map(&signals, |&a| SetResetSpec::derive(sg, a))
 }
 
 #[cfg(test)]
@@ -208,31 +139,38 @@ mod tests {
     }
 
     #[test]
-    fn unreachable_cover_is_exact() {
-        // The prefix-split cover contains a code iff no reachable state
-        // uses it.
+    fn dc_cover_is_quiescent_then_unreachable_codes() {
+        // The DC cover holds exactly QR(dir) plus the unreachable codes,
+        // with the QR minterms first in reachable-state order.
         for sg in [
             fixtures::handshake(),
             fixtures::figure7b(),
             fixtures::figure1_csc(),
         ] {
-            let cover = unreachable_cover(&sg);
             let reachable = sg.reachable_codes();
-            for code in 0..(1u64 << sg.num_signals()) {
-                assert_eq!(
-                    cover.contains_minterm(code),
-                    !reachable.contains(&code),
-                    "{} code {code:b}",
-                    sg.name()
-                );
+            for a in sg.non_input_signals() {
+                let spec = SetResetSpec::derive(&sg, a);
+                for (f, quiet) in [
+                    (&spec.set, RegionMode::StableHigh),
+                    (&spec.reset, RegionMode::StableLow),
+                ] {
+                    let qr: Vec<u64> = sg
+                        .reachable()
+                        .iter()
+                        .filter(|&&s| sg.region_mode(s, a) == quiet)
+                        .map(|&s| sg.code(s))
+                        .collect();
+                    let dc = f.dc_set();
+                    for (cube, &code) in dc.iter().zip(&qr) {
+                        assert_eq!(cube.minterms(), vec![code], "{}", sg.name());
+                    }
+                    for code in 0..(1u64 << sg.num_signals()) {
+                        let expect = qr.contains(&code) || !reachable.contains(&code);
+                        assert_eq!(dc.contains_minterm(code), expect, "{} {code:b}", sg.name());
+                    }
+                }
             }
         }
-    }
-
-    #[test]
-    fn unreachable_cover_of_full_space_is_empty() {
-        let sg = fixtures::handshake(); // all 4 codes over 2 signals used
-        assert!(unreachable_cover(&sg).is_empty());
     }
 
     #[test]

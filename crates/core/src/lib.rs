@@ -61,7 +61,7 @@ mod verify;
 
 pub use architecture::{assemble_netlist, build_sop, AssembledSignal};
 pub use delay_req::{delay_requirement_ns, DelayRequirement};
-pub use derive::{derive_all, unreachable_cover, SetResetSpec};
+pub use derive::{derive_all, SetResetSpec};
 pub use error::SynthesisError;
 pub use init::InitPlan;
 pub use synth::{

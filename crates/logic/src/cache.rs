@@ -2,16 +2,18 @@
 //!
 //! The set/reset functions derived from state graphs repeat heavily: mirror
 //! signals inside one specification (parallel handshakes, pipeline stages)
-//! and across the benchmark suite produce byte-identical (ON, DC) pairs, and
+//! and across the benchmark suite produce identical functions, and
 //! minimization dominates synthesis runtime. This module caches minimized
 //! covers process-wide, keyed by a **canonical encoding** of the function —
-//! the sorted cube lists of the ON- and DC-sets — so a hit is independent of
-//! the order in which cubes were derived, and a partially constructed or
-//! "poisoned" entry is impossible by construction: values are inserted
-//! complete, under a mutex, and are pure functions of their key.
+//! the sorted ON and OFF codes of a point-form function, the sorted cube
+//! lists of the ON- and DC-sets of a cover-form one — so a hit is
+//! independent of the order in which points were derived, and a partially
+//! constructed or "poisoned" entry is impossible by construction: values
+//! are inserted complete, under a mutex, and are pure functions of their
+//! key.
 //!
 //! Determinism: on a miss the minimizer runs on the *canonicalized* function
-//! (cubes of ON, DC and OFF sorted), so the cover stored — and every cover
+//! (ON, DC and OFF sorted), so the cover stored — and every cover
 //! ever returned for that key, from any thread, in any order — is the same.
 //! This is what makes the parallel synthesis pipeline byte-identical across
 //! thread counts even though the cache population order changes.
@@ -27,7 +29,6 @@
 //! it recomputes — determinism is unaffected by the cap. The same structure
 //! backs the server's whole-response cache.
 
-use crate::key::{function_key, sorted_cubes};
 use crate::{espresso, Cover, Function};
 use nshot_obs::{Counter, Gauge, Registry};
 use nshot_par::FxHashMap;
@@ -195,22 +196,20 @@ pub fn set_espresso_cache_cap(cap: Option<usize>) -> Option<usize> {
     (prev != 0).then_some(prev)
 }
 
-/// Like [`espresso`], but memoized process-wide on the canonical (ON, DC)
-/// encoding, in a bounded table (see [`espresso_cache_cap`]).
+/// Like [`espresso`], but memoized process-wide on the canonical encoding
+/// of `f`, in a bounded table (see [`espresso_cache_cap`]).
 ///
 /// On a miss the heuristic minimizer runs on the canonicalized function and
 /// the resulting cover is cached; on a hit the cached cover is cloned. The
-/// returned cover implements `f` either way, and for a fixed (ON, DC) pair
-/// the result is identical across calls, threads, and thread counts —
+/// returned cover implements `f` either way, and for a fixed function the
+/// result is identical across calls, threads, and thread counts —
 /// eviction can only cause recomputation, never a different answer.
 pub fn espresso_cached(f: &Function) -> Cover {
-    let on = sorted_cubes(f.on_set());
-    let dc = sorted_cubes(f.dc_set());
-    // The key encoding lives in `crate::key`, alongside the request-key
+    // The key encodings live in `crate::key`, alongside the request-key
     // encoding shared with the server cache and the artifact store: the
     // full key is stored (not just a hash), so collisions cannot poison
     // the cache.
-    let key = function_key(f.num_vars(), &on, &dc);
+    let key = f.memo_key();
 
     if let Some(cover) = CACHE
         .lock()
@@ -226,12 +225,7 @@ pub fn espresso_cached(f: &Function) -> Cover {
     // Minimize outside the lock (this is the expensive part — holding the
     // mutex here would serialize the whole point of the parallel pipeline).
     // A concurrent miss on the same key just recomputes the same cover.
-    let canonical = Function::with_off(
-        Cover::from_cubes(f.num_vars(), on),
-        Cover::from_cubes(f.num_vars(), dc),
-        Cover::from_cubes(f.num_vars(), sorted_cubes(f.off_set())),
-    );
-    let cover = espresso(&canonical);
+    let cover = espresso(&f.canonical());
     let m = metrics();
     m.misses.inc();
     {

@@ -60,6 +60,16 @@ fn tail_mask(num_vars: usize) -> u64 {
     }
 }
 
+/// Gather the even bits of `x` (one per variable field) into the low 32.
+fn compress_even(x: u64) -> u64 {
+    let mut x = x & 0x5555_5555_5555_5555;
+    x = (x | (x >> 1)) & 0x3333_3333_3333_3333;
+    x = (x | (x >> 2)) & 0x0f0f_0f0f_0f0f_0f0f;
+    x = (x | (x >> 4)) & 0x00ff_00ff_00ff_00ff;
+    x = (x | (x >> 8)) & 0x0000_ffff_0000_ffff;
+    (x | (x >> 16)) & 0x0000_0000_ffff_ffff
+}
+
 impl Cube {
     /// The full cube (tautology): every variable is a don't care.
     pub fn full(num_vars: usize) -> Self {
@@ -104,6 +114,37 @@ impl Cube {
     /// memoization cache to build canonical keys.
     pub(crate) fn words(&self) -> &[u64] {
         &self.words
+    }
+
+    /// The cube as a `(care, value)` pair over `u64` codes: code `m` lies
+    /// in the cube iff `m & care == value`. Used by the point oracle.
+    ///
+    /// The cube must be non-empty and have at most 64 variables.
+    pub(crate) fn code_mask(&self) -> (u64, u64) {
+        debug_assert!(self.num_vars <= 64 && !self.is_empty());
+        let (mut care, mut value) = (0u64, 0u64);
+        for (i, &w) in self.words.iter().enumerate() {
+            let lo = w & 0x5555_5555_5555_5555;
+            let hi = (w >> 1) & 0x5555_5555_5555_5555;
+            care |= compress_even(lo ^ hi) << (VARS_PER_WORD * i);
+            value |= compress_even(hi & !lo) << (VARS_PER_WORD * i);
+        }
+        (care, value)
+    }
+
+    /// The smallest cube containing a set of codes, given the AND and the
+    /// OR of those codes: a variable is positive where every code has a 1,
+    /// negative where none has, and free elsewhere.
+    pub(crate) fn from_code_bounds(num_vars: usize, and: u64, or: u64) -> Self {
+        let mut cube = Cube::full(num_vars);
+        for var in 0..num_vars {
+            if (and >> var) & 1 == 1 {
+                cube.set(var, true);
+            } else if (or >> var) & 1 == 0 {
+                cube.set(var, false);
+            }
+        }
+        cube
     }
 
     /// Number of variables of the space this cube lives in.

@@ -6,6 +6,7 @@
 //! minimizer — the don't-care set may be used freely and the result is just a
 //! good sum-of-products cover.
 
+use crate::oracle::Oracle;
 use crate::{Cover, Cube, Function};
 
 /// Statistics reported by [`espresso_with_stats`].
@@ -39,40 +40,46 @@ const REFINEMENT_CUBE_LIMIT: usize = 1_200;
 
 /// Like [`espresso`], but also reports loop statistics.
 pub fn espresso_with_stats(f: &Function) -> (Cover, EspressoStats) {
+    let (cover, stats) = minimize(f.on_set(), &*f.oracle());
+    debug_assert!(
+        f.is_implemented_by(&cover),
+        "espresso produced an incorrect cover"
+    );
+    (cover, stats)
+}
+
+/// The ESPRESSO loop over either [`Oracle`]: both function forms run exactly
+/// this code, so equal oracle answers give equal covers.
+fn minimize(on: &Cover, oracle: &dyn Oracle) -> (Cover, EspressoStats) {
     let mut stats = EspressoStats {
-        initial_cubes: f.on_set().num_cubes(),
+        initial_cubes: on.num_cubes(),
         ..EspressoStats::default()
     };
-    if f.on_set().is_empty() {
+    if on.is_empty() {
         stats.final_cubes = 0;
-        return (Cover::empty(f.num_vars()), stats);
+        return (Cover::empty(on.num_vars()), stats);
     }
 
-    let off = f.off_set().clone();
-    let dc = f.dc_set().clone();
-
-    let fast_mode = f.on_set().num_cubes() > REFINEMENT_CUBE_LIMIT;
-    let mut cover = f.on_set().clone();
+    let fast_mode = on.num_cubes() > REFINEMENT_CUBE_LIMIT;
+    let mut cover = on.clone();
     cover.single_cube_containment();
-    expand(&mut cover, &off);
+    expand(&mut cover, oracle);
     if fast_mode {
         stats.iterations = 1;
         stats.final_cubes = cover.num_cubes();
         stats.final_literals = cover.literal_count();
-        debug_assert!(f.is_implemented_by(&cover));
         return (cover, stats);
     }
-    irredundant(&mut cover, &dc, f.on_set());
+    irredundant(&mut cover, oracle, &[], on);
     stats.iterations = 1;
 
     // Essential primes are set aside: they must appear in every cover, so
     // the refinement loop only has to work on the rest (the classic
     // ESPRESSO decomposition).
-    let essentials = essential_primes(&cover, &dc);
+    let essentials = essential_primes(&cover, oracle);
     if !essentials.is_empty() && essentials.num_cubes() < cover.num_cubes() {
-        let dc_with_essentials = dc.union(&essentials);
         let mut rest = Cover::from_cubes(
-            f.num_vars(),
+            on.num_vars(),
             cover
                 .iter()
                 .filter(|c| !essentials.iter().any(|e| e == *c))
@@ -82,9 +89,9 @@ pub fn espresso_with_stats(f: &Function) -> (Cover, EspressoStats) {
         let mut best_rest = rest.clone();
         let mut best_rest_cost = cost(&rest);
         for _ in 0..16 {
-            reduce(&mut rest, &dc_with_essentials);
-            expand(&mut rest, &off);
-            irredundant(&mut rest, &dc_with_essentials, f.on_set());
+            reduce(&mut rest, oracle, essentials.cubes());
+            expand(&mut rest, oracle);
+            irredundant(&mut rest, oracle, essentials.cubes(), on);
             stats.iterations += 1;
             let c = cost(&rest);
             if c < best_rest_cost {
@@ -95,16 +102,16 @@ pub fn espresso_with_stats(f: &Function) -> (Cover, EspressoStats) {
             }
         }
         cover = essentials.union(&best_rest);
-        irredundant(&mut cover, &dc, f.on_set());
+        irredundant(&mut cover, oracle, &[], on);
     }
 
     let mut best = cover.clone();
     let mut best_cost = cost(&best);
     // REDUCE / EXPAND / IRREDUNDANT until no improvement.
     for _ in 0..16 {
-        reduce(&mut cover, &dc);
-        expand(&mut cover, &off);
-        irredundant(&mut cover, &dc, f.on_set());
+        reduce(&mut cover, oracle, &[]);
+        expand(&mut cover, oracle);
+        irredundant(&mut cover, oracle, &[], on);
         stats.iterations += 1;
         let c = cost(&cover);
         if c < best_cost {
@@ -118,19 +125,15 @@ pub fn espresso_with_stats(f: &Function) -> (Cover, EspressoStats) {
     // LAST_GASP: try reduced cubes expanded in isolation; keep any that
     // let the irredundant pass drop more cubes.
     let mut gasp = best.clone();
-    reduce(&mut gasp, &dc);
-    expand(&mut gasp, &off);
+    reduce(&mut gasp, oracle, &[]);
+    expand(&mut gasp, oracle);
     let mut candidate = best.union(&gasp);
     candidate.single_cube_containment();
-    irredundant(&mut candidate, &dc, f.on_set());
+    irredundant(&mut candidate, oracle, &[], on);
     if cost(&candidate) < best_cost {
         best = candidate;
     }
 
-    debug_assert!(
-        f.is_implemented_by(&best),
-        "espresso produced an incorrect cover"
-    );
     stats.final_cubes = best.num_cubes();
     stats.final_literals = best.literal_count();
     (best, stats)
@@ -141,20 +144,24 @@ fn cost(c: &Cover) -> (usize, usize) {
     (c.num_cubes(), c.literal_count())
 }
 
+/// The cubes of `cubes` other than index `skip`, followed by `extra`.
+fn others<'a>(cubes: &'a [Cube], skip: usize, extra: &'a [Cube]) -> Vec<&'a Cube> {
+    cubes
+        .iter()
+        .enumerate()
+        .filter(|&(j, _)| j != skip)
+        .map(|(_, c)| c)
+        .chain(extra)
+        .collect()
+}
+
 /// The relatively essential cubes of `cover`: those not covered by the rest
 /// of the cover plus the don't-care set. Every valid cover made of these
 /// primes must contain them.
-pub(crate) fn essential_primes(cover: &Cover, dc: &Cover) -> Cover {
+pub(crate) fn essential_primes(cover: &Cover, oracle: &dyn Oracle) -> Cover {
     let mut essentials = Cover::empty(cover.num_vars());
     for (i, cube) in cover.iter().enumerate() {
-        let rest: Vec<Cube> = cover
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(_, c)| c.clone())
-            .collect();
-        let rest_cover = Cover::from_cubes(cover.num_vars(), rest).union(dc);
-        if !rest_cover.contains_cube(cube) {
+        if !oracle.covers(&others(cover.cubes(), i, &[]), cube) {
             essentials.push(cube.clone());
         }
     }
@@ -166,21 +173,8 @@ pub(crate) fn essential_primes(cover: &Cover, dc: &Cover) -> Cover {
 ///
 /// Raising single literals to a fixpoint yields primes: a cube is prime iff
 /// no single literal can be removed without hitting the OFF-set.
-pub(crate) fn expand(cover: &mut Cover, off: &Cover) {
-    let n = cover.num_vars();
-    // Heuristic raise order: free the variables that conflict with the fewest
-    // OFF cubes first (they are the "cheapest" directions).
-    let mut conflict = vec![0usize; n];
-    for o in off.iter() {
-        for v in 0..n {
-            if !matches!(o.polarity(v), crate::Polarity::Free) {
-                conflict[v] += 1;
-            }
-        }
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&v| conflict[v]);
-
+pub(crate) fn expand(cover: &mut Cover, oracle: &dyn Oracle) {
+    let order = oracle.raise_order();
     let mut cubes: Vec<Cube> = cover.iter().cloned().collect();
     // Expand most-specific cubes first so expanded primes absorb the rest.
     cubes.sort_by_key(Cube::literal_count);
@@ -197,7 +191,7 @@ pub(crate) fn expand(cover: &mut Cover, off: &Cover) {
                 ) {
                     let mut trial = c.clone();
                     trial.raise(v);
-                    if !off.iter().any(|o| o.intersects(&trial)) {
+                    if !oracle.meets_off(&trial) {
                         *c = trial;
                         changed = true;
                     }
@@ -205,14 +199,15 @@ pub(crate) fn expand(cover: &mut Cover, off: &Cover) {
             }
         }
     }
-    let mut result = Cover::from_cubes(n, cubes);
+    let mut result = Cover::from_cubes(cover.num_vars(), cubes);
     result.single_cube_containment();
     *cover = result;
 }
 
 /// IRREDUNDANT: greedily drop cubes that are covered by the remaining cover
-/// plus the DC-set, while preserving coverage of the original ON-set.
-pub(crate) fn irredundant(cover: &mut Cover, dc: &Cover, on: &Cover) {
+/// plus `extra` plus the DC-set, while preserving coverage of the original
+/// ON-set.
+fn irredundant(cover: &mut Cover, oracle: &dyn Oracle, extra: &[Cube], on: &Cover) {
     let mut cubes: Vec<Cube> = cover.iter().cloned().collect();
     // Try to drop large cubes last: removing small ones first tends to keep
     // the big primes that cover many ON points.
@@ -221,14 +216,14 @@ pub(crate) fn irredundant(cover: &mut Cover, dc: &Cover, on: &Cover) {
     let mut keep = vec![true; cubes.len()];
     for i in 0..cubes.len() {
         keep[i] = false;
-        let rest: Vec<Cube> = cubes
+        let rest: Vec<&Cube> = cubes
             .iter()
-            .enumerate()
-            .filter(|&(j, _)| keep[j])
-            .map(|(_, c)| c.clone())
+            .zip(&keep)
+            .filter(|&(_, &k)| k)
+            .map(|(c, _)| c)
+            .chain(extra)
             .collect();
-        let rest_cover = Cover::from_cubes(cover.num_vars(), rest).union(dc);
-        if !rest_cover.contains_cube(&cubes[i]) {
+        if !oracle.covers(&rest, &cubes[i]) {
             keep[i] = true;
         }
     }
@@ -238,51 +233,30 @@ pub(crate) fn irredundant(cover: &mut Cover, dc: &Cover, on: &Cover) {
         .filter(|(_, k)| *k)
         .map(|(c, _)| c)
         .collect();
-    let result = Cover::from_cubes(cover.num_vars(), kept);
     debug_assert!(
-        result.union(dc).contains_cover(on),
+        {
+            let rest: Vec<&Cube> = kept.iter().chain(extra).collect();
+            on.iter().all(|c| oracle.covers(&rest, c))
+        },
         "irredundant dropped ON coverage"
     );
-    *cover = result;
+    *cover = Cover::from_cubes(cover.num_vars(), kept);
 }
 
 /// REDUCE: shrink each cube to the smallest cube that still covers its unique
-/// share of the ON-set, opening room for EXPAND to find different primes.
-pub(crate) fn reduce(cover: &mut Cover, dc: &Cover) {
-    let n = cover.num_vars();
+/// share of the ON-set (against the other cubes, `extra` and the DC-set),
+/// opening room for EXPAND to find different primes.
+fn reduce(cover: &mut Cover, oracle: &dyn Oracle, extra: &[Cube]) {
     let mut cubes: Vec<Cube> = cover.iter().cloned().collect();
     // Standard heuristic order: reduce the biggest cubes first.
     cubes.sort_by_key(Cube::literal_count);
     for i in 0..cubes.len() {
-        let rest: Vec<Cube> = cubes
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(_, c)| c.clone())
-            .collect();
-        let rest_cover = Cover::from_cubes(n, rest).union(dc);
-        let q = rest_cover.cofactor(&cubes[i]);
-        if q.is_tautology() {
-            // Fully redundant; shrink to nothing (dropped below).
-            continue;
-        }
-        // c' = c ∩ supercube(complement(Q))
-        let comp = q.complement();
-        let mut sup: Option<Cube> = None;
-        for c in comp.iter() {
-            sup = Some(match sup {
-                None => c.clone(),
-                Some(s) => s.supercube(c),
-            });
-        }
-        if let Some(s) = sup {
-            let reduced = cubes[i].intersect(&s);
-            if !reduced.is_empty() {
-                cubes[i] = reduced;
-            }
-        }
+        // A cube the others already cover keeps its shape: the oracle
+        // returns it unchanged, and IRREDUNDANT decides whether it stays.
+        let reduced = oracle.reduce(&others(&cubes, i, extra), &cubes[i]);
+        cubes[i] = reduced;
     }
-    *cover = Cover::from_cubes(n, cubes);
+    *cover = Cover::from_cubes(cover.num_vars(), cubes);
 }
 
 #[cfg(test)]
@@ -410,7 +384,7 @@ mod essential_tests {
         // minterms over 3 vars: 0=000, 1=100, 5=101, 7=111 (bit0 = x0).
         let f = Function::new(Cover::from_minterms(3, &[0, 1, 5, 7]), Cover::empty(3));
         let cover = espresso(&f);
-        let ess = essential_primes(&cover, f.dc_set());
+        let ess = essential_primes(&cover, &*f.oracle());
         // Minterm 0 is only coverable by the x1'x2' cube; minterm 7 only by
         // the x0x2 cube — both of those primes are essential.
         assert!(ess.num_cubes() >= 2, "{cover:?} → {ess:?}");
@@ -421,7 +395,7 @@ mod essential_tests {
     fn essentials_of_disjoint_cubes_are_all() {
         let f = Function::new(Cover::from_minterms(2, &[0b00, 0b11]), Cover::empty(2));
         let cover = espresso(&f);
-        let ess = essential_primes(&cover, f.dc_set());
+        let ess = essential_primes(&cover, &*f.oracle());
         assert_eq!(ess.num_cubes(), cover.num_cubes());
     }
 

@@ -4,6 +4,7 @@
 //! generate all primes of the ON ∪ DC space, then solve the minimum covering
 //! problem over the ON points with branch-and-bound.
 
+use crate::oracle::Oracle;
 use crate::{Cover, Cube, Function, LogicError};
 
 /// Hard cap on the covering table; beyond this, callers should fall back to
@@ -18,9 +19,9 @@ pub fn all_primes(f: &Function) -> Vec<Cube> {
         return Vec::new();
     }
     // First expand every cube to a prime (cheap, reduces consensus work).
-    let off = f.off_set().clone();
+    let oracle = f.oracle();
     let mut cover = Cover::from_cubes(f.num_vars(), cubes);
-    crate::espresso::expand(&mut cover, &off);
+    crate::espresso::expand(&mut cover, &*oracle);
     cubes = cover.iter().cloned().collect();
     absorb(&mut cubes);
 
@@ -33,7 +34,7 @@ pub fn all_primes(f: &Function) -> Vec<Cube> {
             for j in (i + 1)..cubes.len() {
                 if let Some(mut c) = cubes[i].consensus(&cubes[j]) {
                     // Expand the consensus to a prime.
-                    expand_single(&mut c, &off, f.num_vars());
+                    expand_single(&mut c, &*oracle, f.num_vars());
                     if !cubes.iter().any(|k| k.contains(&c))
                         && !new_cubes.iter().any(|k| k.contains(&c))
                     {
@@ -51,7 +52,7 @@ pub fn all_primes(f: &Function) -> Vec<Cube> {
     cubes
 }
 
-fn expand_single(c: &mut Cube, off: &Cover, n: usize) {
+fn expand_single(c: &mut Cube, oracle: &dyn Oracle, n: usize) {
     let mut again = true;
     while again {
         again = false;
@@ -62,7 +63,7 @@ fn expand_single(c: &mut Cube, off: &Cover, n: usize) {
             ) {
                 let mut t = c.clone();
                 t.raise(v);
-                if !off.iter().any(|o| o.intersects(&t)) {
+                if !oracle.meets_off(&t) {
                     *c = t;
                     again = true;
                 }

@@ -10,8 +10,9 @@
 //!
 //! [`request_key`] is the `(options|spec)` encoding for whole requests;
 //! [`function_key`] is the word-level encoding for single incompletely
-//! specified functions. Both encode the *full* material (no hashing), so
-//! collisions cannot poison any cache built on them.
+//! specified functions in cover form, and `point_function_key` the code
+//! encoding for functions in point form. All encode the *full* material
+//! (no hashing), so collisions cannot poison any cache built on them.
 
 use crate::{Cover, Cube};
 
@@ -56,6 +57,22 @@ pub fn function_key(num_vars: usize, on: &[Cube], dc: &[Cube]) -> Vec<u64> {
             key.extend_from_slice(cube.words());
         }
     }
+    key
+}
+
+/// Leading word of a point-form key: never a valid variable count, so
+/// point keys and [`function_key`]s cannot collide.
+const POINT_KEY_TAG: u64 = u64::MAX;
+
+/// Canonical key of a point-form function:
+/// `[tag, num_vars, |ON|, ON codes…, |OFF|, OFF codes…]`. Code lists must
+/// already be in canonical order.
+pub(crate) fn point_function_key(num_vars: usize, on: &[u64], off: &[u64]) -> Vec<u64> {
+    let mut key = Vec::with_capacity(4 + on.len() + off.len());
+    key.extend([POINT_KEY_TAG, num_vars as u64, on.len() as u64]);
+    key.extend(on);
+    key.push(off.len() as u64);
+    key.extend(off);
     key
 }
 

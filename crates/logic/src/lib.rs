@@ -43,6 +43,7 @@ mod exact;
 mod function;
 mod key;
 mod multi;
+mod oracle;
 mod pla;
 
 pub use cache::{

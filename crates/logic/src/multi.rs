@@ -146,20 +146,20 @@ pub fn espresso_multi(functions: &[Function]) -> MultiCover {
     // 4. Per-function greedy redundancy removal: untag a cube from function
     // `j` when the other cubes (plus DC_j) already cover it there; drop
     // cubes whose tag empties.
+    // Every cube tagged for `j` avoids OFF_j, as the oracle requires.
     for j in 0..m {
-        let dc = functions[j].dc_set().clone();
+        let oracle = functions[j].oracle();
         for i in 0..cubes.len() {
             if !cubes[i].1[j] {
                 continue;
             }
-            let rest: Vec<Cube> = cubes
+            let rest: Vec<&Cube> = cubes
                 .iter()
                 .enumerate()
                 .filter(|&(k, (_, tag))| k != i && tag[j])
-                .map(|(_, (c, _))| c.clone())
+                .map(|(_, (c, _))| c)
                 .collect();
-            let rest_cover = Cover::from_cubes(num_vars, rest).union(&dc);
-            if rest_cover.contains_cube(&cubes[i].0) {
+            if oracle.covers(&rest, &cubes[i].0) {
                 cubes[i].1[j] = false;
             }
         }

@@ -193,3 +193,41 @@ fn multi_output_implements_every_function() {
         assert!(multi.num_product_terms() <= independent);
     });
 }
+
+#[test]
+fn point_form_minimizes_like_cover_form() {
+    // Random disjoint ON/OFF code sets over up to 8 variables, every other
+    // code a don't-care (some of them listed as reachable DC). ON comes in
+    // random order with the odd duplicate, as state-graph derivation
+    // produces it. Both forms must give the same cubes in the same order.
+    prop::check("logic_point_form_like_cover_form", |g| {
+        let n = g.usize_in(1, 8);
+        let (mut on, mut qr, mut off) = (Vec::new(), Vec::new(), Vec::new());
+        let (on_weight, off_weight) = (g.usize_in(1, 4), g.usize_in(1, 4));
+        for code in 0..1u64 << n {
+            match g.index(on_weight + off_weight + 3) {
+                w if w < on_weight => on.push(code),
+                w if w < on_weight + off_weight => off.push(code),
+                w if w == on_weight + off_weight => qr.push(code),
+                _ => {}
+            }
+        }
+        for i in (1..on.len()).rev() {
+            on.swap(i, g.index(i + 1));
+        }
+        if !on.is_empty() && g.bool() {
+            on.push(on[g.index(on.len())]);
+        }
+        let point = Function::from_points(n, on.clone(), qr, off.clone());
+        let dc = point.dc_set();
+        for code in 0..1u64 << n {
+            assert_eq!(
+                dc.contains_minterm(code),
+                !on.contains(&code) && !off.contains(&code),
+                "DC is every code neither ON nor OFF"
+            );
+        }
+        let cover = Function::with_off(point.on_set().clone(), dc.clone(), point.off_set().clone());
+        assert_eq!(espresso(&point).cubes(), espresso(&cover).cubes());
+    });
+}

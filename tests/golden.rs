@@ -19,7 +19,8 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use nshot::core::{synthesize, SynthesisOptions};
+use nshot::core::{derive_all, synthesize, SetResetSpec, SynthesisOptions};
+use nshot::logic::minimize_exact;
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -142,4 +143,74 @@ fn golden_rendering_is_deterministic() {
     for name in ["chu133", "hybridf", "vbe10b"] {
         assert_eq!(render_artifact(name), render_artifact(name), "{name}");
     }
+}
+
+/// Pins for the exact and multi-output flows, which the per-circuit
+/// artifacts (default heuristic flow) do not cover. Both minimizers read
+/// the materialized don't-care cover, and exact-mode prime tie-breaks
+/// depend on its cube structure, so next to the two BLIF hashes this also
+/// pins the cube lists of every DC cover and every exact cover.
+/// `(circuit, exact BLIF, multi-output BLIF, DC covers, exact covers)`.
+#[rustfmt::skip]
+const MINIMIZER_PINS: [(&str, u64, u64, u64, u64); 5] = [
+    ("chu133", 0x213cda8bd78468e8, 0x213cda8bd78468e8, 0xa5e4ec069947daab, 0x3022cd7e2433c61c),
+    ("full", 0x6a3ea44bd4202c70, 0x6a3ea44bd4202c70, 0x70044ebaf37578fd, 0xdbc58502f1a3011d),
+    ("hazard", 0x475d2eed8d32be57, 0x475d2eed8d32be57, 0xd48480c5864c265f, 0xccbb61b00fed7789),
+    ("converta", 0x47552e80c8fbfcb6, 0x47552e80c8fbfcb6, 0x4b6807428e301da9, 0xd6e9a31081999d5c),
+    ("vbe5b", 0x5afb26e4f54e2f25, 0x5afb26e4f54e2f25, 0xe2f2500af2879d41, 0x645cf65a643128c8),
+];
+
+#[test]
+fn exact_and_multi_output_netlists_are_pinned() {
+    let mut drifted = Vec::new();
+    for (name, exact_blif, multi_blif, dc_covers, exact_covers) in MINIMIZER_PINS {
+        let sg = nshot::benchmarks::by_name(name).expect("in suite").build();
+        let blif_hash = |options: &SynthesisOptions| {
+            let imp = synthesize(&sg, options).unwrap_or_else(|e| panic!("{name}: {e}"));
+            fnv1a(imp.netlist.to_blif().as_bytes())
+        };
+        let (mut dc, mut exact) = (String::new(), String::new());
+        for a in sg.non_input_signals() {
+            let spec = SetResetSpec::derive(&sg, a);
+            for f in [&spec.set, &spec.reset] {
+                writeln!(dc, "{}", f.dc_set()).unwrap();
+                let cover = minimize_exact(f).unwrap_or_else(|e| panic!("{name}: {e}"));
+                writeln!(exact, "{cover}").unwrap();
+            }
+        }
+        let got = (
+            blif_hash(&SynthesisOptions::exact()),
+            blif_hash(&SynthesisOptions::multi_output()),
+            fnv1a(dc.as_bytes()),
+            fnv1a(exact.as_bytes()),
+        );
+        if got != (exact_blif, multi_blif, dc_covers, exact_covers) {
+            drifted.push(format!(
+                "(\"{name}\", {:#018x}, {:#018x}, {:#018x}, {:#018x}),",
+                got.0, got.1, got.2, got.3
+            ));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "exact/multi-output pins drifted:\n{}",
+        drifted.join("\n")
+    );
+}
+
+/// FNV-1a of every DC cover of the whole suite, cube for cube in derive
+/// order. The minimizers that read DC covers see exactly these.
+const SUITE_DC_COVERS: u64 = 0xccebab94776c9a2b;
+
+#[test]
+fn suite_dc_covers_are_pinned() {
+    let mut dc = String::new();
+    for bench in nshot::benchmarks::suite() {
+        let sg = bench.build();
+        for spec in derive_all(&sg) {
+            writeln!(dc, "{}\n{}", spec.set.dc_set(), spec.reset.dc_set()).unwrap();
+        }
+    }
+    let hash = fnv1a(dc.as_bytes());
+    assert_eq!(hash, SUITE_DC_COVERS, "DC covers hash to {hash:#018x}");
 }
