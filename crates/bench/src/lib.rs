@@ -222,8 +222,8 @@ pub fn run_validation(
 /// used by `Stg::elaborate` (`nshot_stg::reach`) and the state-code maps in
 /// `nshot_sg`.
 ///
-/// Interns `n` keys of each hot-path shape — marking byte-vectors
-/// (reachability frontier) and `u64` state codes (SG builder / CSC check) —
+/// Interns `n` keys of each shape — 17-byte 0/1 vectors (the old dense
+/// marking layout) and `u64` state codes (SG builder / CSC check) —
 /// into a `std::collections::HashMap` and an `FxHashMap`, measuring each
 /// with [`microbench::bench`]. Returns four measurements in the order
 /// `[marking/siphash, marking/fxhash, code/siphash, code/fxhash]`.
@@ -231,9 +231,10 @@ pub fn reach_hasher_bench(n: usize) -> Vec<microbench::Measurement> {
     use nshot_par::FxHashMap;
     use std::collections::HashMap;
 
-    // Marking-shaped keys: one 0/1 token byte per place of a 17-place safe
-    // net, all distinct — the exact workload `reach.rs` interns during
-    // elaboration (the frontier is dominated by first-time markings).
+    // Byte-vector keys: one 0/1 byte per place of a 17-place safe net, all
+    // distinct. This was the marking layout `reach.rs` interned before
+    // markings became sorted lists of marked place ids; the keys are kept
+    // so the measurement stays comparable across BENCH_pipeline.json runs.
     let markings: Vec<Vec<u8>> = (0..n)
         .map(|i| (0..17).map(|p| ((i >> p) & 1) as u8).collect())
         .collect();

@@ -1,7 +1,8 @@
 //! An FxHash-style non-cryptographic hasher.
 //!
 //! The interning maps on the hot paths — `Marking → usize` during STG
-//! reachability, state-code maps during state-graph construction and CSC
+//! reachability (a marking is a short sorted list of marked place ids),
+//! state-code maps during state-graph construction and CSC
 //! checking, cover memoization keys — never face adversarial inputs, so
 //! SipHash's HashDoS resistance buys nothing. This is the classic rustc
 //! multiply-rotate word hash: one wrapping multiply and one rotate per
@@ -40,10 +41,10 @@ impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
         // A wrapping multiply only diffuses entropy toward the high bits, so
-        // keys whose entropy sits in scattered single bits (e.g. 0/1 token
-        // bytes of a marking) would leave the low bits — the ones hashbrown
-        // uses for bucket indexing — nearly constant. Fold the high half
-        // back down once per key.
+        // keys whose entropy sits in scattered single bits (e.g. a vector
+        // of 0/1 bytes) would leave the low bits — the ones hashbrown uses
+        // for bucket indexing — nearly constant. Fold the high half back
+        // down once per key.
         let h = self.hash.wrapping_mul(K);
         h ^ (h >> 32)
     }

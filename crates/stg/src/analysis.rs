@@ -8,7 +8,8 @@
 
 use crate::error::StgError;
 use crate::petri::{Marking, PlaceId, Stg, TransId};
-use std::collections::{HashMap, VecDeque};
+use crate::reach::DEFAULT_STATE_CAP;
+use std::collections::VecDeque;
 
 /// Structural class of the underlying net.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,35 +75,8 @@ impl Stg {
     /// Propagates [`StgError`] from the exploration (unbounded nets, caps).
     pub fn analyze(&self) -> Result<StgReport, StgError> {
         self.check_structure()?;
-        let m0 = self.initial_marking();
-        let mut safe = m0.0.iter().all(|&tok| tok <= 1);
-        let mut index: HashMap<Marking, usize> = HashMap::new();
-        let mut markings = vec![m0.clone()];
-        index.insert(m0, 0);
-        let mut succ: Vec<Vec<(TransId, usize)>> = Vec::new();
-        let mut queue = VecDeque::from([0usize]);
-        while let Some(mi) = queue.pop_front() {
-            let m = markings[mi].clone();
-            let mut out = Vec::new();
-            for t in self.enabled(&m) {
-                let next = self.fire(&m, t)?;
-                if next.0.iter().any(|&tok| tok > 1) {
-                    safe = false;
-                }
-                let ni = *index.entry(next.clone()).or_insert_with(|| {
-                    markings.push(next);
-                    queue.push_back(markings.len() - 1);
-                    markings.len() - 1
-                });
-                out.push((t, ni));
-            }
-            succ.resize(succ.len().max(mi + 1), Vec::new());
-            succ[mi] = out;
-            if markings.len() > 500_000 {
-                return Err(StgError::TooManyStates(500_000));
-            }
-        }
-        succ.resize(markings.len(), Vec::new());
+        let graph = self.explore(DEFAULT_STATE_CAP)?;
+        let safe = graph.markings.iter().all(Marking::is_safe);
 
         // Liveness: compute SCCs coarsely — the net is live iff every
         // transition fires inside every terminal SCC. For the controller
@@ -111,22 +85,17 @@ impl Stg {
         // (b) every transition fires somewhere, and (c) the marking graph
         // is strongly connected (every marking can return to the initial
         // one).
-        let deadlock_free = succ.iter().all(|s| !s.is_empty());
-        let mut fired = vec![false; self.num_transitions()];
-        for s in &succ {
-            for &(t, _) in s {
-                fired[t.0 as usize] = true;
-            }
+        let n = graph.markings.len();
+        let mut has_succ = vec![false; n];
+        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for &(from, _, to) in &graph.edges {
+            has_succ[from] = true;
+            preds[to].push(from);
         }
-        let all_fire = fired.iter().all(|&f| f);
+        let deadlock_free = has_succ.iter().all(|&s| s);
+        let all_fire = graph.dead_transition(self.num_transitions()).is_none();
         // Reverse reachability to marking 0.
-        let mut reaches_initial = vec![false; markings.len()];
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); markings.len()];
-        for (mi, s) in succ.iter().enumerate() {
-            for &(_, ni) in s {
-                preds[ni].push(mi);
-            }
-        }
+        let mut reaches_initial = vec![false; n];
         let mut queue = VecDeque::from([0usize]);
         reaches_initial[0] = true;
         while let Some(mi) = queue.pop_front() {
@@ -142,7 +111,7 @@ impl Stg {
             class: self.net_class(),
             safe,
             live: deadlock_free && all_fire && strongly_connected,
-            markings: markings.len(),
+            markings: n,
         })
     }
 

@@ -2,8 +2,8 @@
 
 use crate::error::StgError;
 use crate::petri::{PlaceId, Stg, TransId};
+use nshot_par::{FxHashMap, FxHashSet};
 use nshot_sg::{Dir, SignalKind};
-use std::collections::HashMap;
 
 /// Parse an STG from the classic `.g` format:
 ///
@@ -31,10 +31,9 @@ use std::collections::HashMap;
 pub fn parse_stg(text: &str) -> Result<Stg, StgError> {
     let _span = nshot_obs::span(nshot_obs::Stage::Parse);
     let mut stg = Stg::new("stg");
-    let mut kinds: HashMap<String, SignalKind> = HashMap::new();
-    let mut declared: Vec<(String, SignalKind)> = Vec::new();
+    let mut declared: Vec<(&str, SignalKind)> = Vec::new();
     let mut in_graph = false;
-    let mut graph_lines: Vec<(usize, Vec<String>)> = Vec::new();
+    let mut graph_lines: Vec<(usize, Vec<&str>)> = Vec::new();
     let mut marking_tokens: Vec<(usize, String)> = Vec::new();
 
     for (lineno, raw) in text.lines().enumerate() {
@@ -48,19 +47,19 @@ pub fn parse_stg(text: &str) -> Result<Stg, StgError> {
         }
         if let Some(rest) = line.strip_prefix(".inputs") {
             for n in rest.split_whitespace() {
-                declared.push((n.to_owned(), SignalKind::Input));
+                declared.push((n, SignalKind::Input));
             }
             continue;
         }
         if let Some(rest) = line.strip_prefix(".outputs") {
             for n in rest.split_whitespace() {
-                declared.push((n.to_owned(), SignalKind::Output));
+                declared.push((n, SignalKind::Output));
             }
             continue;
         }
         if let Some(rest) = line.strip_prefix(".internal") {
             for n in rest.split_whitespace() {
-                declared.push((n.to_owned(), SignalKind::Internal));
+                declared.push((n, SignalKind::Internal));
             }
             continue;
         }
@@ -106,10 +105,7 @@ pub fn parse_stg(text: &str) -> Result<Stg, StgError> {
             continue;
         }
         if in_graph {
-            graph_lines.push((
-                lineno + 1,
-                line.split_whitespace().map(str::to_owned).collect(),
-            ));
+            graph_lines.push((lineno + 1, line.split_whitespace().collect()));
         } else {
             return Err(StgError::Parse {
                 line: lineno + 1,
@@ -119,67 +115,25 @@ pub fn parse_stg(text: &str) -> Result<Stg, StgError> {
     }
 
     // Register declared signals in declaration order.
-    for (name, kind) in &declared {
-        if kinds.contains_key(name) {
+    let mut seen_signals: FxHashSet<&str> = FxHashSet::default();
+    for &(name, kind) in &declared {
+        if !seen_signals.insert(name) {
             return Err(StgError::Parse {
                 line: 0,
                 message: format!("duplicate signal '{name}'"),
             });
         }
-        kinds.insert(name.clone(), *kind);
-        stg.add_signal(name, *kind);
+        stg.add_signal(name, kind);
     }
 
     // First pass: create all transitions and explicit places named in the
     // graph section.
-    let mut trans_ids: HashMap<String, TransId> = HashMap::new();
-    let mut place_ids: HashMap<String, PlaceId> = HashMap::new();
-    let token_kind = |stg: &mut Stg,
-                          tok: &str,
-                          line: usize,
-                          trans_ids: &mut HashMap<String, TransId>,
-                          place_ids: &mut HashMap<String, PlaceId>|
-     -> Result<Node, StgError> {
-        if let Some((sig, dir, occ)) = split_edge_token(tok) {
-            if let Some(idx) = stg.signal_index(sig) {
-                let key = tok.to_owned();
-                let id = match trans_ids.get(&key) {
-                    Some(&id) => id,
-                    None => {
-                        let id = stg.add_transition(idx, dir, occ);
-                        trans_ids.insert(key, id);
-                        id
-                    }
-                };
-                return Ok(Node::Trans(id));
-            }
-            return Err(StgError::Parse {
-                line,
-                message: format!("transition '{tok}' references undeclared signal '{sig}'"),
-            });
-        }
-        // Not a signal edge → explicit place.
-        let id = match place_ids.get(tok) {
-            Some(&id) => id,
-            None => {
-                let id = stg.add_place(tok, 0);
-                place_ids.insert(tok.to_owned(), id);
-                id
-            }
-        };
-        Ok(Node::Place(id))
-    };
-
-    #[derive(Clone, Copy)]
-    enum Node {
-        Trans(TransId),
-        Place(PlaceId),
-    }
+    let mut nodes = Nodes::default();
 
     // The `.g` format has no arc weights: a repeated arc is always an
     // authoring mistake (and a silent one — the duplicate implicit place
     // never receives a token, so the target quietly dies).
-    let mut seen_arcs: std::collections::HashSet<(u8, u32, u32)> = std::collections::HashSet::new();
+    let mut seen_arcs: FxHashSet<(u8, u32, u32)> = FxHashSet::default();
     for (line, tokens) in &graph_lines {
         if tokens.len() < 2 {
             return Err(StgError::Parse {
@@ -187,9 +141,9 @@ pub fn parse_stg(text: &str) -> Result<Stg, StgError> {
                 message: "graph line needs a source and at least one target".into(),
             });
         }
-        let src = token_kind(&mut stg, &tokens[0], *line, &mut trans_ids, &mut place_ids)?;
-        for tok in &tokens[1..] {
-            let dst = token_kind(&mut stg, tok, *line, &mut trans_ids, &mut place_ids)?;
+        let src = nodes.resolve(&mut stg, tokens[0], *line)?;
+        for &tok in &tokens[1..] {
+            let dst = nodes.resolve(&mut stg, tok, *line)?;
             let arc_key = match (src, dst) {
                 (Node::Trans(a), Node::Trans(b)) => (0u8, a.0, b.0),
                 (Node::Trans(a), Node::Place(p)) => (1, a.0, p.0),
@@ -218,7 +172,10 @@ pub fn parse_stg(text: &str) -> Result<Stg, StgError> {
         }
     }
 
-    // Apply the marking.
+    // Apply the marking. `<a,b>` names transitions by their canonical
+    // names (`Stg::transition_name`, the first transition wins a shared
+    // name); the map is built once, on the first such token.
+    let mut by_name: Option<FxHashMap<String, TransId>> = None;
     for (line, tok) in &marking_tokens {
         let (name, count) = match tok.split_once('=') {
             Some((n, c)) => (
@@ -235,24 +192,29 @@ pub fn parse_stg(text: &str) -> Result<Stg, StgError> {
                 line: *line,
                 message: format!("bad implicit place '{name}'"),
             })?;
-            let ta = stg
-                .transition_by_name(a.trim())
-                .ok_or_else(|| StgError::Parse {
-                    line: *line,
-                    message: format!("unknown transition '{a}' in marking"),
-                })?;
-            let tb = stg
-                .transition_by_name(b.trim())
-                .ok_or_else(|| StgError::Parse {
-                    line: *line,
-                    message: format!("unknown transition '{b}' in marking"),
-                })?;
+            let by_name = by_name.get_or_insert_with(|| {
+                let mut map = FxHashMap::default();
+                for t in (0..stg.num_transitions() as u32).map(TransId) {
+                    map.entry(stg.transition_name(t)).or_insert(t);
+                }
+                map
+            });
+            let lookup = |t: &str| {
+                by_name
+                    .get(t.trim())
+                    .copied()
+                    .ok_or_else(|| StgError::Parse {
+                        line: *line,
+                        message: format!("unknown transition '{t}' in marking"),
+                    })
+            };
+            let (ta, tb) = (lookup(a)?, lookup(b)?);
             let p = stg.place_between(ta, tb).ok_or_else(|| StgError::Parse {
                 line: *line,
                 message: format!("no place between {a} and {b}"),
             })?;
             stg.set_tokens(p, count);
-        } else if let Some(p) = stg.place_by_name(name) {
+        } else if let Some(&p) = nodes.places.get(name) {
             stg.set_tokens(p, count);
         } else {
             return Err(StgError::Parse {
@@ -264,6 +226,45 @@ pub fn parse_stg(text: &str) -> Result<Stg, StgError> {
 
     stg.check_structure()?;
     Ok(stg)
+}
+
+#[derive(Clone, Copy)]
+enum Node {
+    Trans(TransId),
+    Place(PlaceId),
+}
+
+/// The graph section's names, keyed by the tokens of the text itself.
+#[derive(Default)]
+struct Nodes<'t> {
+    trans: FxHashMap<&'t str, TransId>,
+    places: FxHashMap<&'t str, PlaceId>,
+}
+
+impl<'t> Nodes<'t> {
+    /// The transition or explicit place `tok` names, created on first use.
+    fn resolve(&mut self, stg: &mut Stg, tok: &'t str, line: usize) -> Result<Node, StgError> {
+        if let Some(&id) = self.trans.get(tok) {
+            return Ok(Node::Trans(id));
+        }
+        if let Some((sig, dir, occ)) = split_edge_token(tok) {
+            if let Some(idx) = stg.signal_index(sig) {
+                let id = stg.add_transition(idx, dir, occ);
+                self.trans.insert(tok, id);
+                return Ok(Node::Trans(id));
+            }
+            return Err(StgError::Parse {
+                line,
+                message: format!("transition '{tok}' references undeclared signal '{sig}'"),
+            });
+        }
+        // Not a signal edge → explicit place.
+        let id = *self
+            .places
+            .entry(tok)
+            .or_insert_with(|| stg.add_place(tok, 0));
+        Ok(Node::Place(id))
+    }
 }
 
 /// Split a signal-edge token like `req+`, `ack-/2` into (signal, dir, occ).

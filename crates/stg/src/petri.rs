@@ -37,14 +37,33 @@ pub(crate) struct PlaceDecl {
     pub post: Vec<TransId>,
 }
 
-/// A marking: token count per place. Place `i` is `tokens[i]`.
+/// A marking: the marked places as a sorted multiset of place ids, a place
+/// repeated once per token. Unmarked places take no room, so hashing,
+/// comparing and cloning a marking cost its token count, not the size of
+/// the net.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Marking(pub(crate) Vec<u8>);
+pub struct Marking(pub(crate) Vec<u32>);
 
 impl Marking {
     /// Token count of a place.
     pub fn tokens(&self, p: PlaceId) -> u8 {
-        self.0[p.0 as usize]
+        u8::try_from(self.count(p)).expect("initial counts are u8 and firing stops past 8")
+    }
+
+    /// Token count of a place, by binary search.
+    fn count(&self, p: PlaceId) -> usize {
+        let first = self.0.partition_point(|&q| q < p.0);
+        self.0[first..].partition_point(|&q| q == p.0)
+    }
+
+    /// The marked places, ascending, each once.
+    fn marked(&self) -> impl Iterator<Item = u32> + '_ {
+        self.0.chunk_by(|a, b| a == b).map(|run| run[0])
+    }
+
+    /// `true` if no place holds more than one token.
+    pub(crate) fn is_safe(&self) -> bool {
+        self.0.windows(2).all(|w| w[0] != w[1])
     }
 }
 
@@ -160,7 +179,13 @@ impl Stg {
 
     /// The initial marking.
     pub fn initial_marking(&self) -> Marking {
-        Marking(self.initial.clone())
+        Marking(
+            self.initial
+                .iter()
+                .enumerate()
+                .flat_map(|(p, &tok)| std::iter::repeat_n(p as u32, tok.into()))
+                .collect(),
+        )
     }
 
     /// Human-readable transition name, e.g. `a+` or `b-/2`.
@@ -179,15 +204,27 @@ impl Stg {
         self.transitions[t.0 as usize]
             .pre
             .iter()
-            .all(|p| m.tokens(*p) > 0)
+            .all(|&p| m.count(p) > 0)
     }
 
-    /// All transitions enabled in `m`.
+    /// All transitions enabled in `m`, in ascending [`TransId`] order.
+    ///
+    /// Only consumers of marked places are candidates, so the cost follows
+    /// the marking, not the size of the net. A transition without an input
+    /// place, which [`Stg::check_structure`] rejects, is never reported.
+    ///
+    /// The ascending order is a contract: elaboration numbers states
+    /// breadth-first in this order, and state ids, the order of ON codes
+    /// and the emitted netlists all follow that numbering.
     pub fn enabled(&self, m: &Marking) -> Vec<TransId> {
-        (0..self.transitions.len() as u32)
-            .map(TransId)
-            .filter(|&t| self.is_enabled(m, t))
-            .collect()
+        let mut out: Vec<TransId> = m
+            .marked()
+            .flat_map(|p| self.places[p as usize].post.iter().copied())
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out.retain(|&t| self.is_enabled(m, t));
+        out
     }
 
     /// Fire `t` from `m`.
@@ -195,7 +232,7 @@ impl Stg {
     /// # Errors
     ///
     /// [`StgError::NotEnabled`] if `t` is not enabled;
-    /// [`StgError::Unbounded`] if a place would exceed the supported bound.
+    /// [`StgError::Unbounded`] if a place would exceed 8 tokens.
     pub fn fire(&self, m: &Marking, t: TransId) -> Result<Marking, StgError> {
         if !self.is_enabled(m, t) {
             return Err(StgError::NotEnabled(self.transition_name(t)));
@@ -203,14 +240,13 @@ impl Stg {
         let mut next = m.clone();
         let tr = &self.transitions[t.0 as usize];
         for &p in &tr.pre {
-            next.0[p.0 as usize] -= 1;
+            if let Ok(i) = next.0.binary_search(&p.0) {
+                next.0.remove(i);
+            }
         }
         for &p in &tr.post {
-            let slot = &mut next.0[p.0 as usize];
-            *slot = slot.checked_add(1).ok_or_else(|| StgError::Unbounded {
-                place: self.places[p.0 as usize].name.clone(),
-            })?;
-            if *slot > 8 {
+            next.0.insert(next.0.partition_point(|&q| q <= p.0), p.0);
+            if next.count(p) > 8 {
                 return Err(StgError::Unbounded {
                     place: self.places[p.0 as usize].name.clone(),
                 });
@@ -380,6 +416,100 @@ mod tests {
         assert_eq!(stg.transition_name(t0), "a+");
         assert_eq!(stg.transition_name(t1), "a-/2");
         assert_eq!(stg.transition_by_name("a-/2"), Some(t1));
+    }
+
+    /// A bare net: `n` rising transitions of one signal, occurrence
+    /// indices `0..n`, and the given places with their tokens, no arcs.
+    fn scaffold(n: u32, places: &[(&str, u8)]) -> (Stg, Vec<TransId>, Vec<PlaceId>) {
+        let mut stg = Stg::new("scaffold");
+        let a = stg.add_signal("a", SignalKind::Output);
+        let ts = (0..n)
+            .map(|k| stg.add_transition(a, Dir::Rise, k))
+            .collect();
+        let ps = places
+            .iter()
+            .map(|&(name, tok)| stg.add_place(name, tok))
+            .collect();
+        (stg, ts, ps)
+    }
+
+    #[test]
+    fn multi_token_places_count_each_token() {
+        let stg = crate::parse_stg(".outputs a\n.graph\np a+\na+ a-\na- p\n.marking { p=2 }\n.end")
+            .unwrap();
+        let p = stg.place_by_name("p").unwrap();
+        let m0 = stg.initial_marking();
+        assert_eq!(m0.tokens(p), 2);
+        let up = stg.transition_by_name("a+").unwrap();
+        let down = stg.transition_by_name("a-").unwrap();
+        let m1 = stg.fire(&m0, up).unwrap();
+        assert_eq!(m1.tokens(p), 1);
+        assert_eq!(stg.enabled(&m1), vec![up, down]);
+        let m2 = stg.fire(&m1, up).unwrap();
+        assert_eq!(m2.tokens(p), 0);
+        assert_eq!(stg.enabled(&m2), vec![down]);
+        // Both tokens back on p: equal to the initial marking.
+        let back = stg.fire(&stg.fire(&m2, down).unwrap(), down).unwrap();
+        assert_eq!(back, m0);
+    }
+
+    #[test]
+    fn shared_pre_and_post_place_keeps_its_token() {
+        let (mut stg, ts, ps) = scaffold(1, &[("p", 1), ("q", 0)]);
+        let (t, p, q) = (ts[0], ps[0], ps[1]);
+        stg.arc_pt(p, t);
+        stg.arc_tp(t, q);
+        stg.arc_tp(t, p);
+        let m1 = stg.fire(&stg.initial_marking(), t).unwrap();
+        assert_eq!((m1.tokens(p), m1.tokens(q)), (1, 1));
+        let m2 = stg.fire(&m1, t).unwrap();
+        assert_eq!((m2.tokens(p), m2.tokens(q)), (1, 2));
+    }
+
+    #[test]
+    fn ninth_token_is_unbounded_on_that_place() {
+        let (mut stg, ts, ps) = scaffold(1, &[("src", 1), ("sink", 7)]);
+        let (t, src, sink) = (ts[0], ps[0], ps[1]);
+        stg.arc_pt(src, t);
+        stg.arc_tp(t, src);
+        stg.arc_tp(t, sink);
+        let m8 = stg.fire(&stg.initial_marking(), t).unwrap();
+        assert_eq!(m8.tokens(sink), 8);
+        match stg.fire(&m8, t) {
+            Err(StgError::Unbounded { place }) => assert_eq!(place, "sink"),
+            other => panic!("expected Unbounded, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unmarked_place_has_no_tokens() {
+        let (stg, _, ps) = scaffold(0, &[("a", 0), ("b", 1), ("c", 0)]);
+        let m = stg.initial_marking();
+        assert_eq!(
+            ps.iter().map(|&p| m.tokens(p)).collect::<Vec<_>>(),
+            [0, 1, 0]
+        );
+    }
+
+    #[test]
+    fn enabled_is_ascending_through_choice_and_join() {
+        // Marked `a` is a choice place whose consumers are listed in
+        // descending order; `t2` joins `a` and `b`; `t3` also needs the
+        // unmarked `c`.
+        let (mut stg, t, ps) = scaffold(4, &[("a", 1), ("b", 1), ("c", 0)]);
+        let (a, b, c) = (ps[0], ps[1], ps[2]);
+        let arcs = [(a, 3), (c, 3), (a, 2), (b, 2), (a, 1), (b, 0)];
+        for (p, i) in arcs {
+            stg.arc_pt(p, t[i]);
+        }
+        let m = stg.initial_marking();
+        assert_eq!(stg.enabled(&m), vec![t[0], t[1], t[2]]);
+        let dense: Vec<TransId> = t
+            .iter()
+            .copied()
+            .filter(|&x| stg.is_enabled(&m, x))
+            .collect();
+        assert_eq!(stg.enabled(&m), dense);
     }
 
     #[test]

@@ -1,7 +1,9 @@
-//! Property tests: random marked-graph STGs elaborate to well-formed SGs.
+//! Property tests: random marked-graph STGs elaborate to well-formed SGs,
+//! and marked-place enabling agrees with a dense scan on random nets.
 //! Inputs come from the fixed-seed driver in `nshot_par::prop`.
 
-use crate::Stg;
+use crate::petri::Marking;
+use crate::{PlaceId, Stg, TransId};
 use nshot_par::prop;
 use nshot_sg::{Dir, SignalKind};
 
@@ -69,5 +71,60 @@ fn elaboration_is_deterministic() {
         let codes_b: std::collections::BTreeSet<u64> =
             b.state_ids().map(|s| b.code(s)).collect();
         assert_eq!(codes_a, codes_b);
+    });
+}
+
+/// `enabled(m)` collects the consumers of marked places only; on random
+/// small nets (every transition with an input place, as `check_structure`
+/// requires) and random multi-token markings it must equal the dense
+/// reference: every transition, in id order, filtered by `is_enabled`.
+#[test]
+fn enabled_matches_dense_scan() {
+    prop::check("stg_enabled_matches_dense_scan", |g| {
+        let mut stg = Stg::new("random");
+        let s = stg.add_signal("s", SignalKind::Output);
+        let places: Vec<PlaceId> = (0..g.usize_in(1, 6))
+            .map(|i| stg.add_place(&format!("p{i}"), 0))
+            .collect();
+        let transitions: Vec<TransId> = (0..g.usize_in(1, 8) as u32)
+            .map(|k| stg.add_transition(s, Dir::Rise, k))
+            .collect();
+        for &t in &transitions {
+            let mut pre = g.subset(places.len(), 3);
+            if pre.is_empty() {
+                pre.push(g.index(places.len()));
+            }
+            for p in pre {
+                stg.arc_pt(places[p], t);
+            }
+            for p in g.subset(places.len(), 2) {
+                stg.arc_tp(t, places[p]);
+            }
+        }
+        let dense = |m: &Marking| -> Vec<TransId> {
+            transitions
+                .iter()
+                .copied()
+                .filter(|&t| stg.is_enabled(m, t))
+                .collect()
+        };
+        let mut m = Marking(
+            places
+                .iter()
+                .flat_map(|p| std::iter::repeat_n(p.0, g.index(3)))
+                .collect(),
+        );
+        // Check the drawn marking and a short random firing walk from it.
+        for _ in 0..8 {
+            let enabled = stg.enabled(&m);
+            assert_eq!(enabled, dense(&m), "marking {m:?}");
+            if enabled.is_empty() {
+                break;
+            }
+            match stg.fire(&m, enabled[g.index(enabled.len())]) {
+                Ok(next) => m = next,
+                Err(_) => break,
+            }
+        }
     });
 }

@@ -1,13 +1,13 @@
-//! Reachability elaboration: STG → state graph.
+//! The token game ([`Stg::explore`], shared with `Stg::analyze`) and
+//! reachability elaboration: STG → state graph.
 
 use crate::error::StgError;
-use crate::petri::{Marking, Stg};
+use crate::petri::{Marking, Stg, TransId};
 use nshot_par::FxHashMap;
-use nshot_sg::{SgBuilder, StateGraph};
-use std::collections::VecDeque;
+use nshot_sg::{Dir, SgBuilder, StateGraph};
 
 /// Default cap on the number of reachable markings.
-const DEFAULT_STATE_CAP: usize = 500_000;
+pub(crate) const DEFAULT_STATE_CAP: usize = 500_000;
 
 impl Stg {
     /// Elaborate the STG into a validated [`StateGraph`] by exhaustive token
@@ -44,106 +44,26 @@ impl Stg {
         }
 
         // --- Phase 1: explore the marking graph.
-        let m0 = self.initial_marking();
-        // Marking → index interning is the hottest map of the whole flow
-        // (one lookup per fired transition); FxHash beats SipHash here by a
-        // wide margin and markings are never adversarial.
-        let mut index: FxHashMap<Marking, usize> = FxHashMap::default();
-        let mut markings: Vec<Marking> = Vec::new();
-        // Edge list: (from, transition signal, dir, to).
-        let mut edges: Vec<(usize, usize, nshot_sg::Dir, usize)> = Vec::new();
-        index.insert(m0.clone(), 0);
-        markings.push(m0);
-        let mut queue: VecDeque<usize> = VecDeque::from([0]);
-        let mut fired = vec![false; self.num_transitions()];
-        while let Some(mi) = queue.pop_front() {
-            let m = markings[mi].clone();
-            for t in self.enabled(&m) {
-                fired[t.0 as usize] = true;
-                let next = self.fire(&m, t)?;
-                let ni = match index.get(&next) {
-                    Some(&ni) => ni,
-                    None => {
-                        let ni = markings.len();
-                        if ni >= cap {
-                            return Err(StgError::TooManyStates(cap));
-                        }
-                        index.insert(next.clone(), ni);
-                        markings.push(next);
-                        queue.push_back(ni);
-                        ni
-                    }
-                };
-                let tr = &self.transitions[t.0 as usize];
-                edges.push((mi, tr.signal, tr.dir, ni));
-            }
-        }
+        let graph = self.explore(cap)?;
         // A transition that fires in no reachable marking sits on a cycle
         // that carries no token — an unmarked cycle, or an entirely empty
         // initial marking. The state graph such a net elaborates to is
         // degenerate (the signal is frozen at its default), so reject it
         // with the authoring mistake named instead.
-        if let Some(i) = fired.iter().position(|&f| !f) {
-            return Err(StgError::DeadTransition(
-                self.transition_name(crate::petri::TransId(i as u32)),
-            ));
+        if let Some(t) = graph.dead_transition(self.num_transitions()) {
+            return Err(StgError::DeadTransition(self.transition_name(t)));
         }
-
-        // --- Phase 2: infer signal values per marking by constraint
-        // propagation (bidirectional, to a fixpoint).
-        let ns = self.num_signals();
-        let nm = markings.len();
-        let mut value: Vec<Vec<Option<bool>>> = vec![vec![None; ns]; nm];
-        let assign = |slot: &mut Option<bool>, v: bool, sig: &str| -> Result<bool, StgError> {
-            match *slot {
-                None => {
-                    *slot = Some(v);
-                    Ok(true)
-                }
-                Some(old) if old == v => Ok(false),
-                Some(_) => Err(StgError::InconsistentSignal(sig.to_owned())),
-            }
-        };
-        // Seed with the firing constraints.
-        for &(from, sig, dir, to) in &edges {
-            let name = &self.signals[sig].name;
-            if from == to {
-                // A marking-preserving transition would need the signal to
-                // hold both values at once.
-                return Err(StgError::InconsistentSignal(name.clone()));
-            }
-            let before = !dir.target_value();
-            let (a, b) = split_two(&mut value, from, to);
-            assign(&mut a[sig], before, name)?;
-            assign(&mut b[sig], dir.target_value(), name)?;
-        }
-        // Propagate equalities for unrelated signals until stable.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &(from, sig, _, to) in &edges {
-                for s in 0..ns {
-                    if s == sig || from == to {
-                        continue;
-                    }
-                    let name = &self.signals[s].name;
-                    let (a, b) = split_two(&mut value, from, to);
-                    match (a[s], b[s]) {
-                        (Some(v), _) => changed |= assign(&mut b[s], v, name)?,
-                        (None, Some(v)) => changed |= assign(&mut a[s], v, name)?,
-                        (None, None) => {}
-                    }
-                }
-            }
-        }
-        // Unconstrained (never-firing, disconnected) signals default to 0.
-        let codes: Vec<u64> = (0..nm)
-            .map(|mi| {
-                (0..ns).fold(0u64, |acc, s| {
-                    acc | (u64::from(value[mi][s].unwrap_or(false)) << s)
-                })
+        let edges: Vec<(usize, usize, Dir, usize)> = graph
+            .edges
+            .iter()
+            .map(|&(from, t, to)| {
+                let tr = &self.transitions[t.0 as usize];
+                (from, tr.signal, tr.dir, to)
             })
             .collect();
+
+        // --- Phase 2: infer each marking's signal code.
+        let codes = self.infer_codes(&edges)?;
 
         // --- Phase 3: build and validate the state graph.
         let mut b = SgBuilder::named(self.name());
@@ -162,19 +82,112 @@ impl Stg {
         }
         Ok(b.build_with_initial(state_ids[0])?)
     }
+
+    /// The token game: every marking reachable from the initial one, in
+    /// breadth-first order (the initial marking is 0), and every firing as
+    /// `(from, transition, to)`, grouped by `from` in that same order and
+    /// within a marking in ascending [`TransId`] order.
+    ///
+    /// # Errors
+    ///
+    /// [`StgError::Unbounded`] from [`Stg::fire`];
+    /// [`StgError::TooManyStates`] when more than `cap` markings are
+    /// reachable.
+    pub(crate) fn explore(&self, cap: usize) -> Result<MarkingGraph, StgError> {
+        // Marking → index interning is the hottest map of the token game
+        // (one lookup per firing); markings are never adversarial, so
+        // FxHash rather than SipHash.
+        let m0 = self.initial_marking();
+        let mut index: FxHashMap<Marking, usize> = FxHashMap::default();
+        index.insert(m0.clone(), 0);
+        let mut graph = MarkingGraph {
+            markings: vec![m0],
+            edges: Vec::new(),
+        };
+        // `markings` doubles as the FIFO queue: index order is discovery
+        // order.
+        let mut mi = 0;
+        while mi < graph.markings.len() {
+            let m = graph.markings[mi].clone();
+            for t in self.enabled(&m) {
+                let next = self.fire(&m, t)?;
+                let ni = match index.get(&next) {
+                    Some(&ni) => ni,
+                    None => {
+                        let ni = graph.markings.len();
+                        if ni >= cap {
+                            return Err(StgError::TooManyStates(cap));
+                        }
+                        index.insert(next.clone(), ni);
+                        graph.markings.push(next);
+                        ni
+                    }
+                };
+                graph.edges.push((mi, t, ni));
+            }
+            mi += 1;
+        }
+        Ok(graph)
+    }
+
+    /// Phase 2: the signal code of every marking, from the firings
+    /// `(from, signal, dir, to)` in [`Stg::explore`] order, where the first
+    /// edge into each marking other than 0 discovers it, in index order.
+    ///
+    /// One parity pass: each marking's code relative to marking 0 flips the
+    /// fired signal's bit along the edge that discovered it, and every edge
+    /// must agree with those relative codes. A signal's initial value is
+    /// the value before any of its edges, and all of them must agree. A
+    /// signal that never fires stays 0.
+    ///
+    /// # Errors
+    ///
+    /// [`StgError::InconsistentSignal`] when no consistent assignment
+    /// exists, naming a signal that would need two values at once.
+    fn infer_codes(&self, edges: &[(usize, usize, Dir, usize)]) -> Result<Vec<u64>, StgError> {
+        let inconsistent =
+            |sig: usize| StgError::InconsistentSignal(self.signals[sig].name.clone());
+        let mut relative: Vec<u64> = vec![0];
+        for &(from, sig, _, to) in edges {
+            let flipped = relative[from] ^ (1 << sig);
+            if to == relative.len() {
+                relative.push(flipped);
+            } else if relative[to] != flipped {
+                let diff = relative[to] ^ flipped;
+                return Err(inconsistent(diff.trailing_zeros() as usize));
+            }
+        }
+        let mut initial: Vec<Option<bool>> = vec![None; self.num_signals()];
+        for &(from, sig, dir, _) in edges {
+            let flipped_since_zero = (relative[from] >> sig) & 1 == 1;
+            let at_zero = !dir.target_value() ^ flipped_since_zero;
+            if *initial[sig].get_or_insert(at_zero) != at_zero {
+                return Err(inconsistent(sig));
+            }
+        }
+        let base = initial.iter().enumerate().fold(0u64, |acc, (s, v)| {
+            acc | (u64::from(v.unwrap_or(false)) << s)
+        });
+        Ok(relative.iter().map(|r| base ^ r).collect())
+    }
 }
 
-/// Mutable access to two distinct rows of a table (helper for the
-/// propagation loop). When `a == b`, returns the same row twice via a split
-/// that still borrows safely.
-fn split_two<T>(v: &mut [Vec<T>], a: usize, b: usize) -> (&mut Vec<T>, &mut Vec<T>) {
-    assert_ne!(a, b, "self-loop edges are filtered before calling split_two");
-    if a < b {
-        let (lo, hi) = v.split_at_mut(b);
-        (&mut lo[a], &mut hi[0])
-    } else {
-        let (lo, hi) = v.split_at_mut(a);
-        (&mut hi[0], &mut lo[b])
+/// The reachable marking graph, as [`Stg::explore`] returns it.
+pub(crate) struct MarkingGraph {
+    /// Reachable markings in discovery order; the initial marking is 0.
+    pub markings: Vec<Marking>,
+    /// Firings `(from, transition, to)` in exploration order.
+    pub edges: Vec<(usize, TransId, usize)>,
+}
+
+impl MarkingGraph {
+    /// The first of `num_transitions` transitions that never fires.
+    pub fn dead_transition(&self, num_transitions: usize) -> Option<TransId> {
+        let mut fired = vec![false; num_transitions];
+        for &(_, t, _) in &self.edges {
+            fired[t.0 as usize] = true;
+        }
+        fired.iter().position(|&f| !f).map(|i| TransId(i as u32))
     }
 }
 
@@ -257,6 +270,34 @@ mod tests {
         assert!(
             matches!(err, StgError::InconsistentSignal(_) | StgError::Sg(_)),
             "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn odd_parity_cycle_is_inconsistent() {
+        // p0 → p1 through a+ or b+: p1 would need a = 1, b = 0 and a = 0,
+        // b = 1 at once.
+        let stg = parse_stg(
+            ".model m\n.inputs a b\n.graph\np0 a+ b+\na+ p1\nb+ p1\np1 a- b-\na- p0\nb- p0\n.marking { p0 }\n.end",
+        )
+        .unwrap();
+        assert!(matches!(
+            stg.elaborate(),
+            Err(StgError::InconsistentSignal(_))
+        ));
+    }
+
+    #[test]
+    fn disagreeing_initial_values_are_inconsistent() {
+        // a+ a+/2 a- a-/2: every cycle flips a evenly, but a+/2 needs a = 0
+        // where a+ has just set it to 1.
+        let stg = parse_stg(
+            ".model d\n.outputs a\n.graph\na+ a+/2\na+/2 a-\na- a-/2\na-/2 a+\n.marking { <a-/2,a+> }\n.end",
+        )
+        .unwrap();
+        assert_eq!(
+            stg.elaborate().unwrap_err(),
+            StgError::InconsistentSignal("a".into())
         );
     }
 

@@ -39,9 +39,6 @@ cargo run --release -p nshot-bench --bin nshot-fuzz -- \
 grep -q '"panics": 0' /tmp/BENCH_wire_fuzz.json \
   || { echo "wire mutation smoke panicked:"; cat /tmp/BENCH_wire_fuzz.json; exit 1; }
 
-echo "== tier1: classify perf smoke (full suite analysis under budget) =="
-cargo run --release -p nshot-bench --bin classify_smoke -- 20000
-
 echo "== tier1: model-checker smoke (1-circuit proof, heartbeats on) =="
 NSHOT_PROGRESS=stderr NSHOT_PROGRESS_MS=10 \
   cargo run --release -p nshot-bench --bin modelcheck -- chu133 /tmp/BENCH_mc_smoke.json \
