@@ -14,7 +14,6 @@
 //! Binaries: `table2`, `tables`, `figures`, `validate`.
 
 pub mod figures;
-pub mod microbench;
 pub mod telemetry;
 
 use nshot_baselines::{sis, syn, BaselineError};
@@ -216,62 +215,6 @@ pub fn run_validation(
     };
     let summary = monte_carlo(&sg, &imp, &config, trials);
     (imp, summary)
-}
-
-/// Compare interning throughput under std's SipHash versus the FxHash now
-/// used by `Stg::elaborate` (`nshot_stg::reach`) and the state-code maps in
-/// `nshot_sg`.
-///
-/// Interns `n` keys of each shape — 17-byte 0/1 vectors (the old dense
-/// marking layout) and `u64` state codes (SG builder / CSC check) —
-/// into a `std::collections::HashMap` and an `FxHashMap`, measuring each
-/// with [`microbench::bench`]. Returns four measurements in the order
-/// `[marking/siphash, marking/fxhash, code/siphash, code/fxhash]`.
-pub fn reach_hasher_bench(n: usize) -> Vec<microbench::Measurement> {
-    use nshot_par::FxHashMap;
-    use std::collections::HashMap;
-
-    // Byte-vector keys: one 0/1 byte per place of a 17-place safe net, all
-    // distinct. This was the marking layout `reach.rs` interned before
-    // markings became sorted lists of marked place ids; the keys are kept
-    // so the measurement stays comparable across BENCH_pipeline.json runs.
-    let markings: Vec<Vec<u8>> = (0..n)
-        .map(|i| (0..17).map(|p| ((i >> p) & 1) as u8).collect())
-        .collect();
-    // State codes: one packed u64 per state, the `by_code` map's workload.
-    let codes: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0xabcd_ef97)).collect();
-
-    let mark_sip = microbench::bench("reach/intern-marking/siphash", || {
-        let mut map: HashMap<&[u8], usize> = HashMap::with_capacity(markings.len());
-        for (i, k) in markings.iter().enumerate() {
-            map.entry(k.as_slice()).or_insert(i);
-        }
-        map.len()
-    });
-    let mark_fx = microbench::bench("reach/intern-marking/fxhash", || {
-        let mut map: FxHashMap<&[u8], usize> = FxHashMap::default();
-        map.reserve(markings.len());
-        for (i, k) in markings.iter().enumerate() {
-            map.entry(k.as_slice()).or_insert(i);
-        }
-        map.len()
-    });
-    let code_sip = microbench::bench("sg/intern-code/siphash", || {
-        let mut map: HashMap<u64, usize> = HashMap::with_capacity(codes.len());
-        for (i, &k) in codes.iter().enumerate() {
-            map.entry(k).or_insert(i);
-        }
-        map.len()
-    });
-    let code_fx = microbench::bench("sg/intern-code/fxhash", || {
-        let mut map: FxHashMap<u64, usize> = FxHashMap::default();
-        map.reserve(codes.len());
-        for (i, &k) in codes.iter().enumerate() {
-            map.entry(k).or_insert(i);
-        }
-        map.len()
-    });
-    vec![mark_sip, mark_fx, code_sip, code_fx]
 }
 
 #[cfg(test)]

@@ -88,11 +88,6 @@ impl Histogram {
         self.sum_us.load(Ordering::Relaxed)
     }
 
-    /// Mean latency in µs (0 with no observations).
-    pub fn mean_us(&self) -> u64 {
-        self.sum_us() / self.count().max(1)
-    }
-
     /// Largest observation in µs.
     pub fn max_us(&self) -> u64 {
         self.max_us.load(Ordering::Relaxed)
@@ -126,30 +121,6 @@ impl Histogram {
     /// 99th percentile in µs.
     pub fn p99_us(&self) -> u64 {
         self.quantile_us(0.99)
-    }
-
-    /// The non-empty buckets as `(lower_us, upper_us, count)` triples, for
-    /// reports.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
-        self.counts()
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(i, &n)| {
-                let lo = if i == 0 { 0 } else { upper_edge(i - 1) };
-                (lo, upper_edge(i), n)
-            })
-            .collect()
-    }
-
-    /// Fold another histogram into this one (loadgen merges per-client
-    /// histograms).
-    pub fn merge(&self, other: &Histogram) {
-        for (a, n) in self.buckets.iter().zip(other.counts()) {
-            a.fetch_add(n, Ordering::Relaxed);
-        }
-        self.sum_us.fetch_add(other.sum_us(), Ordering::Relaxed);
-        self.max_us.fetch_max(other.max_us(), Ordering::Relaxed);
     }
 
     /// Render this histogram as Prometheus text series `base_bucket{…,le}`,
@@ -395,7 +366,6 @@ mod tests {
         let p99 = h.p99_us();
         assert!(p50 >= 900 && p50 <= 2048, "p50 = {p50}");
         assert!(p99 >= 100_000 && p99 <= 131_072, "p99 = {p99}");
-        assert!(h.mean_us() > 0);
         assert_eq!(h.max_us(), 100_000);
     }
 
@@ -404,24 +374,8 @@ mod tests {
         let h = Histogram::default();
         h.record(5000);
         assert_eq!(h.p50_us(), h.p99_us());
-        assert_eq!(h.mean_us(), 5000);
-        assert_eq!(h.nonzero_buckets().len(), 1);
-    }
-
-    #[test]
-    fn merge_equals_recording_into_one() {
-        let mut a = Histogram::default();
-        let mut b = Histogram::default();
-        let whole = Histogram::default();
-        for (i, us) in [3u64, 17, 200, 4096, 0, 65_000].iter().enumerate() {
-            if i % 2 == 0 { &mut a } else { &mut b }.record(*us);
-            whole.record(*us);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.p50_us(), whole.p50_us());
-        assert_eq!(a.p99_us(), whole.p99_us());
-        assert_eq!(a.nonzero_buckets(), whole.nonzero_buckets());
+        assert_eq!(h.sum_us(), 5000);
+        assert_eq!(h.counts().iter().filter(|&&n| n > 0).count(), 1);
     }
 
     #[test]
@@ -441,7 +395,7 @@ mod tests {
         assert_eq!(shared.count(), sequential.count());
         assert_eq!(shared.sum_us(), sequential.sum_us());
         assert_eq!(shared.max_us(), sequential.max_us());
-        assert_eq!(shared.nonzero_buckets(), sequential.nonzero_buckets());
+        assert_eq!(shared.counts(), sequential.counts());
     }
 
     #[test]

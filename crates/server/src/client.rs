@@ -2,9 +2,9 @@
 //! one-response roundtrips, IO timeouts.
 //!
 //! One implementation shared by everything that talks to the service —
-//! the load generator (`loadgen`), the shard front's proxy path and the
-//! front's metrics/shutdown fan-out — instead of each hand-rolling its own
-//! `BufReader` + `write_all` dance.
+//! the `loadgen` checking client, `e2ebench`, the shard front's proxy path
+//! and the front's metrics/shutdown fan-out — instead of each hand-rolling
+//! its own `BufReader` + `write_all` dance.
 //!
 //! A client can also negotiate the binary wire format
 //! ([`Client::upgrade_binary`]): after the `hello` ack the connection

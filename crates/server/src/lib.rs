@@ -37,12 +37,13 @@
 //!   and in-flight jobs drain, workers exit, and only then is the shutdown
 //!   acknowledged. [`Server::wait`] returns a [`ShutdownReport`] with the
 //!   final counters and metrics snapshot;
-//! * a shared **NDJSON client** ([`client`]) used by the load generator
-//!   and the shard front's backend pools.
+//! * a shared **NDJSON client** ([`client`]) used by the `loadgen`
+//!   checking client, the benchmark and the shard front's backend pools.
 //!
 //! Protocol details live in [`protocol`]; the deterministic request
-//! execution in [`service`]. The load harness is
-//! `cargo run --release -p nshot-bench --bin loadgen`.
+//! execution in [`service`]. `cargo run --release -p nshot-bench --bin
+//! loadgen` checks a running service byte for byte against direct
+//! synthesis; `e2ebench --workload serve-mixed` measures it.
 
 pub mod client;
 pub mod json;

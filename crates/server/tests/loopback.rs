@@ -7,7 +7,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 /// Small/medium circuits from the Table 2 suite (the full 25-circuit sweep
-/// is the loadgen harness's job; the e2e test favours debug-build speed).
+/// is `e2ebench`'s serve-mixed workload; the e2e test favours debug-build
+/// speed).
 const CIRCUITS: &[&str] = &["chu133", "chu172", "full", "hazard", "qr42", "vbe5b"];
 
 struct Client {

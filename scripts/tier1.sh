@@ -56,14 +56,6 @@ grep -q '"final":true' /tmp/mc_smoke_stderr.log \
 echo "== tier1: disabled-observability overhead gate (<2%) =="
 cargo run --release -p nshot-bench --bin obs_overhead
 
-echo "== tier1: dashboard regeneration (deterministic, committed copy fresh) =="
-cargo run --release -p nshot-bench --bin nshot-report -- --out /tmp/DASHBOARD_a.md
-cargo run --release -p nshot-bench --bin nshot-report -- --out /tmp/DASHBOARD_b.md
-cmp -s /tmp/DASHBOARD_a.md /tmp/DASHBOARD_b.md \
-  || { echo "nshot-report output is not deterministic"; exit 1; }
-cmp -s /tmp/DASHBOARD_a.md docs/DASHBOARD.md \
-  || { echo "docs/DASHBOARD.md is stale; regenerate with nshot-report"; exit 1; }
-
 echo "== tier1: 2-circuit smoke (synth + validate) =="
 cargo run --release --bin assassin -- bench chu133
 cargo run --release --bin assassin -- bench full
@@ -103,23 +95,15 @@ case "$METRICS_LINE" in
   *) echo "metrics op missing wire decode-error counter: $METRICS_LINE"; kill "$SERVER_PID"; exit 1 ;;
 esac
 
-cargo run --release -p nshot-bench --bin loadgen -- \
-  --addr "$ADDR" --concurrency 2 --passes 1 --circuits chu133,full \
-  --no-shutdown --out /tmp/BENCH_server_smoke.json
+# loadgen replays chu133 and full on two connections and checks every
+# response byte for byte against direct synthesis; any mismatch fails it.
+cargo run --release -p nshot-bench --bin loadgen -- --addr "$ADDR" --no-shutdown
 # Same workload again with the binary framing negotiated per connection:
 # loadgen's per-response byte-identity checks prove transport equivalence
 # end to end. This second run issues the shutdown.
-cargo run --release -p nshot-bench --bin loadgen -- \
-  --addr "$ADDR" --concurrency 2 --passes 1 --circuits chu133,full \
-  --format binary --out /tmp/BENCH_server_smoke_binary.json
+cargo run --release -p nshot-bench --bin loadgen -- --addr "$ADDR" --format binary
 wait "$SERVER_PID"
 rm -f "$SERVER_LOG"
-
-echo "== tier1: wire-cmp smoke (both transports + both store encodings) =="
-cargo run --release -p nshot-bench --bin loadgen -- \
-  --wire-cmp --circuits chu133,full,hazard --out /tmp/BENCH_server_smoke.json
-grep -q '"byte_identical": true' /tmp/BENCH_server_smoke.json \
-  || { echo "wire-cmp smoke lost byte identity:"; cat /tmp/BENCH_server_smoke.json; exit 1; }
 
 echo "== tier1: shard smoke (front + 2 spawned backends, both client framings, byte-identity, merged metrics, drain) =="
 # The front speaks NDJSON to its backends whatever its clients negotiate.
@@ -135,14 +119,10 @@ done
 [ -n "$ADDR" ] || { echo "shard front never printed ready"; kill "$SHARD_PID"; exit 1; }
 # Every response proxied through the front must be byte-identical to
 # direct synthesis — loadgen checks that per request.
-cargo run --release -p nshot-bench --bin loadgen -- \
-  --addr "$ADDR" --concurrency 2 --passes 1 --circuits chu133,full \
-  --no-shutdown --out /tmp/BENCH_shard_smoke.json
+cargo run --release -p nshot-bench --bin loadgen -- --addr "$ADDR" --no-shutdown
 # Binary clients: the front re-frames each backend's NDJSON answer, and
 # loadgen checks every re-framed response against direct synthesis.
-cargo run --release -p nshot-bench --bin loadgen -- \
-  --addr "$ADDR" --concurrency 2 --passes 1 --circuits chu133,full \
-  --format binary --no-shutdown --out /tmp/BENCH_shard_smoke_binary.json
+cargo run --release -p nshot-bench --bin loadgen -- --addr "$ADDR" --format binary --no-shutdown
 # The metrics op fans out and merges both backends' series under their
 # shard labels; the shutdown op fans the graceful drain out to both.
 exec 3<>"/dev/tcp/${ADDR%:*}/${ADDR#*:}"
@@ -175,13 +155,11 @@ echo "$BATCH_OUT" | grep -q "dropped 1," \
 echo "$BATCH_OUT" | grep -q "compiled 1, cached 2, failed 0" \
   || { echo "incremental recompile mismatch:"; echo "$BATCH_OUT"; exit 1; }
 # Warm start off the batch-written store: loadgen's byte-identity checks
-# prove a warm server answers exactly what cold synthesis would, and the
-# recorded warm hit rate proves the answers came from the store.
-cargo run --release -p nshot-bench --bin loadgen -- \
-  --concurrency 2 --passes 1 --circuits chu133,full --store "$STORE_DIR" \
-  --out /tmp/BENCH_store_smoke.json
-grep -q '"warm_hit_rate": 1.0000' /tmp/BENCH_store_smoke.json \
-  || { echo "warm-start hit rate below 1.0:"; cat /tmp/BENCH_store_smoke.json; exit 1; }
+# prove a warm server answers exactly what cold synthesis would, and it
+# exits non-zero (printing the hit count) unless every warm answer came
+# from the store.
+cargo run --release -p nshot-bench --bin loadgen -- --store "$STORE_DIR" \
+  || { echo "warm-start smoke failed (byte identity or hit rate below 1.0)"; exit 1; }
 rm -rf "$STORE_DIR"
 
 echo "tier1: OK"

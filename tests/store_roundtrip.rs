@@ -7,8 +7,13 @@
 //! serve from: a warm-started server answers with exactly the bytes a
 //! cold compilation would have produced, or not at all.
 
-use nshot::server::{json, load_spec, process_synth, Deadline, Method, OutputFormat, SynthRequest};
-use nshot::store::{Store, StoreConfig};
+use nshot::server::client::Client;
+use nshot::server::protocol::parse_request;
+use nshot::server::{
+    json, load_spec, process_synth, wirecodec, Deadline, Json, Method, OutputFormat, Server,
+    ServerConfig, SynthRequest, RESPONSE_STORE_VERSION,
+};
+use nshot::store::{FsyncPolicy, Store, StoreConfig};
 use nshot_core::{synthesize, Minimizer, SynthesisOptions};
 use std::path::PathBuf;
 
@@ -125,4 +130,106 @@ fn rewriting_the_same_artifacts_is_stable() {
     assert_eq!(store.get(&key).as_deref(), Some(fields.as_bytes()));
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Strip the per-call fields and render: two transports answered the same
+/// request iff these strings are equal.
+fn canonical(mut obj: Json) -> String {
+    if let Json::Obj(pairs) = &mut obj {
+        pairs.retain(|(k, _)| !matches!(k.as_str(), "cached" | "service_us" | "trace" | "timing"));
+    }
+    obj.to_string()
+}
+
+#[test]
+fn warm_starts_from_legacy_and_binary_stores_serve_direct_synthesis() {
+    // A server warming from a store written at value version 1 (the bare
+    // rendered response fields) or at the current binary version must
+    // answer every stored request from its cache, with exactly the bytes
+    // cold synthesis produces, over either transport.
+    let circuits = ["chu133", "full", "hazard"];
+    let specs: Vec<(&str, String, String)> = circuits
+        .iter()
+        .map(|&name| {
+            let spec = nshot::benchmarks::by_name(name)
+                .expect("in suite")
+                .build()
+                .to_text();
+            let sg = load_spec(&spec).expect("spec text parses");
+            let imp = synthesize(&sg, &SynthesisOptions::default())
+                .unwrap_or_else(|e| panic!("{name}: direct synthesis failed: {e}"));
+            (name, spec, imp.netlist.to_blif())
+        })
+        .collect();
+
+    for version in [1, RESPONSE_STORE_VERSION] {
+        let dir = temp_dir(&format!("warm-v{version}"));
+        {
+            let mut store = Store::open(StoreConfig {
+                fsync: FsyncPolicy::Never,
+                value_version: version,
+                ..StoreConfig::new(&dir)
+            })
+            .expect("open");
+            for (name, spec, _) in &specs {
+                let request = request_for(spec);
+                let resp = process_synth(&request, &Deadline::unlimited());
+                assert_eq!(resp.code, 200, "{name} must synthesize");
+                let value = if version == RESPONSE_STORE_VERSION {
+                    wirecodec::encode_response_value(resp.code, resp.status, &resp.body)
+                } else {
+                    resp.deterministic_fields().into_bytes()
+                };
+                store.put(&request.cache_key(), &value).expect("put");
+            }
+            store.flush().expect("flush");
+        }
+
+        let server = Server::bind(ServerConfig {
+            warm_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        })
+        .expect("bind");
+        let mut json_conn = Client::connect(server.local_addr()).expect("connect json");
+        let mut bin_conn = Client::connect(server.local_addr()).expect("connect binary");
+        bin_conn.upgrade_binary().expect("upgrade");
+        for (name, spec, blif) in &specs {
+            let line = Json::Obj(vec![
+                ("id".into(), Json::Str((*name).into())),
+                ("op".into(), Json::Str("synth".into())),
+                ("spec".into(), Json::Str(spec.clone())),
+                ("format".into(), Json::Str("blif".into())),
+            ])
+            .to_string();
+            let env = parse_request(&line).expect("request parses");
+            let via_json = json_conn
+                .roundtrip_json(&line)
+                .unwrap_or_else(|e| panic!("v{version} {name}: json roundtrip: {e}"));
+            let via_binary = bin_conn
+                .roundtrip_binary(&env)
+                .unwrap_or_else(|e| panic!("v{version} {name}: binary roundtrip: {e}"));
+            for (transport, obj) in [("json", &via_json), ("binary", &via_binary)] {
+                let what = format!("v{version} {name} over {transport}");
+                assert_eq!(obj.get("code").and_then(Json::as_u64), Some(200), "{what}");
+                assert_eq!(
+                    obj.get("cached").and_then(Json::as_bool),
+                    Some(true),
+                    "{what}: not served from the warmed cache"
+                );
+                assert_eq!(
+                    obj.get("blif").and_then(Json::as_str),
+                    Some(blif.as_str()),
+                    "{what}: netlist differs from a direct synthesize call"
+                );
+            }
+            assert_eq!(
+                canonical(via_json),
+                canonical(via_binary),
+                "v{version} {name}: transports disagree"
+            );
+        }
+        server.shutdown();
+        server.wait();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
