@@ -2,7 +2,7 @@
 //! hazard-freeness of every synthesized circuit with `nshot-mc` and write
 //! the per-circuit exploration statistics to `BENCH_mc.json` — the full
 //! [`nshot_mc::ExplorationStats`] block (frontier high-water, visited-set
-//! bytes, sleep-set prune ratio, budget fraction, violation checks) plus
+//! bytes, budget fraction, violation checks) plus
 //! a wall-clock `states_per_sec` computed here, outside the certificate.
 //!
 //! Usage: `cargo run --release -p nshot-bench --bin modelcheck [-- filter [out.json]]`
@@ -31,13 +31,10 @@ struct CircuitResult {
     spec_states: usize,
     states: u64,
     edges: u64,
-    pruned_edges: u64,
-    reopened: u64,
     max_depth: u32,
     peak_frontier: u64,
     final_frontier: u64,
     visited_bytes: u64,
-    prune_ratio: f64,
     budget_fraction: f64,
     violation_checks: u64,
     proved: bool,
@@ -101,13 +98,10 @@ fn run_sweep(names: &[String], threads: usize) -> SweepRun {
             spec_states: sg.num_states(),
             states: stats.states,
             edges: stats.edges,
-            pruned_edges: stats.pruned_edges,
-            reopened: stats.reopened,
             max_depth: stats.max_depth,
             peak_frontier: stats.peak_frontier,
             final_frontier: stats.final_frontier,
             visited_bytes: stats.visited_bytes,
-            prune_ratio: stats.prune_ratio(),
             budget_fraction: stats.budget_fraction(),
             violation_checks: stats.total_violation_checks(),
             proved: verdict.is_proved(),
@@ -129,9 +123,9 @@ fn circuit_json(c: &CircuitResult) -> String {
     format!(
         concat!(
             "{{\"name\": \"{}\", \"spec_states\": {}, \"explored_states\": {}, ",
-            "\"edges\": {}, \"pruned_edges\": {}, \"reopened\": {}, \"max_depth\": {}, ",
+            "\"edges\": {}, \"max_depth\": {}, ",
             "\"peak_frontier\": {}, \"final_frontier\": {}, \"visited_bytes\": {}, ",
-            "\"prune_ratio\": {:.4}, \"budget_fraction\": {:.4}, \"violation_checks\": {}, ",
+            "\"budget_fraction\": {:.4}, \"violation_checks\": {}, ",
             "\"proved\": {}, \"method\": \"{}\", \"hazard_free\": {}, ",
             "\"wall_ms\": {:.3}, \"states_per_sec\": {:.0}}}"
         ),
@@ -139,13 +133,10 @@ fn circuit_json(c: &CircuitResult) -> String {
         c.spec_states,
         c.states,
         c.edges,
-        c.pruned_edges,
-        c.reopened,
         c.max_depth,
         c.peak_frontier,
         c.final_frontier,
         c.visited_bytes,
-        c.prune_ratio,
         c.budget_fraction,
         c.violation_checks,
         c.proved,
@@ -191,19 +182,18 @@ fn main() {
     assert!(deterministic, "certificates diverged across thread counts");
 
     println!(
-        "  {:<15} {:>7} {:>10} {:>11} {:>9} {:>6}  verdict",
-        "circuit", "spec", "explored", "edges", "pruned", "depth"
+        "  {:<15} {:>7} {:>10} {:>11} {:>6}  verdict",
+        "circuit", "spec", "explored", "edges", "depth"
     );
     let mut proved_count = 0usize;
     let mut all_clean = true;
     for c in &baseline.circuits {
         println!(
-            "  {:<15} {:>7} {:>10} {:>11} {:>9} {:>6}  {}",
+            "  {:<15} {:>7} {:>10} {:>11} {:>6}  {}",
             c.name,
             c.spec_states,
             c.states,
             c.edges,
-            c.pruned_edges,
             c.max_depth,
             match (c.proved, c.hazard_free) {
                 (true, _) => "proved",

@@ -64,8 +64,6 @@ fn fuzz_and_mc_series_render_sorted_and_parse() {
         "nshot_mc_runs_total 1",
         "nshot_mc_states_total",
         "nshot_mc_edges_total",
-        "nshot_mc_pruned_edges_total",
-        "nshot_mc_reopened_total",
         "nshot_mc_violation_checks_total",
         "nshot_mc_verdicts_total{verdict=\"budget_exceeded\"} 0",
         "nshot_mc_verdicts_total{verdict=\"proved\"} 1",

@@ -161,7 +161,8 @@ pub fn synthesize(
         .map_err(SynthesisError::NotSemiModular)?;
 
     // Derive all specifications up front (the multi-output mode minimizes
-    // them jointly), sharing one unreachable-code cover across signals.
+    // them jointly). Each is in point form: ON, reachable-DC and OFF codes,
+    // with every unreachable code a don't-care.
     let specs: Vec<SetResetSpec> = crate::derive::derive_all(sg);
     drop(classify_span);
     let multi = match options.minimizer {

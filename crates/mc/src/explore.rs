@@ -1,26 +1,19 @@
 //! Breadth-first exhaustive exploration of the composed circuit ×
-//! environment transition system, with a sleep-set partial-order reduction
-//! over commuting combinational gate firings.
+//! environment transition system.
 //!
 //! States are packed bit vectors (net values ‖ per-flip-flop enable +
 //! pending bits ‖ specification state) deduplicated through an
-//! [`FxHashMap`] keyed by the full packed words. Exploration is BFS so the
-//! first violation found is depth-minimal; the canonical successor order
-//! (flip-flop fires, commits, cancels, enable updates, gate fires in index
-//! order, environment inputs in specification order) makes the result a
-//! pure function of the model — identical counterexample and certificate
-//! bytes at any `NSHOT_THREADS` value, since the explorer is sequential by
-//! design (parallelism lives one level up, across circuits).
-//!
-//! The sleep-set reduction prunes *edges*, never states: a slept gate
-//! firing is always covered by an explored permutation (the standard sleep
-//! set induction, restricted here to invisible combinational firings with a
-//! syntactic fanin-based independence relation), and revisiting a state
-//! with a smaller sleep set re-opens exactly the newly permitted firings.
-//! Certificates therefore report identical state counts with the reduction
-//! on or off — only the explored/pruned edge counts differ.
+//! [`FxHashMap`] keyed by the full packed words. Exploration is plain BFS:
+//! every enabled action is explored from every state, and each state is
+//! expanded once, in discovery order, so the frontier is the id range
+//! `[next, states.len())` and the first violation found is depth-minimal.
+//! The canonical successor order (flip-flop fires, commits, cancels, enable
+//! updates, gate fires in index order, environment inputs in specification
+//! order) makes the result a pure function of the model — identical
+//! counterexample and certificate bytes at any `NSHOT_THREADS` value, since
+//! the explorer is sequential by design (parallelism lives one level up,
+//! across circuits).
 
-use std::collections::VecDeque;
 use std::hash::Hasher;
 use std::sync::Arc;
 
@@ -58,17 +51,12 @@ struct Meta {
 #[derive(Default)]
 struct Stats {
     edges: u64,
-    pruned: u64,
-    reopened: u64,
     max_depth: u32,
     peak_frontier: u64,
     /// Spec-conformance checks per flip-flop (every `Fire` edge).
     violation_checks: Vec<u64>,
     /// Running total of `violation_checks`.
     vchecks_total: u64,
-    /// Running count of sleep-set elements currently retained (feeds the
-    /// visited-bytes estimate without an O(states) walk).
-    sleep_elems: u64,
 }
 
 /// Heartbeat gauges the explorer updates from its hot loop. Present only
@@ -77,7 +65,6 @@ struct Stats {
 struct ProgressGauges {
     states: Arc<Gauge>,
     edges: Arc<Gauge>,
-    pruned: Arc<Gauge>,
     frontier: Arc<Gauge>,
     frontier_peak: Arc<Gauge>,
     depth: Arc<Gauge>,
@@ -89,12 +76,11 @@ struct ProgressGauges {
 pub(crate) struct Explorer<'m, 'a> {
     m: &'m Model<'a>,
     max_states: usize,
-    reduction: bool,
     states: Vec<Box<[u64]>>,
     meta: Vec<Meta>,
-    sleep: Vec<Vec<u16>>,
     index: FxHashMap<u64, Vec<u32>>,
-    queue: VecDeque<(u32, Option<Vec<u16>>)>,
+    /// Next state to expand; `[next, states.len())` is the BFS frontier.
+    next: usize,
     stats: Stats,
     progress: Option<ProgressGauges>,
 }
@@ -114,16 +100,14 @@ fn set_bit(w: &mut [u64], i: usize, v: bool) {
 }
 
 impl<'m, 'a> Explorer<'m, 'a> {
-    pub fn new(m: &'m Model<'a>, max_states: usize, reduction: bool) -> Self {
+    pub fn new(m: &'m Model<'a>, max_states: usize) -> Self {
         Explorer {
             m,
             max_states,
-            reduction,
             states: Vec::new(),
             meta: Vec::new(),
-            sleep: Vec::new(),
             index: FxHashMap::default(),
-            queue: VecDeque::new(),
+            next: 0,
             stats: Stats {
                 violation_checks: vec![0; m.ffs.len()],
                 ..Stats::default()
@@ -139,7 +123,6 @@ impl<'m, 'a> Explorer<'m, 'a> {
         self.progress = Some(ProgressGauges {
             states: p.rate("states"),
             edges: p.rate("edges"),
-            pruned: p.field("pruned_edges"),
             frontier: p.field("frontier"),
             frontier_peak: p.field("frontier_peak"),
             depth: p.field("max_depth"),
@@ -151,15 +134,18 @@ impl<'m, 'a> Explorer<'m, 'a> {
     }
 
     /// Deterministic visited-set memory estimate: packed state words plus
-    /// the Vec slot holding them, BFS metadata, sleep-set storage and the
-    /// dedupe index (bucket headers + one id per state).
+    /// the Vec slot holding them, BFS metadata and the dedupe index (bucket
+    /// headers + one id per state).
     fn visited_bytes(&self) -> u64 {
         let n = self.states.len() as u64;
-        let per_state = (self.m.state_words() * 8 + 16) as u64
-            + std::mem::size_of::<Meta>() as u64
-            + std::mem::size_of::<Vec<u16>>() as u64
-            + 4;
-        n * per_state + self.stats.sleep_elems * 2 + self.index.len() as u64 * 56
+        let per_state =
+            (self.m.state_words() * 8 + 16) as u64 + std::mem::size_of::<Meta>() as u64 + 4;
+        n * per_state + self.index.len() as u64 * 56
+    }
+
+    /// States discovered but not yet expanded.
+    fn frontier(&self) -> u64 {
+        (self.states.len() - self.next) as u64
     }
 
     #[cold]
@@ -167,8 +153,7 @@ impl<'m, 'a> Explorer<'m, 'a> {
         let Some(g) = &self.progress else { return };
         g.states.set(self.states.len() as u64);
         g.edges.set(self.stats.edges);
-        g.pruned.set(self.stats.pruned);
-        g.frontier.set(self.queue.len() as u64);
+        g.frontier.set(self.frontier());
         g.frontier_peak.set(self.stats.peak_frontier);
         g.depth.set(self.stats.max_depth as u64);
         g.visited_bytes.set(self.visited_bytes());
@@ -240,37 +225,6 @@ impl<'m, 'a> Explorer<'m, 'a> {
 
     fn settled(&self, w: &[u64], cone: &[u32]) -> bool {
         cone.iter().all(|&c| !self.excited(w, c))
-    }
-
-    /// `true` when sleeping comb gate `u` is independent of `action`:
-    /// neither affects the other's enabledness or effect, so the two
-    /// commute from any state where both are enabled. Sound because
-    /// `Model::build` guarantees comb fanins only come from inputs,
-    /// constants, flip-flop outputs and other comb gates.
-    fn action_independent(&self, u: u32, action: Action) -> bool {
-        let m = self.m;
-        let reads_net = |net: u32| m.comb[u as usize].inputs.iter().any(|&(n, _)| n == net);
-        match action {
-            Action::Gate { comb, .. } => m.independent(u, comb),
-            // An input flip can (un)excite any comb reading the input net.
-            Action::Input { signal, .. } => !reads_net(m.signal_net[signal as usize]),
-            // A fire flips the flip-flop output net (SOP feedback).
-            Action::Fire { ff, .. } => !reads_net(m.ffs[ff as usize].ff),
-            // Commit/cancel enabledness reads the ack rails, which are
-            // functions of the two SOP outputs (and the enable bit, which
-            // no comb touches).
-            Action::Commit { ff, .. } | Action::Cancel { ff } => {
-                let f = &m.ffs[ff as usize];
-                let g = m.comb[u as usize].gate;
-                g != f.set_sop && g != f.reset_sop
-            }
-            // Enable enabledness reads the settle status of the opening
-            // cone; conservatively treat both cones as relevant.
-            Action::Enable { ff, .. } => {
-                let f = &m.ffs[ff as usize];
-                f.set_cone.binary_search(&u).is_err() && f.reset_cone.binary_search(&u).is_err()
-            }
-        }
     }
 
     // -- initial state ------------------------------------------------------
@@ -470,18 +424,14 @@ impl<'m, 'a> Explorer<'m, 'a> {
             .find(|&id| *self.states[id as usize] == *w)
     }
 
-    fn insert(&mut self, w: Box<[u64]>, meta: Meta, sleep: Vec<u16>) -> u32 {
+    fn insert(&mut self, w: Box<[u64]>, meta: Meta) {
         let id = self.states.len() as u32;
         let h = Self::hash_words(&w);
         self.index.entry(h).or_default().push(id);
         self.states.push(w);
         self.stats.max_depth = self.stats.max_depth.max(meta.depth);
         self.meta.push(meta);
-        self.stats.sleep_elems += sleep.len() as u64;
-        self.sleep.push(sleep);
-        self.queue.push_back((id, None));
-        self.stats.peak_frontier = self.stats.peak_frontier.max(self.queue.len() as u64);
-        id
+        self.stats.peak_frontier = self.stats.peak_frontier.max(self.frontier());
     }
 
     // -- trace reconstruction ----------------------------------------------
@@ -571,16 +521,14 @@ impl<'m, 'a> Explorer<'m, 'a> {
         Certificate {
             circuit: self.m.nl.name().to_string(),
             assumed_delay_requirement: self.m.assume_delay_requirement,
-            reduction: self.reduction,
             complete,
             stats: ExplorationStats {
                 states: self.states.len() as u64,
                 edges: self.stats.edges,
-                pruned_edges: self.stats.pruned,
-                reopened: self.stats.reopened,
+                reopened: 0,
                 max_depth: self.stats.max_depth,
                 peak_frontier: self.stats.peak_frontier,
-                final_frontier: self.queue.len() as u64,
+                final_frontier: self.frontier(),
                 visited_bytes: self.visited_bytes(),
                 max_states: self.max_states as u64,
                 violation_checks,
@@ -596,8 +544,6 @@ impl<'m, 'a> Explorer<'m, 'a> {
         r.counter("nshot_mc_runs_total").inc();
         r.counter("nshot_mc_states_total").add(self.states.len() as u64);
         r.counter("nshot_mc_edges_total").add(self.stats.edges);
-        r.counter("nshot_mc_pruned_edges_total").add(self.stats.pruned);
-        r.counter("nshot_mc_reopened_total").add(self.stats.reopened);
         r.counter("nshot_mc_violation_checks_total")
             .add(self.stats.vchecks_total);
         // Create all three verdict labels eagerly so one scrape sees the
@@ -637,109 +583,44 @@ impl<'m, 'a> Explorer<'m, 'a> {
                 action: Action::Cancel { ff: 0 }, // unused sentinel at the root
                 depth: 0,
             },
-            Vec::new(),
         );
 
-        while let Some((id, restrict)) = self.queue.pop_front() {
+        while self.next < self.states.len() {
+            let id = self.next as u32;
+            self.next += 1;
             let words = self.states[id as usize].clone();
             let depth = self.meta[id as usize].depth;
             let enabled = self.enabled_actions(&words);
-
-            match restrict {
-                None => {
-                    if enabled.is_empty() {
-                        // Quiescent and environment-blocked: if the
-                        // specification still expects an output, the circuit
-                        // has deadlocked.
-                        let spec = self.spec_of(&words);
-                        let expected: Vec<String> = self
-                            .m
-                            .sg
-                            .successors(spec)
-                            .iter()
-                            .filter(|(l, _)| {
-                                self.m.sg.signal_kind(l.signal) != nshot_sg::SignalKind::Input
-                            })
-                            .map(|(l, _)| self.m.sg.label_string(*l))
-                            .collect();
-                        if !expected.is_empty() {
-                            return self.counterexample(
-                                id,
-                                None,
-                                McViolation::Deadlock {
-                                    state_code: self.m.sg.code(spec),
-                                    expected,
-                                },
-                            );
-                        }
-                        continue;
-                    }
-                    let sleep_here = self.sleep[id as usize].clone();
-                    let mut taken_comb: Vec<u16> = Vec::new();
-                    for &action in &enabled {
-                        let child_sleep = if self.reduction {
-                            if let Action::Gate { comb, .. } = action {
-                                if sleep_here.binary_search(&(comb as u16)).is_ok() {
-                                    self.stats.pruned += 1;
-                                    continue;
-                                }
-                            }
-                            // Sleep sets persist through every edge (not
-                            // just comb fires), filtered by independence
-                            // with the edge's action; comb fires taken
-                            // earlier at this state join the set.
-                            let mut cs: Vec<u16> = sleep_here
-                                .iter()
-                                .chain(taken_comb.iter())
-                                .copied()
-                                .filter(|&u| self.action_independent(u as u32, action))
-                                .collect();
-                            cs.sort_unstable();
-                            cs.dedup();
-                            if let Action::Gate { comb, .. } = action {
-                                taken_comb.push(comb as u16);
-                            }
-                            cs
-                        } else {
-                            Vec::new()
-                        };
-                        if let Some(v) = self.step(id, depth, &words, action, child_sleep) {
-                            return v;
-                        }
-                        if self.states.len() >= self.max_states {
-                            return Verdict::BudgetExceeded(self.certificate(false));
-                        }
-                    }
+            if enabled.is_empty() {
+                // Quiescent and environment-blocked: if the specification
+                // still expects an output, the circuit has deadlocked.
+                let spec = self.spec_of(&words);
+                let expected: Vec<String> = self
+                    .m
+                    .sg
+                    .successors(spec)
+                    .iter()
+                    .filter(|(l, _)| self.m.sg.signal_kind(l.signal) != nshot_sg::SignalKind::Input)
+                    .map(|(l, _)| self.m.sg.label_string(*l))
+                    .collect();
+                if !expected.is_empty() {
+                    return self.counterexample(
+                        id,
+                        None,
+                        McViolation::Deadlock {
+                            state_code: self.m.sg.code(spec),
+                            expected,
+                        },
+                    );
                 }
-                Some(allowed) => {
-                    // Re-opened expansion: only the comb fires newly
-                    // permitted by a shrunken sleep set.
-                    let sleep_here = self.sleep[id as usize].clone();
-                    let mut taken: Vec<u16> = Vec::new();
-                    for &c16 in &allowed {
-                        let comb = c16 as u32;
-                        if !self.excited(&words, comb) {
-                            continue;
-                        }
-                        let value = !get_bit(&words, self.m.comb[comb as usize].gate as usize);
-                        let mut cs: Vec<u16> = sleep_here
-                            .iter()
-                            .chain(taken.iter())
-                            .copied()
-                            .filter(|&u| self.m.independent(u as u32, comb))
-                            .collect();
-                        cs.sort_unstable();
-                        cs.dedup();
-                        taken.push(c16);
-                        if let Some(v) =
-                            self.step(id, depth, &words, Action::Gate { comb, value }, cs)
-                        {
-                            return v;
-                        }
-                        if self.states.len() >= self.max_states {
-                            return Verdict::BudgetExceeded(self.certificate(false));
-                        }
-                    }
+                continue;
+            }
+            for action in enabled {
+                if let Some(v) = self.step(id, depth, &words, action) {
+                    return v;
+                }
+                if self.states.len() >= self.max_states {
+                    return Verdict::BudgetExceeded(self.certificate(false));
                 }
             }
         }
@@ -747,14 +628,7 @@ impl<'m, 'a> Explorer<'m, 'a> {
     }
 
     /// Generate one successor; returns a verdict only on a violation.
-    fn step(
-        &mut self,
-        id: u32,
-        depth: u32,
-        words: &[u64],
-        action: Action,
-        child_sleep: Vec<u16>,
-    ) -> Option<Verdict> {
+    fn step(&mut self, id: u32, depth: u32, words: &[u64], action: Action) -> Option<Verdict> {
         self.stats.edges += 1;
         if let Action::Fire { ff, .. } = action {
             self.stats.violation_checks[ff as usize] += 1;
@@ -769,45 +643,15 @@ impl<'m, 'a> Explorer<'m, 'a> {
             Ok(nw) => nw,
             Err(violation) => return Some(self.counterexample(id, Some(action), violation)),
         };
-        match self.lookup(&next) {
-            None => {
-                self.insert(
-                    next,
-                    Meta {
-                        parent: id,
-                        action,
-                        depth: depth + 1,
-                    },
-                    child_sleep,
-                );
-            }
-            Some(existing) => {
-                if self.reduction {
-                    // Sleep-set soundness on revisits: firings the stored
-                    // sleep set prohibits but this arrival permits must be
-                    // re-explored with the intersected sleep set.
-                    let stored = &self.sleep[existing as usize];
-                    let newly: Vec<u16> = stored
-                        .iter()
-                        .copied()
-                        .filter(|u| child_sleep.binary_search(u).is_err())
-                        .collect();
-                    if !newly.is_empty() {
-                        let inter: Vec<u16> = stored
-                            .iter()
-                            .copied()
-                            .filter(|u| child_sleep.binary_search(u).is_ok())
-                            .collect();
-                        self.stats.sleep_elems -=
-                            (self.sleep[existing as usize].len() - inter.len()) as u64;
-                        self.sleep[existing as usize] = inter;
-                        self.stats.reopened += 1;
-                        self.queue.push_back((existing, Some(newly)));
-                        self.stats.peak_frontier =
-                            self.stats.peak_frontier.max(self.queue.len() as u64);
-                    }
-                }
-            }
+        if self.lookup(&next).is_none() {
+            self.insert(
+                next,
+                Meta {
+                    parent: id,
+                    action,
+                    depth: depth + 1,
+                },
+            );
         }
         None
     }

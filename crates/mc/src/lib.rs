@@ -131,14 +131,12 @@ impl Counterexample {
 /// heartbeat lines and bench reports only.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExplorationStats {
-    /// Distinct composed states visited. Identical with the reduction on
-    /// or off — sleep sets prune edges, never states.
+    /// Distinct composed states visited.
     pub states: u64,
-    /// Transitions explored.
+    /// Transitions explored: every enabled action of every expanded state.
     pub edges: u64,
-    /// Edges pruned by the sleep-set reduction.
-    pub pruned_edges: u64,
-    /// Revisits that re-opened a state with a smaller sleep set.
+    /// Always 0: the explorer is a plain BFS that expands each state once.
+    /// Kept so existing readers of the field still build.
     pub reopened: u64,
     /// Maximum BFS depth reached.
     pub max_depth: u32,
@@ -148,7 +146,7 @@ pub struct ExplorationStats {
     /// for a budget-exceeded run, how much unexplored work was queued).
     pub final_frontier: u64,
     /// Deterministic estimate of visited-set memory: packed state words,
-    /// BFS metadata, sleep sets and the dedupe index.
+    /// BFS metadata and the dedupe index.
     pub visited_bytes: u64,
     /// The state budget the run was given.
     pub max_states: u64,
@@ -160,17 +158,6 @@ pub struct ExplorationStats {
 }
 
 impl ExplorationStats {
-    /// Fraction of candidate edges the sleep-set reduction pruned:
-    /// `pruned / (explored + pruned)`; 0 when nothing was enumerated.
-    pub fn prune_ratio(&self) -> f64 {
-        let total = self.edges + self.pruned_edges;
-        if total == 0 {
-            0.0
-        } else {
-            self.pruned_edges as f64 / total as f64
-        }
-    }
-
     /// Fraction of the state budget consumed (1.0 on budget exhaustion).
     pub fn budget_fraction(&self) -> f64 {
         if self.max_states == 0 {
@@ -186,15 +173,13 @@ impl ExplorationStats {
     }
 }
 
-/// Proof of full exploration, with reduction statistics.
+/// Proof of full exploration, with its exploration statistics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Certificate {
     /// Circuit name.
     pub circuit: String,
     /// Whether the Eq. 1 settle assumption was in force.
     pub assumed_delay_requirement: bool,
-    /// Whether the sleep-set reduction was enabled.
-    pub reduction: bool,
     /// `true` for a finished exploration, `false` when the budget cut it.
     pub complete: bool,
     /// Final exploration statistics (deterministic; see
@@ -218,16 +203,13 @@ impl Certificate {
         }
         format!(
             "certificate: {}\n  complete: {}\n  states: {}\n  edges: {}\n  \
-             pruned_edges: {}\n  reopened: {}\n  max_depth: {}\n  \
-             peak_frontier: {}\n  final_frontier: {}\n  visited_bytes: {}\n  \
-             budget: {}/{} ({:.4})\n  prune_ratio: {:.4}\n  \
-             violation_checks: {}\n  eq1_assumed: {}\n  reduction: {}\n",
+             max_depth: {}\n  peak_frontier: {}\n  final_frontier: {}\n  \
+             visited_bytes: {}\n  budget: {}/{} ({:.4})\n  \
+             violation_checks: {}\n  eq1_assumed: {}\n",
             self.circuit,
             self.complete,
             s.states,
             s.edges,
-            s.pruned_edges,
-            s.reopened,
             s.max_depth,
             s.peak_frontier,
             s.final_frontier,
@@ -235,10 +217,8 @@ impl Certificate {
             s.states,
             s.max_states,
             s.budget_fraction(),
-            s.prune_ratio(),
             checks,
-            self.assumed_delay_requirement,
-            self.reduction
+            self.assumed_delay_requirement
         )
     }
 }
@@ -293,7 +273,7 @@ impl Verdict {
 pub fn check(sg: &StateGraph, netlist: &Netlist, config: &McConfig) -> Result<Verdict, ModelError> {
     let _span = nshot_obs::span(nshot_obs::Stage::ModelCheck);
     let model = model::Model::build(sg, netlist, config)?;
-    let mut explorer = explore::Explorer::new(&model, config.max_states, config.reduction);
+    let mut explorer = explore::Explorer::new(&model, config.max_states);
     // Heartbeats for long runs (NSHOT_PROGRESS): gauge updates and the
     // reporter thread only exist when someone is listening; the explorer
     // itself is identical either way, so verdicts and certificates are

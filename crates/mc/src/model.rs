@@ -44,8 +44,6 @@ pub struct McConfig {
     pub omega_ps: u64,
     /// Delay model under which the Eq. 1 requirement is evaluated.
     pub delay_model: DelayModel,
-    /// Enable the sleep-set partial-order reduction.
-    pub reduction: bool,
     /// Force the Eq. 1 settle assumption on/off instead of deriving it from
     /// the netlist's delay lines (`None` = auto).
     pub assume_delay_requirement: Option<bool>,
@@ -57,7 +55,6 @@ impl Default for McConfig {
             max_states: 4_000_000,
             omega_ps: 300,
             delay_model: DelayModel::nominal(),
-            reduction: true,
             assume_delay_requirement: None,
         }
     }
@@ -158,8 +155,6 @@ pub(crate) struct Model<'a> {
     /// Net index → positions in `ffs` whose set (`false`) / reset (`true`)
     /// SOP output this net is (for derived ack recomputation).
     pub sop_readers: Vec<Vec<(u16, bool)>>,
-    /// Comb index → comb indices reading its output (POR dependence).
-    pub comb_fanout: Vec<Vec<u32>>,
     /// `true` when the Eq. 1 settle assumption is in force.
     pub assume_delay_requirement: bool,
     /// `true` when runt absorption (cancel transitions) is modeled.
@@ -366,10 +361,14 @@ impl<'a> Model<'a> {
             }
         }
 
-        // The POR independence relation relies on combinational gates never
-        // reading acknowledgement, delay-line or flip-flop-internal nets:
-        // their fanins must come from inputs, constants, flip-flop outputs
-        // or other combinational gates.
+        // Acknowledgement ANDs and delay lines are modelled as zero-delay
+        // values derived from the SOP outputs and the enable rail, so a
+        // combinational gate reading one would see a net the explorer
+        // never treats as a delayed component. Synthesis never emits such a
+        // netlist, but `check` takes any caller-built one (the public
+        // `Netlist` API can add and rewire gates freely): comb fanins must
+        // come from inputs, constants, flip-flop outputs or other
+        // combinational gates.
         for c in &comb {
             for &(n, _) in &c.inputs {
                 let ok = matches!(
@@ -425,20 +424,6 @@ impl<'a> Model<'a> {
             sop_readers[f.reset_sop as usize].push((i as u16, true));
         }
 
-        // POR dependence: comb gate → comb gates reading its output net.
-        let mut comb_fanout: Vec<Vec<u32>> = vec![Vec::new(); comb.len()];
-        for (ci, c) in comb.iter().enumerate() {
-            for &(n, _) in &c.inputs {
-                if let Some(up) = comb_of_gate[n as usize] {
-                    comb_fanout[up as usize].push(ci as u32);
-                }
-            }
-        }
-        for v in &mut comb_fanout {
-            v.sort_unstable();
-            v.dedup();
-        }
-
         // Eq. 1: the settle assumption holds when every signal's physical
         // delay line plus the ω absorption credit covers the requirement
         // (a trespassing pulse shorter than ω is swallowed by the filter).
@@ -457,7 +442,6 @@ impl<'a> Model<'a> {
             signal_net,
             signal_ids: sg.signal_ids().collect(),
             sop_readers,
-            comb_fanout,
             assume_delay_requirement: assume,
             absorption: config.omega_ps > 0,
             net_words,
@@ -468,15 +452,6 @@ impl<'a> Model<'a> {
     /// Total packed-state length in words (nets + ff bits + spec state).
     pub fn state_words(&self) -> usize {
         self.net_words + self.ff_words + 1
-    }
-
-    /// `true` when the two comb gates are independent (neither reads the
-    /// other's output): their firings commute and the sleep-set reduction
-    /// may prune one interleaving.
-    pub fn independent(&self, a: u32, b: u32) -> bool {
-        a != b
-            && !self.comb_fanout[a as usize].binary_search(&b).is_ok()
-            && !self.comb_fanout[b as usize].binary_search(&a).is_ok()
     }
 }
 

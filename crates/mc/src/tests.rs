@@ -1,5 +1,5 @@
 use nshot_core::{assemble_netlist, synthesize, SynthesisOptions, ValidationLevel};
-use nshot_logic::{Cover, Cube};
+use nshot_logic::Cover;
 use nshot_netlist::DelayModel;
 use nshot_sg::{SgBuilder, SignalKind, StateGraph};
 
@@ -17,7 +17,7 @@ fn handshake() -> StateGraph {
 }
 
 /// Two independent handshakes: real input/output concurrency, 16 composed
-/// spec states — exercises the reduction on commuting gate firings.
+/// spec states — exercises commuting gate firings.
 fn parallel_handshakes() -> StateGraph {
     let mut b = SgBuilder::named("par2");
     let r0 = b.signal("r0", SignalKind::Input);
@@ -103,52 +103,24 @@ fn checker_is_deterministic_at_any_thread_count() {
     }
 }
 
-/// A handshake implementation whose set cover is the redundant but correct
-/// `r·g' + r·g` (≡ `r`): two AND cubes that become excited *simultaneously*
-/// when `g` fires, giving the sleep-set reduction a genuine commuting
-/// diamond with no alternate arrival path. (Synthesized covers for the toy
-/// specs are single-literal, so their diamonds always close through
-/// environment edges, which legitimately re-open slept firings.)
-fn redundant_handshake() -> (StateGraph, nshot_netlist::Netlist) {
-    let sg = handshake();
-    let g = sg.non_input_signals().next().unwrap();
-    let n = sg.num_signals();
-    // Variable order matches signal index order: r = 0, g = 1.
-    let mut set = Cover::empty(n);
-    set.push(Cube::from_literals(n, &[(0, true), (1, false)]));
-    set.push(Cube::from_literals(n, &[(0, true), (1, true)]));
-    let mut reset = Cover::empty(n);
-    reset.push(Cube::from_literals(n, &[(0, false)]));
-    let (nl, _) = assemble_netlist(&sg, &[(g, set, reset)], &DelayModel::nominal()).unwrap();
-    (sg, nl)
-}
-
+/// Pin of one suite circuit's plain-BFS certificate. Every enabled action
+/// of every state is explored exactly once, so these figures are a pure
+/// function of the model: any change to what the explorer visits shows up
+/// here as a diff.
 #[test]
-fn reduction_prunes_edges_not_states() {
-    let (sg, nl) = redundant_handshake();
-    let with = check(&sg, &nl, &McConfig::default()).unwrap();
-    let without = check(
-        &sg,
-        &nl,
-        &McConfig {
-            reduction: false,
-            ..McConfig::default()
-        },
-    )
-    .unwrap();
-    let (cw, co) = (with.certificate().unwrap(), without.certificate().unwrap());
+fn chu133_plain_bfs_certificate() {
+    let sg = nshot_benchmarks::by_name("chu133").expect("in suite").build();
+    let imp = synthesize(&sg, &SynthesisOptions::default()).unwrap();
+    let verdict = check(&sg, &imp.netlist, &McConfig::default()).unwrap();
+    let cert = verdict.certificate().expect("proved");
+    assert!(verdict.is_proved(), "{}", verdict.render());
+    let s = &cert.stats;
     assert_eq!(
-        cw.stats.states, co.stats.states,
-        "sleep sets must not lose states"
+        (s.states, s.edges, s.max_depth, s.peak_frontier, s.final_frontier, s.reopened),
+        (3228, 11818, 68, 200, 0, 0),
+        "{}",
+        cert.render()
     );
-    assert_eq!(co.stats.pruned_edges, 0);
-    assert!(
-        cw.stats.pruned_edges > 0,
-        "expected some commuting firings to be pruned"
-    );
-    assert!(cw.stats.edges < co.stats.edges);
-    assert!(cw.stats.prune_ratio() > 0.0);
-    assert_eq!(co.stats.prune_ratio(), 0.0);
 }
 
 #[test]

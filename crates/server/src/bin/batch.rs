@@ -25,7 +25,7 @@
 
 use nshot_core::Minimizer;
 use nshot_server::{
-    process_synth, wirecodec, Deadline, Method, OutputFormat, SynthRequest,
+    cacheable, process_synth, wirecodec, Deadline, Method, OutputFormat, SynthRequest,
     RESPONSE_STORE_LEGACY, RESPONSE_STORE_VERSION,
 };
 use nshot_store::{FsyncPolicy, Store, StoreConfig};
@@ -124,13 +124,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// The deterministic outcomes worth persisting — the same set the
-/// server's response cache stores (success, spec parse errors, synthesis
-/// rejections), never operational artifacts.
-fn persistable(code: u16) -> bool {
-    matches!(code, 200 | 400 | 422)
-}
-
 fn run(args: &[String]) -> Result<(), String> {
     let opts = parse_args(args)?;
 
@@ -197,7 +190,7 @@ fn run(args: &[String]) -> Result<(), String> {
             continue;
         }
         let response = process_synth(&request, &Deadline::unlimited());
-        if persistable(response.code) {
+        if cacheable(response.code) {
             let value =
                 wirecodec::encode_response_value(response.code, response.status, &response.body);
             store

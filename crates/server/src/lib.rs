@@ -480,10 +480,11 @@ impl Shared {
     }
 }
 
-/// Whether a response prefix may be served from / stored in the cache:
-/// only deterministic outcomes (success, spec parse errors, synthesis
-/// rejections) — never backpressure or deadline artifacts.
-fn cacheable(code: u16) -> bool {
+/// Whether a response prefix may be served from / stored in the cache or
+/// the persistent store: only deterministic outcomes (success, spec parse
+/// errors, synthesis rejections) — never backpressure or deadline
+/// artifacts.
+pub fn cacheable(code: u16) -> bool {
     matches!(code, 200 | 400 | 422)
 }
 

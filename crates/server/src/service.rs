@@ -284,16 +284,11 @@ fn process_verify_checked(
             body.push(("method".into(), Json::Str("proof".into())));
             body.push(("explored_states".into(), Json::Num(c.stats.states as f64)));
             body.push(("edges".into(), Json::Num(c.stats.edges as f64)));
-            body.push((
-                "pruned_edges".into(),
-                Json::Num(c.stats.pruned_edges as f64),
-            ));
             body.push(("max_depth".into(), Json::Num(f64::from(c.stats.max_depth))));
             body.push((
                 "peak_frontier".into(),
                 Json::Num(c.stats.peak_frontier as f64),
             ));
-            body.push(("prune_ratio".into(), Json::Num(c.stats.prune_ratio())));
             body.push((
                 "visited_bytes".into(),
                 Json::Num(c.stats.visited_bytes as f64),
@@ -325,7 +320,6 @@ fn process_verify_checked(
                 "final_frontier".into(),
                 Json::Num(c.stats.final_frontier as f64),
             ));
-            body.push(("prune_ratio".into(), Json::Num(c.stats.prune_ratio())));
             body.push((
                 "visited_bytes".into(),
                 Json::Num(c.stats.visited_bytes as f64),

@@ -259,8 +259,6 @@ fn verify_populates_model_checker_series() {
         "nshot_mc_runs_total",
         "nshot_mc_states_total",
         "nshot_mc_edges_total",
-        "nshot_mc_pruned_edges_total",
-        "nshot_mc_reopened_total",
         "nshot_mc_violation_checks_total",
         "nshot_mc_peak_frontier",
         "nshot_mc_max_depth",
@@ -324,12 +322,13 @@ fn trace_sink_does_not_change_netlist_bytes() {
         "nshot_trace_determinism_{}.ndjson",
         std::process::id()
     ));
-    nshot_obs::set_trace(Some(nshot_obs::TraceTarget::File(path.clone())));
+    nshot_obs::set_trace(Some(nshot_obs::TraceTarget::File(path.clone())))
+        .expect("open trace sink");
     let (traced, _timings) = nshot_obs::with_request(nshot_obs::next_trace_id(), || {
         let sg = nshot_sg::parse_sg(&spec).expect("parse");
         synthesize(&sg, &opts).expect("synthesize").netlist.to_blif()
     });
-    nshot_obs::set_trace(None); // flushes and closes the sink
+    nshot_obs::set_trace(None).expect("close trace sink"); // flushes and closes the sink
 
     assert_eq!(baseline, traced, "trace sink changed synthesis output");
 

@@ -521,88 +521,3 @@ mod tests {
         assert_eq!(stg2.num_places(), 2);
     }
 }
-
-impl Stg {
-    /// Parallel composition: the disjoint union of two STGs (they run
-    /// independently side by side). Signal names must not collide.
-    ///
-    /// # Panics
-    ///
-    /// Panics on signal-name collisions.
-    pub fn parallel(name: &str, left: &Stg, right: &Stg) -> Stg {
-        for s in &right.signals {
-            assert!(
-                !left.signals.iter().any(|l| l.name == s.name),
-                "signal name '{}' collides",
-                s.name
-            );
-        }
-        let mut out = Stg::new(name);
-        out.signals = left
-            .signals
-            .iter()
-            .chain(&right.signals)
-            .cloned()
-            .collect();
-        let sig_off = left.signals.len();
-        let place_off = left.places.len() as u32;
-        let trans_off = left.transitions.len() as u32;
-        out.transitions = left.transitions.clone();
-        for t in &right.transitions {
-            let mut t = t.clone();
-            t.signal += sig_off;
-            t.pre = t.pre.iter().map(|p| PlaceId(p.0 + place_off)).collect();
-            t.post = t.post.iter().map(|p| PlaceId(p.0 + place_off)).collect();
-            out.transitions.push(t);
-        }
-        out.places = left.places.clone();
-        for p in &right.places {
-            let mut p = p.clone();
-            p.pre = p.pre.iter().map(|t| TransId(t.0 + trans_off)).collect();
-            p.post = p.post.iter().map(|t| TransId(t.0 + trans_off)).collect();
-            out.places.push(p);
-        }
-        out.initial = left
-            .initial
-            .iter()
-            .chain(&right.initial)
-            .copied()
-            .collect();
-        out
-    }
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use crate::parse_stg;
-
-    #[test]
-    fn parallel_composition_multiplies_state_spaces() {
-        let a = parse_stg(
-            ".model a\n.inputs r\n.outputs g\n.graph\nr+ g+\ng+ r-\nr- g-\ng- r+\n.marking { <g-,r+> }\n.end",
-        )
-        .unwrap();
-        let b = parse_stg(
-            ".model b\n.inputs s\n.outputs h\n.graph\ns+ h+\nh+ s-\ns- h-\nh- s+\n.marking { <h-,s+> }\n.end",
-        )
-        .unwrap();
-        let par = Stg::parallel("ab", &a, &b);
-        assert_eq!(par.num_signals(), 4);
-        assert_eq!(par.num_transitions(), 8);
-        let sg = par.elaborate().unwrap();
-        assert_eq!(sg.num_states(), 16, "4 × 4 interleaved");
-        assert!(sg.check_csc().is_ok());
-        assert!(sg.check_semi_modular().is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "collides")]
-    fn name_collision_panics() {
-        let a = parse_stg(
-            ".model a\n.inputs r\n.outputs g\n.graph\nr+ g+\ng+ r+\n.marking { <g+,r+> }\n.end",
-        )
-        .unwrap();
-        let _ = Stg::parallel("aa", &a, &a);
-    }
-}

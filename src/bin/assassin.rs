@@ -73,12 +73,7 @@ fn run(args: &[String]) -> Result<(), String> {
 
 fn load(path: &str) -> Result<StateGraph, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    if text.contains(".graph") {
-        let stg = nshot::stg::parse_stg(&text).map_err(|e| format!("{path}: {e}"))?;
-        stg.elaborate().map_err(|e| format!("{path}: {e}"))
-    } else {
-        nshot::sg::parse_sg(&text).map_err(|e| format!("{path}: {e}"))
-    }
+    nshot::server::load_spec(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn check(path: &str) -> Result<(), String> {
