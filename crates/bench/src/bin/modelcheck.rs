@@ -9,8 +9,8 @@
 //!
 //! Circuits whose composed state space exceeds the budget (`master-read`
 //! and `tsbmsiBRK` are past 24M states at the default 4M cap) fall back to
-//! deterministic Monte-Carlo sampling — the same policy as
-//! `nshot_mc::validate` — and are reported with `method:"monte_carlo"`.
+//! deterministic Monte-Carlo sampling through `nshot_mc::verify_budgeted`
+//! and are reported with `method:"monte_carlo"`.
 //! The run asserts that every circuit is hazard-free by its method and
 //! that the proof covers the rest of the suite.
 //!
@@ -22,9 +22,8 @@
 use std::time::Instant;
 
 use nshot_core::{synthesize, SynthesisOptions};
-use nshot_mc::{check, McConfig, Verdict, FALLBACK_TRIALS};
+use nshot_mc::{verify_budgeted, McConfig};
 use nshot_par::{num_threads, par_map, ThreadGuard};
-use nshot_sim::{monte_carlo, ConformanceConfig};
 
 struct CircuitResult {
     name: String,
@@ -62,35 +61,31 @@ fn run_sweep(names: &[String], threads: usize) -> SweepRun {
         let sg = bench.build();
         let imp = synthesize(&sg, &SynthesisOptions::default())
             .unwrap_or_else(|e| panic!("{name}: synthesis failed: {e}"));
-        let mut config = McConfig::default();
-        if let Some(n) = std::env::var("NSHOT_MC_MAX_STATES")
+        let max_states = std::env::var("NSHOT_MC_MAX_STATES")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
-        {
-            config.max_states = n;
-        }
+            .unwrap_or(McConfig::default().max_states);
         let c0 = Instant::now();
-        let verdict = check(&sg, &imp.netlist, &config)
+        // Past the budget this samples instead; the fixed-seed schedule
+        // keeps the result deterministic, so the cross-thread assertion
+        // still holds.
+        let report = verify_budgeted(&sg, &imp, max_states)
             .unwrap_or_else(|e| panic!("{name}: model build failed: {e}"));
+        let verdict = report.verdict.expect("verify_budgeted always checks");
         let stats = verdict.certificate().map(|c| c.stats.clone());
-        // Past the budget, fall back to sampling (same policy and trial
-        // count as `nshot_mc::validate`; the fixed-seed schedule keeps the
-        // result deterministic, so the cross-thread assertion still holds).
-        let (method, hazard_free, render) = match &verdict {
-            Verdict::Proved(c) => ("proof", true, c.render()),
-            Verdict::Violated(cex) => ("proof", false, cex.render()),
-            Verdict::BudgetExceeded(c) => {
-                let summary =
-                    monte_carlo(&sg, &imp, &ConformanceConfig::default(), FALLBACK_TRIALS);
-                let render = format!(
+        let (method, render) = match &report.monte_carlo {
+            Some(summary) => (
+                "monte_carlo",
+                format!(
                     "{}  fallback: monte_carlo {}/{} clean\n",
-                    c.render(),
+                    verdict.render(),
                     summary.clean_trials,
                     summary.trials
-                );
-                ("monte_carlo", summary.all_clean(), render)
-            }
+                ),
+            ),
+            None => ("proof", verdict.render()),
         };
+        let hazard_free = report.hazard_free;
         let wall_ms = c0.elapsed().as_secs_f64() * 1e3;
         let stats = stats.unwrap_or_default();
         CircuitResult {
@@ -155,7 +150,7 @@ fn main() {
 
     let names: Vec<String> = nshot_benchmarks::suite()
         .iter()
-        .filter(|b| filter.as_deref().map_or(true, |f| b.name.contains(f)))
+        .filter(|b| filter.as_deref().is_none_or(|f| b.name.contains(f)))
         .map(|b| b.name.to_string())
         .collect();
     let hw_threads = num_threads();

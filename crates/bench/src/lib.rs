@@ -114,7 +114,7 @@ pub fn run_table2_row(benchmark: &Benchmark, model: &DelayModel) -> Table2Row {
 pub fn run_table2(filter: Option<&str>, model: &DelayModel) -> Vec<Table2Row> {
     suite()
         .iter()
-        .filter(|b| filter.map_or(true, |f| b.name.contains(f)))
+        .filter(|b| filter.is_none_or(|f| b.name.contains(f)))
         .map(|b| run_table2_row(b, model))
         .collect()
 }

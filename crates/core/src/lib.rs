@@ -56,7 +56,6 @@ mod init;
 mod report;
 mod synth;
 mod trigger;
-mod validate;
 mod verify;
 
 pub use architecture::{assemble_netlist, build_sop, AssembledSignal};
@@ -68,8 +67,11 @@ pub use synth::{
     synthesize, Minimizer, NshotImplementation, SignalImplementation, SynthesisOptions,
 };
 pub use trigger::{check_trigger_requirement, TriggerCertificate, TriggerStatus};
-pub use validate::{ValidationLevel, DEFAULT_PROOF_STATES};
 pub use verify::verify_covers;
+
+/// Default explored-state budget for the `nshot-mc` proof of an
+/// implementation's external hazard-freeness.
+pub const DEFAULT_PROOF_STATES: usize = 4_000_000;
 
 #[cfg(test)]
 mod fixtures;

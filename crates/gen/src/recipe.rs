@@ -212,8 +212,8 @@ impl Fragment {
         // Degenerate configs (a knob set to 0) clamp up to 1 so the
         // feasibility arithmetic below stays meaningful.
         let max_pipeline = cfg.max_pipeline.max(1);
-        let max_handshakes = cfg.max_handshakes.max(1).min(8);
-        let max_channels = cfg.max_channels.max(1).min(8);
+        let max_handshakes = cfg.max_handshakes.clamp(1, 8);
+        let max_channels = cfg.max_channels.clamp(1, 8);
         let max_branches = cfg.max_branches.max(1);
         let max_pairs = cfg.max_pairs.max(1);
 
@@ -374,7 +374,7 @@ impl Recipe {
         let mut sig_left = cfg.max_signals.min(crate::HARD_SIGNAL_LIMIT);
         let mut states = 1usize;
         for _ in 0..target {
-            let budget = if states == 0 { 0 } else { cfg.max_states / states };
+            let budget = cfg.max_states.checked_div(states).unwrap_or(0);
             let Some(f) = Fragment::sample(&mut rng, sig_left, budget, cfg) else {
                 break;
             };

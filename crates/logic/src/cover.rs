@@ -253,7 +253,7 @@ fn select_split_var(cover: &Cover) -> Option<usize> {
             continue;
         }
         let score = pos[v].min(neg[v]) * 1_000_000 + pos[v] + neg[v];
-        if best.map_or(true, |(_, s)| score > s) {
+        if best.is_none_or(|(_, s)| score > s) {
             best = Some((v, score));
         }
     }

@@ -125,7 +125,7 @@ pub fn espresso_multi(functions: &[Function]) -> MultiCover {
 
     // 3. Merge identical input cubes (union of tags) and absorb cubes whose
     // input part and tag are dominated by another cube.
-    cubes.sort_by(|a, b| b.0.free_count().cmp(&a.0.free_count()));
+    cubes.sort_by_key(|c| std::cmp::Reverse(c.0.free_count()));
     let mut merged: Vec<(Cube, Vec<bool>)> = Vec::new();
     'outer: for (cube, tag) in cubes {
         for (kept, kept_tag) in &mut merged {

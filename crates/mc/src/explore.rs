@@ -3,10 +3,11 @@
 //!
 //! States are packed bit vectors (net values ‖ per-flip-flop enable +
 //! pending bits ‖ specification state) deduplicated through an
-//! [`FxHashMap`] keyed by the full packed words. Exploration is plain BFS:
-//! every enabled action is explored from every state, and each state is
-//! expanded once, in discovery order, so the frontier is the id range
-//! `[next, states.len())` and the first violation found is depth-minimal.
+//! [`FxHashSet`] of the full packed words. Exploration is plain BFS: every
+//! enabled action is explored from every state, and each state is expanded
+//! once, in discovery order, off a FIFO queue that shares each state's
+//! allocation with the set, so the first violation found is depth-minimal.
+//! A state's id is its discovery index; `meta` holds its parent link.
 //! The canonical successor order (flip-flop fires, commits, cancels, enable
 //! updates, gate fires in index order, environment inputs in specification
 //! order) makes the result a pure function of the model — identical
@@ -14,11 +15,12 @@
 //! the explorer is sequential by design (parallelism lives one level up,
 //! across circuits).
 
-use std::hash::Hasher;
+use std::collections::VecDeque;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use nshot_obs::{Gauge, Progress, Registry};
-use nshot_par::{FxHashMap, FxHasher};
+use nshot_par::FxHashSet;
 use nshot_sg::{Dir, TransitionLabel};
 
 use crate::model::{CombGate, CombOp, Model};
@@ -76,11 +78,12 @@ struct ProgressGauges {
 pub(crate) struct Explorer<'m, 'a> {
     m: &'m Model<'a>,
     max_states: usize,
-    states: Vec<Box<[u64]>>,
+    /// Every discovered state.
+    seen: FxHashSet<Rc<[u64]>>,
+    /// Discovered states not yet expanded, in discovery order.
+    frontier: VecDeque<Rc<[u64]>>,
+    /// Parent link and depth, indexed by state id (discovery order).
     meta: Vec<Meta>,
-    index: FxHashMap<u64, Vec<u32>>,
-    /// Next state to expand; `[next, states.len())` is the BFS frontier.
-    next: usize,
     stats: Stats,
     progress: Option<ProgressGauges>,
 }
@@ -104,10 +107,9 @@ impl<'m, 'a> Explorer<'m, 'a> {
         Explorer {
             m,
             max_states,
-            states: Vec::new(),
+            seen: FxHashSet::default(),
+            frontier: VecDeque::new(),
             meta: Vec::new(),
-            index: FxHashMap::default(),
-            next: 0,
             stats: Stats {
                 violation_checks: vec![0; m.ffs.len()],
                 ..Stats::default()
@@ -133,32 +135,33 @@ impl<'m, 'a> Explorer<'m, 'a> {
         self.publish_progress();
     }
 
-    /// Deterministic visited-set memory estimate: packed state words plus
-    /// the Vec slot holding them, BFS metadata and the dedupe index (bucket
-    /// headers + one id per state).
+    /// Deterministic visited-set memory estimate, per state: the packed
+    /// words and their two reference counts, the set's slot and the BFS
+    /// metadata.
     fn visited_bytes(&self) -> u64 {
-        let n = self.states.len() as u64;
-        let per_state =
-            (self.m.state_words() * 8 + 16) as u64 + std::mem::size_of::<Meta>() as u64 + 4;
-        n * per_state + self.index.len() as u64 * 56
+        let per_state = self.m.state_words() * 8
+            + 2 * std::mem::size_of::<usize>()
+            + std::mem::size_of::<Rc<[u64]>>()
+            + std::mem::size_of::<Meta>();
+        (self.meta.len() * per_state) as u64
     }
 
     /// States discovered but not yet expanded.
     fn frontier(&self) -> u64 {
-        (self.states.len() - self.next) as u64
+        self.frontier.len() as u64
     }
 
     #[cold]
     fn publish_progress(&self) {
         let Some(g) = &self.progress else { return };
-        g.states.set(self.states.len() as u64);
+        g.states.set(self.meta.len() as u64);
         g.edges.set(self.stats.edges);
         g.frontier.set(self.frontier());
         g.frontier_peak.set(self.stats.peak_frontier);
         g.depth.set(self.stats.max_depth as u64);
         g.visited_bytes.set(self.visited_bytes());
         g.budget_pct
-            .set(self.states.len() as u64 * 100 / self.max_states.max(1) as u64);
+            .set(self.meta.len() as u64 * 100 / self.max_states.max(1) as u64);
         g.violation_checks.set(self.stats.vchecks_total);
     }
 
@@ -229,9 +232,9 @@ impl<'m, 'a> Explorer<'m, 'a> {
 
     // -- initial state ------------------------------------------------------
 
-    fn initial_words(&self) -> Box<[u64]> {
+    fn initial_words(&self) -> Rc<[u64]> {
         let m = self.m;
-        let mut w = vec![0u64; m.state_words()].into_boxed_slice();
+        let mut w = vec![0u64; m.state_words()];
         let init = m.sg.initial();
         // Sources: inputs and flip-flop outputs at their specified initial
         // values; constants at their value.
@@ -271,7 +274,7 @@ impl<'m, 'a> Explorer<'m, 'a> {
             self.refresh_ack(&mut w, f);
         }
         self.set_spec(&mut w, init);
-        w
+        w.into()
     }
 
     // -- canonical enabled-action enumeration -------------------------------
@@ -350,38 +353,39 @@ impl<'m, 'a> Explorer<'m, 'a> {
         out
     }
 
-    /// Apply `action` to a copy of `w`. Returns `Err(violation)` when the
-    /// action is an observable fire the specification does not enable.
-    fn apply(&self, w: &[u64], action: Action) -> Result<Box<[u64]>, McViolation> {
+    /// Write the successor of `w` under `action` into `nw`. Returns
+    /// `Err(violation)` when the action is an observable fire the
+    /// specification does not enable.
+    fn apply(&self, w: &[u64], nw: &mut [u64], action: Action) -> Result<(), McViolation> {
         let m = self.m;
-        let mut nw: Box<[u64]> = w.into();
+        nw.copy_from_slice(w);
         match action {
             Action::Input { signal, rise } => {
                 let s = m.signal_ids[signal as usize];
                 let net = m.signal_net[signal as usize] as usize;
-                debug_assert_eq!(get_bit(&nw, net), !rise);
-                set_bit(&mut nw, net, rise);
+                debug_assert_eq!(get_bit(nw, net), !rise);
+                set_bit(nw, net, rise);
                 let spec = self.spec_of(w);
                 let label = TransitionLabel::new(s, Dir::to_value(rise));
                 let next = m.sg.delta(spec, label).expect("enabled input transition");
-                self.set_spec(&mut nw, next);
+                self.set_spec(nw, next);
             }
             Action::Gate { comb, value } => {
                 let gate = m.comb[comb as usize].gate;
-                set_bit(&mut nw, gate as usize, value);
+                set_bit(nw, gate as usize, value);
                 for &(f, _) in &m.sop_readers[gate as usize] {
-                    self.refresh_ack(&mut nw, f as usize);
+                    self.refresh_ack(nw, f as usize);
                 }
             }
             Action::Commit { ff, rise } => {
-                self.set_pending(&mut nw, ff as usize, Some(rise));
+                self.set_pending(nw, ff as usize, Some(rise));
             }
             Action::Cancel { ff } => {
-                self.set_pending(&mut nw, ff as usize, None);
+                self.set_pending(nw, ff as usize, None);
             }
             Action::Enable { ff, value } => {
-                set_bit(&mut nw, self.enable_bit(ff as usize), value);
-                self.refresh_ack(&mut nw, ff as usize);
+                set_bit(nw, self.enable_bit(ff as usize), value);
+                self.refresh_ack(nw, ff as usize);
             }
             Action::Fire { ff, rise } => {
                 let info = &m.ffs[ff as usize];
@@ -389,9 +393,9 @@ impl<'m, 'a> Explorer<'m, 'a> {
                 let label = TransitionLabel::new(info.signal, Dir::to_value(rise));
                 match m.sg.delta(spec, label) {
                     Some(next) => {
-                        set_bit(&mut nw, info.ff as usize, rise);
-                        self.set_pending(&mut nw, ff as usize, None);
-                        self.set_spec(&mut nw, next);
+                        set_bit(nw, info.ff as usize, rise);
+                        self.set_pending(nw, ff as usize, None);
+                        self.set_spec(nw, next);
                     }
                     None => {
                         return Err(McViolation::UnexpectedTransition {
@@ -403,32 +407,16 @@ impl<'m, 'a> Explorer<'m, 'a> {
                 }
             }
         }
-        Ok(nw)
+        Ok(())
     }
 
     // -- dedupe -------------------------------------------------------------
 
-    fn hash_words(w: &[u64]) -> u64 {
-        let mut h = FxHasher::default();
-        for &x in w {
-            h.write_u64(x);
-        }
-        h.finish()
-    }
-
-    fn lookup(&self, w: &[u64]) -> Option<u32> {
-        self.index
-            .get(&Self::hash_words(w))?
-            .iter()
-            .copied()
-            .find(|&id| *self.states[id as usize] == *w)
-    }
-
-    fn insert(&mut self, w: Box<[u64]>, meta: Meta) {
-        let id = self.states.len() as u32;
-        let h = Self::hash_words(&w);
-        self.index.entry(h).or_default().push(id);
-        self.states.push(w);
+    /// Record a newly discovered state: one allocation, shared by the
+    /// visited set and the queue.
+    fn insert(&mut self, w: Rc<[u64]>, meta: Meta) {
+        self.seen.insert(Rc::clone(&w));
+        self.frontier.push_back(w);
         self.stats.max_depth = self.stats.max_depth.max(meta.depth);
         self.meta.push(meta);
         self.stats.peak_frontier = self.stats.peak_frontier.max(self.frontier());
@@ -523,7 +511,7 @@ impl<'m, 'a> Explorer<'m, 'a> {
             assumed_delay_requirement: self.m.assume_delay_requirement,
             complete,
             stats: ExplorationStats {
-                states: self.states.len() as u64,
+                states: self.meta.len() as u64,
                 edges: self.stats.edges,
                 reopened: 0,
                 max_depth: self.stats.max_depth,
@@ -542,7 +530,7 @@ impl<'m, 'a> Explorer<'m, 'a> {
     fn publish_registry(&self, verdict: &Verdict) {
         let r = Registry::global();
         r.counter("nshot_mc_runs_total").inc();
-        r.counter("nshot_mc_states_total").add(self.states.len() as u64);
+        r.counter("nshot_mc_states_total").add(self.meta.len() as u64);
         r.counter("nshot_mc_edges_total").add(self.stats.edges);
         r.counter("nshot_mc_violation_checks_total")
             .add(self.stats.vchecks_total);
@@ -585,10 +573,10 @@ impl<'m, 'a> Explorer<'m, 'a> {
             },
         );
 
-        while self.next < self.states.len() {
-            let id = self.next as u32;
-            self.next += 1;
-            let words = self.states[id as usize].clone();
+        // Successors are written here; only new states are copied out.
+        let mut next = vec![0u64; self.m.state_words()];
+        while let Some(words) = self.frontier.pop_front() {
+            let id = (self.meta.len() - self.frontier.len() - 1) as u32;
             let depth = self.meta[id as usize].depth;
             let enabled = self.enabled_actions(&words);
             if enabled.is_empty() {
@@ -616,10 +604,10 @@ impl<'m, 'a> Explorer<'m, 'a> {
                 continue;
             }
             for action in enabled {
-                if let Some(v) = self.step(id, depth, &words, action) {
+                if let Some(v) = self.step(id, depth, &words, &mut next, action) {
                     return v;
                 }
-                if self.states.len() >= self.max_states {
+                if self.meta.len() >= self.max_states {
                     return Verdict::BudgetExceeded(self.certificate(false));
                 }
             }
@@ -628,7 +616,14 @@ impl<'m, 'a> Explorer<'m, 'a> {
     }
 
     /// Generate one successor; returns a verdict only on a violation.
-    fn step(&mut self, id: u32, depth: u32, words: &[u64], action: Action) -> Option<Verdict> {
+    fn step(
+        &mut self,
+        id: u32,
+        depth: u32,
+        words: &[u64],
+        next: &mut [u64],
+        action: Action,
+    ) -> Option<Verdict> {
         self.stats.edges += 1;
         if let Action::Fire { ff, .. } = action {
             self.stats.violation_checks[ff as usize] += 1;
@@ -639,13 +634,12 @@ impl<'m, 'a> Explorer<'m, 'a> {
         if self.progress.is_some() && self.stats.edges & 0xFFF == 0 {
             self.publish_progress();
         }
-        let next = match self.apply(words, action) {
-            Ok(nw) => nw,
-            Err(violation) => return Some(self.counterexample(id, Some(action), violation)),
-        };
-        if self.lookup(&next).is_none() {
+        if let Err(violation) = self.apply(words, next, action) {
+            return Some(self.counterexample(id, Some(action), violation));
+        }
+        if !self.seen.contains(&*next) {
             self.insert(
-                next,
+                Rc::from(&*next),
                 Meta {
                     parent: id,
                     action,

@@ -16,7 +16,7 @@
 //!   input schedule replays through `nshot-sim`'s trace machinery (see
 //!   [`replay`]).
 //! * Past the state budget it returns [`Verdict::BudgetExceeded`]; callers
-//!   fall back to Monte-Carlo sampling ([`validate`] does this
+//!   fall back to Monte-Carlo sampling ([`verify_budgeted`] does this
 //!   automatically).
 //!
 //! ## The Eq. 1 settle assumption
@@ -41,7 +41,7 @@ pub mod replay;
 
 pub use model::{McConfig, ModelError};
 
-use nshot_core::{NshotImplementation, ValidationLevel};
+use nshot_core::NshotImplementation;
 use nshot_netlist::Netlist;
 use nshot_sg::StateGraph;
 use nshot_sim::{monte_carlo, ConformanceConfig, MonteCarloSummary};
@@ -145,8 +145,10 @@ pub struct ExplorationStats {
     /// Frontier length when exploration stopped (0 for a completed run;
     /// for a budget-exceeded run, how much unexplored work was queued).
     pub final_frontier: u64,
-    /// Deterministic estimate of visited-set memory: packed state words,
-    /// BFS metadata and the dedupe index.
+    /// Deterministic estimate of visited-set memory, `states` times the
+    /// per-state cost: the packed state words with their reference counts,
+    /// one visited-set slot and the BFS metadata. The frontier queue and
+    /// the set's spare capacity are not counted.
     pub visited_bytes: u64,
     /// The state budget the run was given.
     pub max_states: u64,
@@ -288,14 +290,14 @@ pub fn check(sg: &StateGraph, netlist: &Netlist, config: &McConfig) -> Result<Ve
     Ok(explorer.run())
 }
 
-/// Result of [`validate`]: proof-level validation with Monte-Carlo
-/// fallback.
+/// Result of [`verify_budgeted`]: the proof attempt and, past its budget,
+/// the Monte-Carlo fallback.
 #[derive(Debug, Clone)]
 pub struct ValidationReport {
-    /// The model checker's verdict, when proof was requested.
+    /// The model checker's verdict (always present).
     pub verdict: Option<Verdict>,
-    /// The sampling summary, when trials ran (requested, or as the
-    /// fallback after a budget-exceeded proof attempt).
+    /// The sampling summary, when the proof attempt exceeded its budget and
+    /// [`FALLBACK_TRIALS`] trials ran instead.
     pub monte_carlo: Option<MonteCarloSummary>,
     /// `true` when nothing — proof or sampling — found a violation.
     pub hazard_free: bool,
@@ -305,78 +307,34 @@ pub struct ValidationReport {
 /// Monte-Carlo sampling.
 pub const FALLBACK_TRIALS: usize = 256;
 
-/// Validate `implementation` at the requested [`ValidationLevel`].
-///
-/// * [`ValidationLevel::None`] — no validation, trivially clean.
-/// * [`ValidationLevel::MonteCarlo`] — sampled conformance trials.
-/// * [`ValidationLevel::Proof`] — exhaustive model checking; circuits
-///   exceeding the state budget fall back to [`FALLBACK_TRIALS`]
-///   Monte-Carlo trials (sampling is the fallback, not the default).
-pub fn validate(
-    sg: &StateGraph,
-    implementation: &NshotImplementation,
-    level: &ValidationLevel,
-) -> Result<ValidationReport, ModelError> {
-    match *level {
-        ValidationLevel::None => Ok(ValidationReport {
-            verdict: None,
-            monte_carlo: None,
-            hazard_free: true,
-        }),
-        ValidationLevel::MonteCarlo { trials } => {
-            let summary = monte_carlo(sg, implementation, &ConformanceConfig::default(), trials);
-            let clean = summary.all_clean();
-            Ok(ValidationReport {
-                verdict: None,
-                monte_carlo: Some(summary),
-                hazard_free: clean,
-            })
-        }
-        ValidationLevel::Proof { max_states } => {
-            let config = McConfig {
-                max_states,
-                ..McConfig::default()
-            };
-            let verdict = check(sg, &implementation.netlist, &config)?;
-            match verdict {
-                Verdict::BudgetExceeded(_) => {
-                    let summary = monte_carlo(
-                        sg,
-                        implementation,
-                        &ConformanceConfig::default(),
-                        FALLBACK_TRIALS,
-                    );
-                    let clean = summary.all_clean();
-                    Ok(ValidationReport {
-                        verdict: Some(verdict),
-                        monte_carlo: Some(summary),
-                        hazard_free: clean,
-                    })
-                }
-                _ => {
-                    let clean = verdict.is_proved();
-                    Ok(ValidationReport {
-                        verdict: Some(verdict),
-                        monte_carlo: None,
-                        hazard_free: clean,
-                    })
-                }
-            }
-        }
-    }
-}
-
-/// Budgeted proof-or-sample entry point for fuzzing and batch drivers:
-/// [`validate`] at [`ValidationLevel::Proof`] with the given state budget,
-/// falling back to [`FALLBACK_TRIALS`] Monte-Carlo trials when the budget
-/// is exceeded. The report's `hazard_free` is the honest aggregate: `true`
-/// only when the proof (or the fallback sampling) saw no violation.
+/// The proof-or-sample entry point: model-check `implementation` within
+/// `max_states` explored states and, when the budget is exceeded, sample
+/// [`FALLBACK_TRIALS`] Monte-Carlo trials instead (sampling is the
+/// fallback, not the default). The report's `hazard_free` is the honest
+/// aggregate: `true` only when the proof (or the fallback sampling) saw no
+/// violation.
 pub fn verify_budgeted(
     sg: &StateGraph,
     implementation: &NshotImplementation,
     max_states: usize,
 ) -> Result<ValidationReport, ModelError> {
-    validate(sg, implementation, &ValidationLevel::Proof { max_states })
+    let config = McConfig {
+        max_states,
+        ..McConfig::default()
+    };
+    let verdict = check(sg, &implementation.netlist, &config)?;
+    let monte_carlo = matches!(verdict, Verdict::BudgetExceeded(_)).then(|| {
+        monte_carlo(sg, implementation, &ConformanceConfig::default(), FALLBACK_TRIALS)
+    });
+    let hazard_free = match &monte_carlo {
+        Some(summary) => summary.all_clean(),
+        None => verdict.is_proved(),
+    };
+    Ok(ValidationReport {
+        verdict: Some(verdict),
+        monte_carlo,
+        hazard_free,
+    })
 }
 
 #[cfg(test)]

@@ -52,7 +52,7 @@ pub struct McConfig {
 impl Default for McConfig {
     fn default() -> Self {
         McConfig {
-            max_states: 4_000_000,
+            max_states: nshot_core::DEFAULT_PROOF_STATES,
             omega_ps: 300,
             delay_model: DelayModel::nominal(),
             assume_delay_requirement: None,
@@ -412,9 +412,9 @@ impl<'a> Model<'a> {
             out.sort_unstable();
             out
         };
-        for i in 0..ffs.len() {
-            ffs[i].set_cone = cone(ffs[i].set_sop);
-            ffs[i].reset_cone = cone(ffs[i].reset_sop);
+        for f in &mut ffs {
+            f.set_cone = cone(f.set_sop);
+            f.reset_cone = cone(f.reset_sop);
         }
 
         // Derived-value recomputation map: SOP net → ack rails to refresh.

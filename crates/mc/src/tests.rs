@@ -1,9 +1,9 @@
-use nshot_core::{assemble_netlist, synthesize, SynthesisOptions, ValidationLevel};
+use nshot_core::{assemble_netlist, synthesize, SynthesisOptions, DEFAULT_PROOF_STATES};
 use nshot_logic::Cover;
 use nshot_netlist::DelayModel;
 use nshot_sg::{SgBuilder, SignalKind, StateGraph};
 
-use crate::{check, validate, McConfig, McViolation, Verdict};
+use crate::{check, verify_budgeted, McConfig, McViolation, Verdict};
 
 fn handshake() -> StateGraph {
     let mut b = SgBuilder::named("handshake");
@@ -103,24 +103,36 @@ fn checker_is_deterministic_at_any_thread_count() {
     }
 }
 
-/// Pin of one suite circuit's plain-BFS certificate. Every enabled action
-/// of every state is explored exactly once, so these figures are a pure
-/// function of the model: any change to what the explorer visits shows up
-/// here as a diff.
+/// Pins of one suite circuit's plain-BFS certificate, run to completion
+/// and cut by the budget mid-expansion. Every enabled action of every
+/// state is explored exactly once, so these figures are a pure function
+/// of the model and the budget: any change to what the explorer visits,
+/// or to how it counts the frontier at a cut, shows up here as a diff.
 #[test]
 fn chu133_plain_bfs_certificate() {
     let sg = nshot_benchmarks::by_name("chu133").expect("in suite").build();
     let imp = synthesize(&sg, &SynthesisOptions::default()).unwrap();
-    let verdict = check(&sg, &imp.netlist, &McConfig::default()).unwrap();
-    let cert = verdict.certificate().expect("proved");
-    assert!(verdict.is_proved(), "{}", verdict.render());
-    let s = &cert.stats;
-    assert_eq!(
-        (s.states, s.edges, s.max_depth, s.peak_frontier, s.final_frontier, s.reopened),
-        (3228, 11818, 68, 200, 0, 0),
-        "{}",
-        cert.render()
-    );
+    // (max_states, proved, (states, edges, max_depth, peak_frontier, final_frontier))
+    let pins = [
+        (McConfig::default().max_states, true, (3228, 11818, 68, 200, 0)),
+        (1000, false, (1000, 3083, 38, 98, 29)),
+    ];
+    for (max_states, proved, expected) in pins {
+        let config = McConfig {
+            max_states,
+            ..McConfig::default()
+        };
+        let verdict = check(&sg, &imp.netlist, &config).unwrap();
+        assert_eq!(verdict.is_proved(), proved, "{}", verdict.render());
+        let s = &verdict.certificate().expect("certificate").stats;
+        assert_eq!(s.reopened, 0);
+        assert_eq!(
+            (s.states, s.edges, s.max_depth, s.peak_frontier, s.final_frontier),
+            expected,
+            "max_states {max_states}: {}",
+            verdict.render()
+        );
+    }
 }
 
 #[test]
@@ -262,19 +274,13 @@ fn validate_levels() {
     let sg = handshake();
     let imp = synthesize(&sg, &SynthesisOptions::default()).unwrap();
 
-    let none = validate(&sg, &imp, &ValidationLevel::None).unwrap();
-    assert!(none.hazard_free && none.verdict.is_none() && none.monte_carlo.is_none());
-
-    let sampled = validate(&sg, &imp, &ValidationLevel::MonteCarlo { trials: 4 }).unwrap();
-    assert!(sampled.hazard_free && sampled.monte_carlo.is_some());
-
-    let proved = validate(&sg, &imp, &ValidationLevel::default()).unwrap();
+    let proved = verify_budgeted(&sg, &imp, DEFAULT_PROOF_STATES).unwrap();
     assert!(proved.hazard_free);
     assert!(proved.verdict.as_ref().unwrap().is_proved());
     assert!(proved.monte_carlo.is_none(), "no fallback when proof fits");
 
     // A starved budget falls back to sampling.
-    let fallback = validate(&sg, &imp, &ValidationLevel::Proof { max_states: 2 }).unwrap();
+    let fallback = verify_budgeted(&sg, &imp, 2).unwrap();
     assert!(matches!(
         fallback.verdict,
         Some(Verdict::BudgetExceeded(_))

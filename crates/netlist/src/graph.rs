@@ -404,7 +404,7 @@ impl Netlist {
                 *net = *r;
             }
         }
-        for (&dead, _) in &replace {
+        for &dead in replace.keys() {
             let g = &mut self.gates[dead.0 as usize];
             g.kind = GateKind::Const(false);
             g.inputs.clear();
@@ -585,11 +585,11 @@ mod tests {
         sources.insert(a, true);
         sources.insert(b, false);
         let vals = n.eval_combinational(&sources);
-        assert_eq!(vals[&p], true);
-        assert_eq!(vals[&o], true);
+        assert!(vals[&p]);
+        assert!(vals[&o]);
         sources.insert(a, false);
         let vals = n.eval_combinational(&sources);
-        assert_eq!(vals[&o], false);
+        assert!(!vals[&o]);
     }
 
     #[test]

@@ -181,11 +181,11 @@ impl Progress {
             if f.rate {
                 let (t0, v0) = f.last;
                 let dt = elapsed_ms.saturating_sub(t0);
-                let rate = if dt > 0 {
-                    v.saturating_sub(v0).saturating_mul(1000) / dt
-                } else {
-                    0
-                };
+                let rate = v
+                    .saturating_sub(v0)
+                    .saturating_mul(1000)
+                    .checked_div(dt)
+                    .unwrap_or(0);
                 let _ = write!(line, ",\"{}_per_sec\":{rate}", f.name);
                 f.last = (elapsed_ms, v);
             }

@@ -220,18 +220,6 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-impl CacheStats {
-    /// Hits as a fraction of all lookups (0 when no lookups were made).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Split a metric name into `(base, labels)`: `a_total{x="y"}` →
 /// `("a_total", "x=\"y\"")`.
 fn split_name(name: &str) -> (&str, &str) {
@@ -285,11 +273,6 @@ impl Registry {
     /// Current value of a counter, 0 when it has never been created.
     pub fn counter_value(&self, name: &str) -> u64 {
         lock(&self.counters).get(name).map_or(0, |c| c.get())
-    }
-
-    /// Current value of a gauge, 0 when it has never been created.
-    pub fn gauge_value(&self, name: &str) -> u64 {
-        lock(&self.gauges).get(name).map_or(0, |g| g.get())
     }
 
     /// Render every metric as Prometheus text exposition (version 0.0.4):
@@ -364,8 +347,8 @@ mod tests {
         assert_eq!(h.count(), 10);
         let p50 = h.p50_us();
         let p99 = h.p99_us();
-        assert!(p50 >= 900 && p50 <= 2048, "p50 = {p50}");
-        assert!(p99 >= 100_000 && p99 <= 131_072, "p99 = {p99}");
+        assert!((900..=2048).contains(&p50), "p50 = {p50}");
+        assert!((100_000..=131_072).contains(&p99), "p99 = {p99}");
         assert_eq!(h.max_us(), 100_000);
     }
 
@@ -438,16 +421,5 @@ mod tests {
         assert!(out.contains("t_us_bucket{le=\"+Inf\"} 4"));
         assert!(out.contains("t_us_sum 905"));
         assert!(out.contains("t_us_count 4"));
-    }
-
-    #[test]
-    fn cache_stats_hit_rate() {
-        let s = CacheStats {
-            hits: 3,
-            misses: 1,
-            evictions: 0,
-        };
-        assert!((s.hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }
 }

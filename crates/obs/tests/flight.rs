@@ -104,7 +104,7 @@ fn explicit_dump_is_nondestructive_ndjson() {
     // Non-destructive: the ring still holds both events and keeps
     // recording; a later dump sees all three.
     assert_eq!(flight_events().len(), 2);
-    event("gamma", || String::new());
+    event("gamma", String::new);
     nshot_obs::dump();
     let text2 = std::fs::read_to_string(&path).unwrap();
     set_flight(None, 0);

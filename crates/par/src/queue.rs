@@ -106,11 +106,6 @@ impl<T> BoundedQueue<T> {
         self.ready.notify_all();
     }
 
-    /// `true` once [`BoundedQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().expect("queue mutex poisoned").closed
-    }
-
     /// Current depth.
     pub fn len(&self) -> usize {
         self.inner.lock().expect("queue mutex poisoned").items.len()

@@ -333,6 +333,9 @@ impl CachedResponse {
     }
 }
 
+/// One write-behind record for the store thread: cache key and response.
+type PersistItem = (String, Arc<CachedResponse>);
+
 /// State shared by the connection handlers and the shutdown path. The
 /// queue/worker/drain plumbing lives in the embedded [`WorkerPool`].
 struct Shared {
@@ -343,7 +346,7 @@ struct Shared {
     /// Write-behind channel to the store thread (`None` when no store is
     /// configured). Taken — dropping the sender — at drain time, which is
     /// what tells the store thread to flush and exit.
-    persist: Mutex<Option<mpsc::Sender<(String, Arc<CachedResponse>)>>>,
+    persist: Mutex<Option<mpsc::Sender<PersistItem>>>,
 }
 
 impl Shared {
@@ -721,7 +724,7 @@ impl Server {
         let (persist, store_thread) = match store {
             None => (None, None),
             Some(mut store) => {
-                let (tx, rx) = mpsc::channel::<(String, Arc<CachedResponse>)>();
+                let (tx, rx) = mpsc::channel::<PersistItem>();
                 let handle = std::thread::Builder::new()
                     .name("nshot-store".into())
                     .spawn(move || {

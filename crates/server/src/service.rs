@@ -238,8 +238,10 @@ fn process_synth_checked(
 
 /// Execute one verification request: synthesize the N-SHOT implementation,
 /// model-check it exhaustively, and — past the state budget — fall back to
-/// deadline-checked Monte-Carlo sampling ([`nshot_mc::FALLBACK_TRIALS`]
-/// trials, the same count `nshot_mc::validate` uses).
+/// Monte-Carlo sampling ([`nshot_mc::FALLBACK_TRIALS`] trials, the count
+/// [`nshot_mc::verify_budgeted`] uses). The trials run in chunks with a
+/// deadline check between them, which is why this does not call
+/// `verify_budgeted` itself.
 ///
 /// The response is deterministic like [`process_synth`]'s: the `method`
 /// field says whether the verdict is a `"proof"` or a

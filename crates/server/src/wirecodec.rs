@@ -410,6 +410,10 @@ pub struct ResponseHead {
 
 /// Encode one complete response as its frame stream: `RESPONSE_HEAD`, one
 /// `FIELD` per body field, then `END` carrying the field count.
+///
+/// The flat argument list is the signature `e2ebench` calls; it is kept as
+/// is so the benchmark package keeps building.
+#[allow(clippy::too_many_arguments)]
 pub fn encode_response_frames(
     id: &Json,
     code: u16,
@@ -742,7 +746,7 @@ mod tests {
         put_varint(&mut arr, u64::MAX / 2);
         assert!(decode_value(&arr).is_err());
         // Nesting past the depth cap.
-        let mut deep = vec![ty::ARR, 1].repeat(MAX_VALUE_DEPTH as usize + 1);
+        let mut deep = [ty::ARR, 1].repeat(MAX_VALUE_DEPTH as usize + 1);
         deep.push(ty::NULL);
         assert!(matches!(
             decode_value(&deep),

@@ -104,22 +104,6 @@ impl StateSet {
         }
     }
 
-    /// In-place intersection: `self ∩= other`.
-    pub fn intersect_with(&mut self, other: &StateSet) {
-        self.check_universe(other);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
-    /// In-place subtraction: `self ∖= other` (AND-NOT).
-    pub fn subtract(&mut self, other: &StateSet) {
-        self.check_universe(other);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
-        }
-    }
-
     /// `true` if every member of `self` is in `other`.
     pub fn is_subset(&self, other: &StateSet) -> bool {
         self.check_universe(other);
@@ -228,12 +212,8 @@ mod tests {
         let mut u = a.clone();
         u.union_with(&b);
         assert_eq!(u.len(), 4);
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.iter().collect::<Vec<_>>(), vec![s(70)]);
-        let mut d = a.clone();
-        d.subtract(&b);
-        assert_eq!(d.iter().map(|x| x.index()).collect::<Vec<_>>(), vec![1, 140]);
+        let i = StateSet::from_iter(200, [s(70)]);
+        let d = StateSet::from_iter(200, [s(1), s(140)]);
         assert!(i.is_subset(&a));
         assert!(i.is_subset(&b));
         assert!(!a.is_subset(&b));

@@ -108,7 +108,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
-    if (opts.spawn > 0) == !opts.config.backends.is_empty() {
+    if (opts.spawn > 0) != opts.config.backends.is_empty() {
         return Err("exactly one of --backends or --spawn is required".into());
     }
     Ok(opts)

@@ -146,29 +146,6 @@ impl Waveform {
         }
         out
     }
-
-    /// Render a compact ASCII timing diagram (one row per signal, one
-    /// column per `step_ps`), for terminal inspection of short runs.
-    pub fn to_ascii(&self, step_ps: u64) -> String {
-        let end = self.end_time_ps();
-        let cols = (end / step_ps + 2) as usize;
-        let mut out = String::new();
-        let width = self
-            .signals
-            .iter()
-            .map(|s| s.name.len())
-            .max()
-            .unwrap_or(0);
-        for s in &self.signals {
-            let _ = write!(out, "{:>width$} ", s.name);
-            for c in 0..cols {
-                let t = c as u64 * step_ps;
-                out.push(if s.value_at(t) { '▔' } else { '▁' });
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// VCD identifier characters (printable ASCII, starting at `!`).
@@ -226,16 +203,6 @@ mod tests {
         assert!(vcd.contains("$dumpvars\n0!\n1\"\n$end"));
         assert!(vcd.contains("#1000\n1!"));
         assert_eq!(vcd.matches("#1500").count(), 1);
-    }
-
-    #[test]
-    fn ascii_renders_levels() {
-        let mut w = Waveform::new("t");
-        let a = w.add_signal("a", false);
-        w.record(a, 200, true);
-        let art = w.to_ascii(100);
-        assert!(art.contains('▁'));
-        assert!(art.contains('▔'));
     }
 
     #[test]

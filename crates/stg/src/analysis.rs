@@ -138,7 +138,7 @@ impl Stg {
                 ));
             } else {
                 let label = if tokens > 0 {
-                    format!("{}", "●".repeat(tokens as usize))
+                    "●".repeat(tokens as usize)
                 } else {
                     String::new()
                 };

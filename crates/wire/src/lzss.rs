@@ -99,17 +99,16 @@ pub fn compress(raw: &[u8]) -> Vec<u8> {
             }
         }
 
-        let insert_span;
-        if best_len >= MIN_MATCH {
+        let insert_span = if best_len >= MIN_MATCH {
             push_flag(&mut out, false);
             out.push((best_off & 0xff) as u8);
             out.push((((best_off >> 8) & 0x0f) << 4) as u8 | (best_len - MIN_MATCH) as u8);
-            insert_span = best_len;
+            best_len
         } else {
             push_flag(&mut out, true);
             out.push(raw[pos]);
-            insert_span = 1;
-        }
+            1
+        };
         // Index every position the token covered so later matches can
         // start inside it.
         for p in pos..pos + insert_span {

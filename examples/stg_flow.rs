@@ -26,27 +26,6 @@ s0- s1-/ignore
 .end
 ";
 
-/// The actual net (the line above with `/ignore` is replaced below —
-/// kept to show parse errors are caught).
-const PIPELINE_OK: &str = "
-.model micropipeline
-.inputs rin aout
-.outputs s0 s1
-.graph
-rin+ s0+
-s0+ s1+
-s1+ aout+
-s1+ rin-
-rin- s0-
-aout+ s1-
-s0- s1-
-s1- rin+
-s1- aout-
-aout- s1-/x
-.marking { <s1-,rin+> }
-.end
-";
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The sloppy first attempt fails structurally — errors are diagnosed,
     // not panicked on.

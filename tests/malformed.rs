@@ -46,7 +46,7 @@ fn wire_corpus() -> Vec<(String, Vec<u8>)> {
         .expect("wire corpus dir")
         .filter_map(|e| {
             let path = e.expect("dir entry").path();
-            if !path.extension().is_some_and(|x| x == "bin") {
+            if path.extension().is_none_or(|x| x != "bin") {
                 return None;
             }
             let name = path.file_name().unwrap().to_string_lossy().into_owned();

@@ -17,6 +17,10 @@
 //!   left-over SOP pulse trespass through the freshly opened ack gate;
 //! * an MHS flip-flop with ω = 0 stops absorbing the sub-ω runts that an
 //!   undersized delay line relies on the filter to swallow.
+//!
+//! The last test pins the counterexample of the archived fuzz finding
+//! `tests/corpus/generated/violation_seed5.g` byte for byte, so a change
+//! to how the checker stores states or walks parent links shows up.
 
 use nshot::core::{assemble_netlist, synthesize, SynthesisOptions};
 use nshot::logic::{Cover, Cube};
@@ -25,6 +29,7 @@ use nshot::mc::{check, McConfig, McViolation};
 use nshot::netlist::DelayModel;
 use nshot::sg::{SgBuilder, SignalKind, StateGraph};
 use nshot::sim::{ConformanceConfig, SimConfig};
+use nshot::stg::parse_stg;
 
 /// The four-phase request/grant handshake (r input, g output).
 fn handshake() -> StateGraph {
@@ -261,4 +266,31 @@ fn omega_zero_unmasks_the_filtered_runts() {
         .is_none(),
         "ω = 300 absorbs every runt the sweep can produce"
     );
+}
+
+/// FNV-1a, the same stable hash the golden suite uses.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn archived_violation_counterexample_is_pinned() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/generated/violation_seed5.g");
+    let text = std::fs::read_to_string(path).unwrap();
+    let sg = parse_stg(&text).unwrap().elaborate().unwrap();
+    let imp = synthesize(&sg, &SynthesisOptions::default()).unwrap();
+    let config = McConfig {
+        max_states: 200_000,
+        ..McConfig::default()
+    };
+    let verdict = check(&sg, &imp.netlist, &config).unwrap();
+    let cex = verdict.counterexample().expect("the archived violation reproduces");
+    let rendered = cex.render();
+    assert_eq!(cex.steps.len(), 26, "{rendered}");
+    assert_eq!(fnv1a(rendered.as_bytes()), 0x3597_daf1_e4b8_11fd, "{rendered}");
 }
