@@ -658,9 +658,6 @@ fn decode_wire_mutant(bytes: &[u8]) -> &'static str {
             tags::END => wirecodec::decode_end(&frame.payload)
                 .err()
                 .map(|e| wire_class(&e)),
-            tags::SPEC | tags::NETLIST | tags::CERT => {
-                wirecodec::decode_artifact(&frame).err().map(|e| wire_class(&e))
-            }
             _ => Some("unknown_tag"),
         };
         if let Some(class) = outcome {
@@ -689,8 +686,8 @@ fn mutate_frame(base: &[u8], class: usize, s: &mut u64) -> Vec<u8> {
                 bytes[1] ^= (xorshift(s) as u8) | 1;
             }
         }
-        // Random tag byte (offset 0; may also set the compression bit over
-        // an uncompressed payload, or clear it over a compressed one).
+        // Random tag byte (offset 0; half the draws set bit 7, which no
+        // tag has).
         2 => {
             bytes[0] = xorshift(s) as u8;
         }
@@ -774,7 +771,6 @@ fn run_wire_mutations(opts: &Options) -> Result<bool, String> {
         process_synth, Deadline, Envelope, Json, Method, OutputFormat, Request, SynthRequest,
     };
     use nshot_core::Minimizer;
-    use nshot_wire::tags;
 
     let t0 = Instant::now();
     let spec = nshot_benchmarks::by_name("chu133")
@@ -782,7 +778,7 @@ fn run_wire_mutations(opts: &Options) -> Result<bool, String> {
         .build()
         .to_text();
     let synth_req = SynthRequest {
-        spec: spec.clone(),
+        spec,
         method: Method::Nshot,
         minimizer: Minimizer::Heuristic,
         trials: 0,
@@ -790,13 +786,6 @@ fn run_wire_mutations(opts: &Options) -> Result<bool, String> {
         share: false,
     };
     let resp = process_synth(&synth_req, &Deadline::unlimited());
-    let netlist = resp
-        .body
-        .iter()
-        .find(|(k, _)| k == "blif")
-        .and_then(|(_, v)| v.as_str().map(str::to_owned))
-        .unwrap_or_else(|| spec.clone());
-    let cert = resp.deterministic_fields();
     let wire_err = |e: nshot_wire::WireError| format!("encode base frame: {e}");
     let ping = Envelope {
         id: Json::Num(1.0),
@@ -824,12 +813,6 @@ fn run_wire_mutations(opts: &Options) -> Result<bool, String> {
             "request_synth",
             wirecodec::encode_request(&synth_env).map_err(wire_err)?,
         ),
-        ("artifact_spec", wirecodec::encode_artifact(tags::SPEC, &spec)),
-        (
-            "artifact_netlist",
-            wirecodec::encode_artifact(tags::NETLIST, &netlist),
-        ),
-        ("artifact_cert", wirecodec::encode_artifact(tags::CERT, &cert)),
         ("response_stream", response_stream),
     ];
 

@@ -312,7 +312,8 @@ pub const FALLBACK_TRIALS: usize = 256;
 /// [`FALLBACK_TRIALS`] Monte-Carlo trials instead (sampling is the
 /// fallback, not the default). The report's `hazard_free` is the honest
 /// aggregate: `true` only when the proof (or the fallback sampling) saw no
-/// violation.
+/// violation. The `modelcheck` bin, the fuzzer and the server's `verify`
+/// op all call this; none keeps a copy of the policy.
 pub fn verify_budgeted(
     sg: &StateGraph,
     implementation: &NshotImplementation,

@@ -5,9 +5,15 @@
 //! rendered response is byte-deterministic, numbers are `f64` (every value
 //! the protocol carries fits losslessly), and strings escape all control
 //! characters so any `.g`/SG specification — newlines included — travels on
-//! a single line.
+//! a single line. Nesting is capped at [`MAX_VALUE_DEPTH`], so a hostile
+//! line cannot recurse a connection thread's stack away.
 
 use std::fmt;
+
+/// Nesting cap shared by both decoders, this parser and the binary value
+/// decoder in `wirecodec`: a value at this depth (the document itself is
+/// depth 0) is refused. Protocol objects are two levels deep.
+pub const MAX_VALUE_DEPTH: u32 = 32;
 
 /// A JSON value. Objects are ordered pair lists: rendering is deterministic
 /// and key lookup is linear (protocol objects have < 20 keys).
@@ -137,7 +143,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut p = Parser { bytes, pos: 0 };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != bytes.len() {
         return Err(format!("trailing data at byte {}", p.pos));
@@ -173,10 +179,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self, depth: u32) -> Result<Json, String> {
+        if depth >= MAX_VALUE_DEPTH {
+            return Err(format!("value nested too deeply at byte {}", self.pos));
+        }
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.object(depth),
+            Some(b'[') => self.array(depth),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -305,7 +314,7 @@ impl<'a> Parser<'a> {
         char::from_u32(hi).ok_or_else(|| "bad \\u escape".into())
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, depth: u32) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
@@ -319,7 +328,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth + 1)?;
             pairs.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -333,7 +342,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, depth: u32) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -343,7 +352,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth + 1)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -403,6 +412,20 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_value_depth() {
+        let nested = |n: usize| format!("{}null{}", "[".repeat(n), "]".repeat(n));
+        // 31 arrays put the null at depth 31, the deepest value allowed.
+        assert!(parse(&nested(31)).is_ok());
+        let err = parse(&nested(MAX_VALUE_DEPTH as usize)).unwrap_err();
+        assert!(err.contains("nested too deeply"), "{err}");
+        // Far past the cap, objects and arrays mixed, without recursing
+        // anywhere near the stack's end.
+        let hostile = format!("{{\"id\":{}", "[{\"a\":".repeat(5_000));
+        let err = parse(&hostile).unwrap_err();
+        assert!(err.contains("nested too deeply"), "{err}");
     }
 
     #[test]

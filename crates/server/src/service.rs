@@ -15,7 +15,7 @@
 use crate::json::Json;
 use crate::protocol::{Method, OutputFormat, Response, SynthRequest, VerifyRequest};
 use nshot_core::{synthesize, NshotImplementation, SynthesisOptions};
-use nshot_mc::{McConfig, Verdict};
+use nshot_mc::Verdict;
 use nshot_netlist::{DelayModel, Netlist};
 use nshot_obs::Stage;
 use nshot_sg::StateGraph;
@@ -236,12 +236,11 @@ fn process_synth_checked(
     Ok(Response::ok(body))
 }
 
-/// Execute one verification request: synthesize the N-SHOT implementation,
-/// model-check it exhaustively, and — past the state budget — fall back to
-/// Monte-Carlo sampling ([`nshot_mc::FALLBACK_TRIALS`] trials, the count
-/// [`nshot_mc::verify_budgeted`] uses). The trials run in chunks with a
-/// deadline check between them, which is why this does not call
-/// `verify_budgeted` itself.
+/// Execute one verification request: synthesize the N-SHOT implementation
+/// and run [`nshot_mc::verify_budgeted`] on it — an exhaustive model check
+/// and, past the state budget, [`nshot_mc::FALLBACK_TRIALS`] Monte-Carlo
+/// trials. The deadline is checked once it returns: the check before the
+/// trials is the uninterruptible part, and the trials cost far less.
 ///
 /// The response is deterministic like [`process_synth`]'s: the `method`
 /// field says whether the verdict is a `"proof"` or a
@@ -268,13 +267,12 @@ fn process_verify_checked(
         .map_err(|e| Response::error(422, format!("synthesis: {e}")))?;
     deadline.check("synthesize")?;
 
-    let config = McConfig {
-        max_states: req.max_states,
-        ..McConfig::default()
-    };
-    let verdict = nshot_mc::check(&sg, &imp.netlist, &config)
+    let report = nshot_mc::verify_budgeted(&sg, &imp, req.max_states)
         .map_err(|e| Response::error(422, format!("model: {e}")))?;
     deadline.check(Stage::ModelCheck.name())?;
+    let verdict = report
+        .verdict
+        .ok_or_else(|| Response::error(500, "model: no verdict"))?;
 
     let mut body: Vec<(String, Json)> = vec![
         ("name".into(), Json::Str(sg.name().to_owned())),
@@ -299,14 +297,12 @@ fn process_verify_checked(
                 "eq1_assumed".into(),
                 Json::Bool(c.assumed_delay_requirement),
             ));
-            body.push(("hazard_free".into(), Json::Bool(true)));
         }
         Verdict::Violated(cex) => {
             body.push(("method".into(), Json::Str("proof".into())));
             body.push(("violation".into(), Json::Str(cex.violation.to_string())));
             body.push(("trace_depth".into(), Json::Num(cex.steps.len() as f64)));
             body.push(("counterexample".into(), Json::Str(cex.render())));
-            body.push(("hazard_free".into(), Json::Bool(false)));
         }
         Verdict::BudgetExceeded(c) => {
             body.push((
@@ -326,16 +322,18 @@ fn process_verify_checked(
                 "visited_bytes".into(),
                 Json::Num(c.stats.visited_bytes as f64),
             ));
-            let summary =
-                monte_carlo_chunked(&sg, &imp, nshot_mc::FALLBACK_TRIALS, deadline)?;
+            let summary = report
+                .monte_carlo
+                .as_ref()
+                .ok_or_else(|| Response::error(500, "model: no fallback trials"))?;
             body.push(("trials".into(), Json::Num(summary.trials as f64)));
             body.push((
                 "clean_trials".into(),
                 Json::Num(summary.clean_trials as f64),
             ));
-            body.push(("hazard_free".into(), Json::Bool(summary.all_clean())));
         }
     }
+    body.push(("hazard_free".into(), Json::Bool(report.hazard_free)));
     deadline.check("render")?;
     Ok(Response::ok(body))
 }

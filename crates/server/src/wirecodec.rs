@@ -1,8 +1,8 @@
 //! Binary payload encodings for the protocol, built on `nshot-wire`.
 //!
 //! `nshot-wire` owns the *frame* layer (tag, version, varint length, CRC
-//! trailer, transparent compression); this module owns what rides inside
-//! the frames once a connection has negotiated `format: binary`:
+//! trailer); this module owns what rides inside the frames once a
+//! connection has negotiated `format: binary`:
 //!
 //! * a **value encoding** mirroring [`Json`] (type byte, then the
 //!   payload), so any field the NDJSON protocol can carry travels in
@@ -17,9 +17,7 @@
 //!   record instead of as one rendered line;
 //! * the **store value encoding** (`RESPONSE_STORE_VERSION` 2): code,
 //!   status byte and the structured body, replacing the version-1
-//!   deterministic-field JSON string;
-//! * standalone **artifact frames** (`SPEC`/`NETLIST`/`CERT`): raw UTF-8
-//!   text, used by the golden wire fixtures and the differential tests.
+//!   deterministic-field JSON string.
 //!
 //! Decoding failures split in two: structural damage (truncation, bad
 //! type byte, bad UTF-8) is a typed [`WireError`] — counted in
@@ -34,7 +32,7 @@
 //! differential tests (`tests/wire_differential.rs`) hold both paths to
 //! that.
 
-use crate::json::{self, Json};
+use crate::json::{self, Json, MAX_VALUE_DEPTH};
 use crate::protocol::{
     saturate, validate, Decoded, Envelope, Op, Request, Response, SynthRequest, VerifyRequest,
     WireEnum,
@@ -52,10 +50,6 @@ mod ty {
     pub const ARR: u8 = 5;
     pub const OBJ: u8 = 6;
 }
-
-/// Nesting cap for decoded values: protocol objects are two levels deep,
-/// and a hostile frame must not be able to recurse the stack away.
-const MAX_VALUE_DEPTH: u32 = 32;
 
 /// A bounds-checked read cursor over one frame payload.
 struct Cur<'a> {
@@ -679,29 +673,6 @@ pub fn decode_response_value(bytes: &[u8]) -> Result<Response, WireError> {
     .map_err(WireError::noted)
 }
 
-/// Encode a standalone artifact (`SPEC`/`NETLIST`/`CERT`) as a complete
-/// frame. The payload is the raw UTF-8 text.
-pub fn encode_artifact(tag: u8, text: &str) -> Vec<u8> {
-    debug_assert!(matches!(tag, tags::SPEC | tags::NETLIST | tags::CERT));
-    encode_frame(tag, text.as_bytes())
-}
-
-/// Decode a standalone artifact frame back to its text.
-///
-/// # Errors
-///
-/// [`WireError::Malformed`] for a non-artifact tag or non-UTF-8 payload.
-pub fn decode_artifact(frame: &Frame) -> Result<String, WireError> {
-    (|| {
-        if !matches!(frame.tag, tags::SPEC | tags::NETLIST | tags::CERT) {
-            return Err(WireError::Malformed("not an artifact frame"));
-        }
-        String::from_utf8(frame.payload.clone())
-            .map_err(|_| WireError::Malformed("non-utf8 artifact"))
-    })()
-    .map_err(WireError::noted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -992,19 +963,5 @@ mod tests {
             decode_response_value(&bad_status),
             Err(WireError::Malformed("unknown status byte"))
         ));
-    }
-
-    #[test]
-    fn artifacts_round_trip() {
-        let spec = ".name hs\n.inputs r\n.outputs g\n".repeat(10);
-        let bytes = encode_artifact(tags::SPEC, &spec);
-        let (frame, _) = decode_frame(&bytes).expect("frame");
-        assert_eq!(frame.tag, tags::SPEC);
-        assert_eq!(decode_artifact(&frame).expect("text"), spec);
-        let bad = Frame {
-            tag: tags::REQUEST,
-            payload: Vec::new(),
-        };
-        assert!(decode_artifact(&bad).is_err());
     }
 }

@@ -352,6 +352,48 @@ fn protocol_errors_are_answered_not_fatal() {
 }
 
 #[test]
+fn deeply_nested_json_is_a_400_not_a_crash() {
+    // A ping whose id nests 10,000 arrays: about 20 KB on one line. A
+    // parser without a depth cap recurses once per `[` on the connection
+    // thread's default stack, overflows it and aborts the whole process.
+    let server = Server::bind(ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(server.local_addr());
+    let depth = 10_000;
+    let line = format!(
+        r#"{{"op":"ping","id":{}{}}}"#,
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    let v = client.roundtrip(&line);
+    assert_eq!(v.get("code").and_then(Json::as_u64), Some(400), "{v}");
+    assert_eq!(v.get("id"), Some(&Json::Null));
+    let error = v.get("error").and_then(Json::as_str).unwrap_or_default();
+    assert!(error.contains("nested too deeply"), "{error}");
+
+    // The process is still up: a new connection is served.
+    let mut fresh = Client::connect(server.local_addr());
+    let v = fresh.roundtrip(r#"{"id":1,"op":"ping"}"#);
+    assert_eq!(v.get("pong").and_then(Json::as_bool), Some(true));
+
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn hello_ack_reports_wire_version_2() {
+    let server = Server::bind(ServerConfig::default()).expect("bind");
+    for format in ["json", "binary"] {
+        let mut client = Client::connect(server.local_addr());
+        let v = client.roundtrip(&format!(r#"{{"id":"h","op":"hello","format":"{format}"}}"#));
+        assert_eq!(v.get("code").and_then(Json::as_u64), Some(200), "{v}");
+        assert_eq!(v.get("format").and_then(Json::as_str), Some(format));
+        assert_eq!(v.get("wire_version").and_then(Json::as_u64), Some(2));
+    }
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
 fn backpressure_rejects_with_queue_depth() {
     // One worker, one queue slot: while the worker chews on a heavy
     // circuit, at most one job queues and the rest must bounce with 429.

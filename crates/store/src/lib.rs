@@ -1,12 +1,18 @@
 //! `nshot-store`: crash-safe, content-addressed, on-disk store for
 //! synthesis artifacts.
 //!
-//! The serving layer (PR 2) and the parallel pipeline (PR 1) memoize in
-//! RAM; every process restart starts cold. This crate is the durability
-//! layer underneath them: synthesis responses keyed by the canonical
-//! `(options|spec)` encoding (see `nshot_logic::request_key`) are written
-//! to append-only log segments and survive crashes, restarts and partial
-//! writes.
+//! The serving layer and the parallel pipeline memoize in RAM; every
+//! process restart starts cold. This crate is a cache underneath them:
+//! synthesis responses keyed by the canonical `(options|spec)` encoding
+//! (see `nshot_logic::request_key`) are written to append-only log
+//! segments and survive crashes, restarts and partial writes.
+//!
+//! Two paths use it. Writers ([`Store::put`]: the server's write-behind
+//! thread, `nshot-batch`) append; `nshot-batch` also asks
+//! [`Store::contains`] to skip work. Readers take every live record in one
+//! bulk scan at start-up ([`Store::entries_versioned`], or the read-only
+//! [`read_entries_with`] for shard backends sharing a directory). There
+//! are no point reads.
 //!
 //! # On-disk format
 //!
@@ -24,10 +30,11 @@
 //! Framing version 2 stores large record parts LZSS-compressed (bit 31 of
 //! a length field flags a part stored as `varint(raw_len) ++ lzss(raw)`).
 //! The checksum and the compress-if-shorter rule are `nshot-wire`'s
-//! (`crc32::crc32`, `lzss::pack`), shared with the wire frames.
+//! (`crc32::crc32`, `lzss::pack`); the wire frames share the checksum and
+//! are never compressed.
 //! [`StoreConfig::legacy_versions`] lets a reader keep serving older
-//! *payload* versions byte-identically while new writes (including
-//! compaction/promotion rewrites) use the current one.
+//! *payload* versions byte-identically while new writes use the current
+//! one.
 //!
 //! # Recovery
 //!
@@ -49,13 +56,12 @@
 //!
 //! # Boundedness
 //!
-//! Segments belong to two generations, mirroring
-//! `nshot_logic::BoundedCache`: when the current generation's live-record
-//! count reaches half of [`StoreConfig::max_records`], the previous
-//! generation's files are deleted wholesale and the generations rotate.
-//! [`Store::get`] promotes previous-generation hits into the current
-//! generation, so hot artifacts survive compaction indefinitely while cold
-//! ones age out.
+//! Segments belong to two generations: when the current generation's
+//! live-record count reaches half of [`StoreConfig::max_records`], the
+//! previous generation's files are deleted wholesale and the generations
+//! rotate. Reads never promote a record, so eviction is first in, first
+//! out by put: a record lives through one rotation, and through a second
+//! only if it was put again in between.
 
 mod segment;
 mod store;

@@ -3,15 +3,14 @@
 //! See the crate docs for the design contract; briefly: [`Store::open`]
 //! rebuilds the in-memory index by scanning every segment (applying the
 //! recovery rules in [`crate::segment`]), [`Store::put`] appends a framed
-//! record and fsyncs per [`FsyncPolicy`], and boundedness comes from the
-//! same two-generation philosophy as `nshot_logic::BoundedCache`: segments
-//! belong to a *previous* or *current* generation; when the current
-//! generation's live-record count reaches half the cap, the previous
-//! generation's files are deleted wholesale and the generations rotate.
-//! [`Store::get`] *promotes* a previous-generation hit by re-appending the
-//! record into the active segment, so the working set survives rotation
-//! while cold artifacts age out — eviction can only cause recompilation,
-//! never a wrong answer.
+//! record and fsyncs per [`FsyncPolicy`], and readers take every live
+//! record at once ([`Store::entries`], [`read_entries`]). Boundedness is
+//! two generations of segments: when the current generation's live-record
+//! count reaches half the cap, the previous generation's files are deleted
+//! wholesale and the generations rotate. Nothing is promoted on read, so
+//! eviction is first in, first out by put: a record survives a rotation
+//! only if it was put again since the last one. Eviction can only cause
+//! recompilation, never a wrong answer.
 
 use crate::segment::{
     self, RecordLocation, FORMAT_VERSION, HEADER_LEN, MAX_PART_LEN, RECORD_HEADER_LEN,
@@ -86,8 +85,8 @@ pub struct StoreConfig {
     /// the caller.
     pub value_version: u32,
     /// Older payload versions the caller can still decode. Records at
-    /// these versions are indexed and served (their version is preserved
-    /// on promotion); new writes always use `value_version`.
+    /// these versions are indexed and read back with their version; new
+    /// writes always use `value_version`.
     pub legacy_versions: Vec<u32>,
 }
 
@@ -121,14 +120,8 @@ impl StoreConfig {
 /// mirrored to the process-global [`Registry`] as `nshot_store_*` series).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// `get` calls answered from the store.
-    pub hits: u64,
-    /// `get` calls for absent (or just-invalidated) keys.
-    pub misses: u64,
-    /// Records appended (puts + promotions).
+    /// Records appended by `put`.
     pub appends: u64,
-    /// Previous-generation hits re-appended into the current generation.
-    pub promotions: u64,
     /// Well-formed current-version records found at open.
     pub recovered_records: u64,
     /// Records lost at open to torn tails or CRC mismatches.
@@ -179,10 +172,7 @@ impl std::fmt::Display for StoreReport {
 /// Counters accumulate across every store opened in the process; gauges
 /// reflect the most recently mutated store.
 struct Metrics {
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
     appends: Arc<Counter>,
-    promotions: Arc<Counter>,
     recovered: Arc<Counter>,
     dropped: Arc<Counter>,
     stale: Arc<Counter>,
@@ -199,10 +189,7 @@ fn metrics() -> &'static Metrics {
     METRICS.get_or_init(|| {
         let r = Registry::global();
         Metrics {
-            hits: r.counter("nshot_store_hits_total"),
-            misses: r.counter("nshot_store_misses_total"),
             appends: r.counter("nshot_store_appends_total"),
-            promotions: r.counter("nshot_store_promotions_total"),
             recovered: r.counter("nshot_store_recovered_records_total"),
             dropped: r.counter("nshot_store_dropped_records_total"),
             stale: r.counter("nshot_store_stale_records_total"),
@@ -249,7 +236,8 @@ impl Store {
     /// are truncated, CRC-corrupt records skipped, stale-version records
     /// dropped for recompilation. All pre-existing segments form the
     /// *previous* generation; a fresh active segment starts the current
-    /// one, so a restarted service's working set is promoted on first use.
+    /// one, so a record from before the restart survives the next rotation
+    /// only if it is put again first.
     ///
     /// # Errors
     ///
@@ -325,11 +313,6 @@ impl Store {
         Ok(store)
     }
 
-    /// The directory this store lives in.
-    pub fn dir(&self) -> &Path {
-        &self.config.dir
-    }
-
     /// Live records.
     pub fn len(&self) -> usize {
         self.index.len()
@@ -340,7 +323,7 @@ impl Store {
         self.index.is_empty()
     }
 
-    /// Whether `key` has a live record (no I/O, no promotion, no counter).
+    /// Whether `key` has a live record (no I/O, no counter).
     pub fn contains(&self, key: &str) -> bool {
         self.index.contains_key(key)
     }
@@ -381,52 +364,12 @@ impl Store {
         if !self.in_current(key) {
             self.rotate_if_full()?;
         }
-        self.append(key, value, self.config.value_version)?;
-        Ok(())
-    }
-
-    /// Fetch the value stored under `key`, verifying its CRC at read time
-    /// (a record corrupted *after* open is invalidated and reported as a
-    /// miss, never served). A hit found in the previous generation is
-    /// promoted — re-appended into the current one — so it survives the
-    /// next rotation, mirroring `BoundedCache::get`.
-    pub fn get(&mut self, key: &str) -> Option<Vec<u8>> {
-        let Some(loc) = self.index.get(key).copied() else {
-            self.stats.misses += 1;
-            metrics().misses.inc();
-            return None;
-        };
-        let Some(value) = read_record(&self.config.dir, &loc) else {
-            // CRC or I/O failure on a record we indexed at open: drop it.
-            self.invalidate(key, &loc);
-            self.stats.misses += 1;
-            metrics().misses.inc();
-            return None;
-        };
-        if self.prev_segs.contains(&loc.seg) {
-            // Promotion failures are not fatal — the value is still good,
-            // the record just stays in the doomed generation. The record's
-            // own payload version travels with it: the store cannot
-            // transcode payloads, only reframe them (legacy records land
-            // in a current-format segment, compressed, still legacy-typed).
-            let promoted = self
-                .rotate_if_full()
-                .and_then(|()| self.append(key, &value, loc.version))
-                .is_ok();
-            if promoted {
-                self.stats.promotions += 1;
-                metrics().promotions.inc();
-            }
-        }
-        self.stats.hits += 1;
-        metrics().hits.inc();
-        Some(value)
+        self.append(key, value)
     }
 
     /// Every live `(key, value)` pair, sorted by key — the warm-start scan.
-    /// Reads bypass hit/miss counters and do not promote (bulk warming must
-    /// not rewrite the whole store on every restart); records failing their
-    /// read-time CRC check are invalidated and skipped.
+    /// Reads never rewrite anything; records failing their read-time CRC
+    /// check (corrupted since open) are invalidated and skipped.
     pub fn entries(&mut self) -> Vec<(String, Vec<u8>)> {
         self.entries_versioned()
             .into_iter()
@@ -449,11 +392,6 @@ impl Store {
             }
         }
         out
-    }
-
-    /// The `value_version` of the live record under `key`, if any (no I/O).
-    pub fn version_of(&self, key: &str) -> Option<u32> {
-        self.index.get(key).map(|loc| loc.version)
     }
 
     /// Fsync the active segment regardless of policy.
@@ -488,12 +426,11 @@ impl Store {
         self.refresh_gauges();
     }
 
-    /// Append one framed record to the active segment (sealing first if it
-    /// is over the size threshold) and index it. `version` is the payload
-    /// version stamped on the record — `put` writes the configured current
-    /// version, promotion carries the record's own.
-    fn append(&mut self, key: &str, value: &[u8], version: u32) -> io::Result<()> {
-        let frame = segment::encode_record(key.as_bytes(), value, version);
+    /// Append one framed record at the current payload version to the
+    /// active segment (sealing first if it is over the size threshold) and
+    /// index it.
+    fn append(&mut self, key: &str, value: &[u8]) -> io::Result<()> {
+        let frame = segment::encode_record(key.as_bytes(), value, self.config.value_version);
         if self.active_len > HEADER_LEN
             && self.active_len + frame.len() as u64 > self.config.segment_max_bytes
         {
@@ -527,11 +464,10 @@ impl Store {
         Ok(())
     }
 
-    /// Two-generation rotation, the `BoundedCache` eviction philosophy on
-    /// disk: once the current generation holds half the cap, the previous
-    /// generation's files are deleted wholesale (dropping whatever still
-    /// lives only there) and the generations rotate around a fresh active
-    /// segment.
+    /// Two-generation rotation: once the current generation holds half the
+    /// cap, the previous generation's files are deleted wholesale (dropping
+    /// whatever still lives only there) and the generations rotate around
+    /// a fresh active segment.
     fn rotate_if_full(&mut self) -> io::Result<()> {
         if self.cur_live < self.half_cap {
             return Ok(());
@@ -739,23 +675,34 @@ mod tests {
         }
     }
 
+    /// The live value under `key`, read the way the server reads: one bulk
+    /// scan.
+    fn value_of(s: &mut Store, key: &str) -> Option<Vec<u8>> {
+        s.entries()
+            .into_iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+    }
+
     #[test]
-    fn put_get_survives_reopen() {
+    fn put_survives_reopen() {
         let dir = temp_dir("reopen");
         {
             let mut s = Store::open(small_config(&dir)).expect("open");
             s.put("alpha", b"payload a").expect("put");
             s.put("beta", b"payload b").expect("put");
-            assert_eq!(s.get("alpha").as_deref(), Some(&b"payload a"[..]));
+            assert_eq!(
+                value_of(&mut s, "alpha").as_deref(),
+                Some(&b"payload a"[..])
+            );
             assert_eq!(s.len(), 2);
         }
         let mut s = Store::open(small_config(&dir)).expect("reopen");
         assert_eq!(s.len(), 2);
         assert_eq!(s.stats().recovered_records, 2);
-        assert_eq!(s.get("beta").as_deref(), Some(&b"payload b"[..]));
-        assert_eq!(s.get("missing"), None);
-        let st = s.stats();
-        assert_eq!((st.hits, st.misses), (1, 1));
+        assert_eq!(value_of(&mut s, "beta").as_deref(), Some(&b"payload b"[..]));
+        assert_eq!(value_of(&mut s, "missing"), None);
+        assert!(!s.contains("missing"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -767,10 +714,10 @@ mod tests {
             s.put("k", b"v1").expect("put");
             s.put("k", b"v2").expect("put");
             assert_eq!(s.len(), 1);
-            assert_eq!(s.get("k").as_deref(), Some(&b"v2"[..]));
+            assert_eq!(value_of(&mut s, "k").as_deref(), Some(&b"v2"[..]));
         }
         let mut s = Store::open(small_config(&dir)).expect("reopen");
-        assert_eq!(s.get("k").as_deref(), Some(&b"v2"[..]));
+        assert_eq!(value_of(&mut s, "k").as_deref(), Some(&b"v2"[..]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -835,9 +782,9 @@ mod tests {
         let report = s.report();
         assert!(report.segments >= 4, "sealing produced {} segments", report.segments);
         assert_eq!(report.records, 4);
-        for i in 0..4 {
-            assert!(s.get(&format!("key-{i}")).is_some());
-        }
+        let entries = s.entries();
+        assert_eq!(entries.len(), 4);
+        assert!(entries.iter().all(|(_, v)| v.as_slice() == [b'x'; 48]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -862,28 +809,34 @@ mod tests {
     }
 
     #[test]
-    fn promotion_rescues_previous_generation_hits() {
-        let dir = temp_dir("promote");
-        {
-            let mut s = Store::open(StoreConfig { max_records: 4, ..small_config(&dir) })
-                .expect("open");
-            s.put("hot", b"hot value").expect("put");
-            s.put("cold", b"cold value").expect("put");
-        }
-        // Reopen: both records are now previous-generation.
-        let mut s = Store::open(StoreConfig { max_records: 4, ..small_config(&dir) })
-            .expect("reopen");
-        assert_eq!(s.get("hot").as_deref(), Some(&b"hot value"[..]));
-        assert_eq!(s.stats().promotions, 1, "prev-gen hit must promote");
-        // Fill the current generation until the old one is deleted
-        // (half-cap is 2: the promoted record plus one insert fill it, the
-        // next insert rotates).
-        for i in 0..2 {
-            s.put(&format!("new-{i}"), b"x").expect("put");
-        }
+    fn eviction_is_fifo_by_put() {
+        // Half-cap 2: a generation rotates once it holds two live records.
+        let dir = temp_dir("fifo");
+        let mut s = Store::open(StoreConfig {
+            max_records: 4,
+            ..small_config(&dir)
+        })
+        .expect("open");
+        s.put("kept", b"kept value").expect("put");
+        s.put("dropped", b"dropped value").expect("put");
+        s.put("new-0", b"x").expect("put"); // rotation 1: both go previous
         assert_eq!(s.stats().compactions, 1);
-        assert!(s.contains("hot"), "promoted record survives rotation");
-        assert!(!s.contains("cold"), "unpromoted record ages out");
+        s.put("kept", b"kept value").expect("re-put"); // back into current
+
+        // Reading is not putting: a bulk scan rescues nothing.
+        assert_eq!(
+            value_of(&mut s, "dropped").as_deref(),
+            Some(&b"dropped value"[..])
+        );
+        s.put("new-1", b"x").expect("put"); // rotation 2: previous deleted
+        assert_eq!(s.stats().compactions, 2);
+        assert_eq!(s.stats().evictions, 1);
+        assert!(!s.contains("dropped"), "a record not put again ages out");
+        assert!(s.contains("kept"), "a record put again survives");
+        drop(s);
+        let on_disk = read_entries(&dir, StoreConfig::new(&dir).value_version).expect("scan");
+        let keys: Vec<&str> = on_disk.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["kept", "new-0", "new-1"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -895,17 +848,24 @@ mod tests {
                 .expect("open");
             s.put("k", b"old-format").expect("put");
         }
-        let mut s = Store::open(StoreConfig { value_version: 2, ..small_config(&dir) })
-            .expect("reopen");
-        assert_eq!(s.get("k"), None, "stale-format record must not be served");
+        let mut s = Store::open(StoreConfig {
+            value_version: 2,
+            ..small_config(&dir)
+        })
+        .expect("reopen");
+        assert_eq!(
+            value_of(&mut s, "k"),
+            None,
+            "stale-format record must not be served"
+        );
         assert_eq!(s.stats().stale_records, 1);
         s.put("k", b"new-format").expect("put");
-        assert_eq!(s.get("k").as_deref(), Some(&b"new-format"[..]));
+        assert_eq!(value_of(&mut s, "k").as_deref(), Some(&b"new-format"[..]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn legacy_versions_are_served_and_promoted_as_themselves() {
+    fn legacy_versions_are_served_as_themselves() {
         let dir = temp_dir("legacy");
         {
             let mut s = Store::open(StoreConfig { value_version: 1, ..small_config(&dir) })
@@ -922,19 +882,17 @@ mod tests {
         let mut s = Store::open(cfg.clone()).expect("reopen");
         assert_eq!(s.stats().recovered_records, 1);
         assert_eq!(s.stats().stale_records, 0);
-        assert_eq!(s.version_of("json-record"), Some(1));
-        // Byte-identical read-back across the version boundary…
-        assert_eq!(s.get("json-record").as_deref(), Some(&b"{\"code\":200}"[..]));
-        // …and the promotion that get() performed kept the record's own
-        // payload version (the store reframes, it cannot transcode).
-        assert_eq!(s.stats().promotions, 1);
-        assert_eq!(s.version_of("json-record"), Some(1));
+        // Byte-identical read-back across the version boundary, at the
+        // record's own payload version.
         assert_eq!(
             s.entries_versioned(),
             vec![("json-record".to_string(), 1, b"{\"code\":200}".to_vec())]
         );
         s.put("json-record", b"binary-now").expect("rewrite");
-        assert_eq!(s.version_of("json-record"), Some(2));
+        assert_eq!(
+            s.entries_versioned(),
+            vec![("json-record".to_string(), 2, b"binary-now".to_vec())]
+        );
         drop(s);
         let with_versions = read_entries_with(&dir, &[2, 1]).expect("scan");
         assert_eq!(
@@ -942,8 +900,15 @@ mod tests {
             vec![("json-record".to_string(), 2, b"binary-now".to_vec())]
         );
         // A reader without the legacy list sees only current records.
-        let mut s = Store::open(StoreConfig { legacy_versions: vec![], ..cfg }).expect("strict");
-        assert_eq!(s.get("json-record").as_deref(), Some(&b"binary-now"[..]));
+        let mut s = Store::open(StoreConfig {
+            legacy_versions: vec![],
+            ..cfg
+        })
+        .expect("strict");
+        assert_eq!(
+            value_of(&mut s, "json-record").as_deref(),
+            Some(&b"binary-now"[..])
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -958,9 +923,8 @@ mod tests {
         let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["alpha", "mid", "zeta"]);
         assert!(entries.iter().all(|(k, v)| k.as_bytes() == v.as_slice()));
-        // Bulk scan is not a "hit" and must not promote/rewrite.
-        assert_eq!(s.stats().hits, 0);
-        assert_eq!(s.stats().promotions, 0);
+        // A bulk scan writes nothing.
+        assert_eq!(s.stats().appends, 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -979,7 +943,12 @@ mod tests {
             }
             let mut s = Store::open(StoreConfig { fsync: policy, ..StoreConfig::new(&dir) })
                 .expect("reopen");
-            assert_eq!(s.get("k").as_deref(), Some(&b"v"[..]), "policy {}", policy.name());
+            assert_eq!(
+                value_of(&mut s, "k").as_deref(),
+                Some(&b"v"[..]),
+                "policy {}",
+                policy.name()
+            );
             let _ = std::fs::remove_dir_all(&dir);
         }
         assert!(FsyncPolicy::parse("nope").is_err());

@@ -3,40 +3,35 @@
 //! One frame on the wire:
 //!
 //! ```text
-//! +------------+-----------+-------------------+------------------+-----------+
-//! | tag u8     | version   | stored_len varint | stored bytes     | crc32 LE  |
-//! | (bit7 =    | u8 (= 1)  | (LEB128)          | (raw, or varint  | over all  |
-//! |  compressed)|          |                   |  raw_len + lzss) | prior     |
-//! +------------+-----------+-------------------+------------------+-----------+
+//! +--------+-----------+-------------------+---------------+-----------+
+//! | tag u8 | version   | payload_len       | payload bytes | crc32 LE  |
+//! |        | u8 (= 2)  | varint (LEB128)   | (raw)         | over all  |
+//! |        |           |                   |               | prior     |
+//! +--------+-----------+-------------------+---------------+-----------+
 //! ```
 //!
 //! The CRC covers every byte before it (tag, version, length varint and
-//! the stored payload), so a flipped bit anywhere in the frame is caught.
-//! Compression is per-frame and transparent: [`encode_frame`] compresses
-//! large payloads when it saves bytes (setting the tag's high bit) and
-//! [`decode_frame`]/[`read_frame`] hand back the raw payload either way.
-//! Because the compressor is deterministic, decode→re-encode reproduces
-//! the original frame bytes exactly — the property the shard front's relay
-//! path and the golden fixtures rely on.
+//! the payload), so a flipped bit anywhere in the frame is caught. The
+//! payload is stored as is: frames travel over loopback and short links,
+//! where compressing them costs encode time and buys nothing measurable.
+//! Encoding is deterministic, so decode→re-encode reproduces the original
+//! frame bytes exactly — the property the shard front's relay path and
+//! the golden fixtures rely on.
 
 use crate::varint::{get_varint, put_varint};
-use crate::{crc32::crc32, lzss, tags, WireError, WIRE_VERSION};
+use crate::{crc32::crc32, tags, WireError, WIRE_VERSION};
 use std::io::BufRead;
 
-/// Tag bit marking a compressed payload.
-pub const COMPRESSED: u8 = 0x80;
-
-/// Hard cap on one frame's stored payload: a hostile length prefix must
-/// not be able to commit the decoder to a giant allocation.
+/// Hard cap on one frame's payload: a hostile length prefix must not be
+/// able to commit the decoder to a giant allocation.
 pub const MAX_FRAME_PAYLOAD: u64 = 64 * 1024 * 1024;
 
-/// One decoded frame: the record tag (compression bit stripped) and the
-/// raw (decompressed) payload.
+/// One decoded frame: the record tag and the payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Record tag (see [`crate::tags`]).
     pub tag: u8,
-    /// Raw payload bytes.
+    /// Payload bytes.
     pub payload: Vec<u8>,
 }
 
@@ -48,59 +43,53 @@ impl Frame {
     }
 }
 
-/// Encode one frame, compressing the payload when that saves bytes.
+/// Encode one frame.
 pub fn encode_frame(tag: u8, payload: &[u8]) -> Vec<u8> {
     debug_assert!(tags::is_known(tag), "unknown record tag {tag}");
-    let packed = lzss::pack(payload);
-    let (stored_tag, stored) = match &packed {
-        Some(packed) => (tag | COMPRESSED, packed.as_slice()),
-        None => (tag, payload),
-    };
-
-    let mut out = Vec::with_capacity(stored.len() + 16);
-    out.push(stored_tag);
+    let mut out = Vec::with_capacity(payload.len() + 16);
+    out.push(tag);
     out.push(WIRE_VERSION);
-    put_varint(&mut out, stored.len() as u64);
-    out.extend_from_slice(stored);
+    put_varint(&mut out, payload.len() as u64);
+    out.extend_from_slice(payload);
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
 }
 
-/// Validate the header fields and return `(tag_byte, stored_len,
+/// Validate the header fields and return `(tag, payload_len,
 /// header_len)`. Shared by the buffer and reader decode paths.
 fn decode_header(buf: &[u8]) -> Result<(u8, usize, usize), WireError> {
-    let [tag_byte, version, ..] = *buf else {
+    let [tag, version, ..] = *buf else {
         return Err(WireError::Truncated {
             needed: 2,
             have: buf.len(),
         });
     };
-    if !tags::is_known(tag_byte & !COMPRESSED) {
-        return Err(WireError::BadTag(tag_byte & !COMPRESSED));
+    if !tags::is_known(tag) {
+        return Err(WireError::BadTag(tag));
     }
     if version != WIRE_VERSION {
         return Err(WireError::BadVersion(version));
     }
-    let (stored_len, var_len) = get_varint(&buf[2..])?;
-    if stored_len > MAX_FRAME_PAYLOAD {
+    let (payload_len, var_len) = get_varint(&buf[2..])?;
+    if payload_len > MAX_FRAME_PAYLOAD {
         return Err(WireError::TooLong {
-            len: stored_len,
+            len: payload_len,
             max: MAX_FRAME_PAYLOAD,
         });
     }
-    Ok((tag_byte, stored_len as usize, 2 + var_len))
+    Ok((tag, payload_len as usize, 2 + var_len))
 }
 
-/// Check the trailer CRC and unpack the stored payload of a whole frame
-/// occupying `buf[..header_len + stored_len + 4]`.
+/// Check the trailer CRC of a whole frame occupying
+/// `buf[..header_len + payload_len + 4]` and copy out its payload.
 fn finish_frame(
     buf: &[u8],
-    tag_byte: u8,
-    stored_len: usize,
+    tag: u8,
+    payload_len: usize,
     header_len: usize,
 ) -> Result<Frame, WireError> {
-    let body_end = header_len + stored_len;
+    let body_end = header_len + payload_len;
     let expected = crc32(&buf[..body_end]);
     let found = u32::from_le_bytes(
         buf[body_end..body_end + 4]
@@ -110,15 +99,9 @@ fn finish_frame(
     if expected != found {
         return Err(WireError::BadCrc { expected, found });
     }
-    let stored = &buf[header_len..body_end];
-    let payload = if tag_byte & COMPRESSED != 0 {
-        lzss::unpack(stored, MAX_FRAME_PAYLOAD)?
-    } else {
-        stored.to_vec()
-    };
     Ok(Frame {
-        tag: tag_byte & !COMPRESSED,
-        payload,
+        tag,
+        payload: buf[header_len..body_end].to_vec(),
     })
 }
 
@@ -135,15 +118,15 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), WireError> {
 }
 
 fn decode_frame_inner(buf: &[u8]) -> Result<(Frame, usize), WireError> {
-    let (tag_byte, stored_len, header_len) = decode_header(buf)?;
-    let total = header_len + stored_len + 4;
+    let (tag, payload_len, header_len) = decode_header(buf)?;
+    let total = header_len + payload_len + 4;
     if buf.len() < total {
         return Err(WireError::Truncated {
             needed: total,
             have: buf.len(),
         });
     }
-    let frame = finish_frame(buf, tag_byte, stored_len, header_len)?;
+    let frame = finish_frame(buf, tag, payload_len, header_len)?;
     Ok((frame, total))
 }
 
@@ -178,20 +161,20 @@ fn read_frame_inner<R: BufRead>(reader: &mut R) -> Result<Option<Frame>, WireErr
             return Err(WireError::BadVarint);
         }
     }
-    let (tag_byte, stored_len, header_len) = decode_header(&buf)?;
+    let (tag, payload_len, header_len) = decode_header(&buf)?;
     debug_assert_eq!(header_len, buf.len());
-    buf.resize(header_len + stored_len + 4, 0);
+    buf.resize(header_len + payload_len + 4, 0);
     match reader.read_exact(&mut buf[header_len..]) {
         Ok(()) => {}
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
             return Err(WireError::Truncated {
-                needed: header_len + stored_len + 4,
+                needed: header_len + payload_len + 4,
                 have: header_len,
             })
         }
         Err(e) => return Err(WireError::Io(e.kind())),
     }
-    finish_frame(&buf, tag_byte, stored_len, header_len).map(Some)
+    finish_frame(&buf, tag, payload_len, header_len).map(Some)
 }
 
 fn read_byte_into<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> Result<u8, WireError> {
@@ -233,11 +216,31 @@ mod tests {
     }
 
     #[test]
-    fn large_repetitive_payloads_are_stored_compressed() {
+    fn payloads_are_stored_raw() {
         let payload = ".names a b c\n11 1\n".repeat(500).into_bytes();
         let bytes = encode_frame(tags::FIELD, &payload);
-        assert!(bytes[0] & COMPRESSED != 0, "payload should compress");
-        assert!(bytes.len() * 2 < payload.len());
+        assert_eq!(bytes[0], tags::FIELD);
+        assert_eq!(
+            &bytes[bytes.len() - 4 - payload.len()..bytes.len() - 4],
+            payload
+        );
+    }
+
+    #[test]
+    fn a_tag_with_bit7_set_is_a_bad_tag() {
+        // Version 1 used bit 7 to flag a compressed payload; version 2 has
+        // no such bit, so the byte is simply an unknown tag — on both the
+        // buffer and the reader path, whatever the CRC says.
+        for tag in [tags::REQUEST, tags::RESPONSE_HEAD, tags::FIELD, tags::END] {
+            let mut bytes = encode_frame(tag, b"payload");
+            bytes[0] |= 0x80;
+            let body_end = bytes.len() - 4;
+            let crc = crc32(&bytes[..body_end]);
+            bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(decode_frame(&bytes), Err(WireError::BadTag(tag | 0x80)));
+            let mut r = std::io::Cursor::new(bytes);
+            assert_eq!(read_frame(&mut r), Err(WireError::BadTag(tag | 0x80)));
+        }
     }
 
     #[test]

@@ -1,24 +1,23 @@
 //! # nshot-wire — the versioned binary wire encoding
 //!
-//! One length-framed, CRC-checked, versioned binary encoding shared by
-//! every layer that moves or persists N-SHOT artifacts — the server and
-//! shard front (per-connection `format: binary` negotiation, responses
-//! streamed record-by-record), the artifact store (compressed record
-//! parts read back as CRC-checked slices) and the batch/bench tooling.
-//! JSON-over-NDJSON stays available as the negotiated fallback for
-//! debuggability; this crate is the fast path.
+//! One length-framed, CRC-checked, versioned binary encoding for the
+//! server and shard front (per-connection `format: binary` negotiation,
+//! responses streamed record-by-record). JSON-over-NDJSON stays available
+//! as the negotiated fallback for debuggability; this crate is the
+//! binary path.
 //!
 //! The crate deliberately sits at the bottom of the dependency graph
 //! (only `nshot-obs`, for the decode-error counter): `nshot-store`
-//! borrows its checksum and compress-if-shorter rule for record parts, and
-//! `nshot-server` builds its record payloads (requests, response heads,
-//! fields, netlists, certificates) on the primitives here.
+//! borrows its checksum and its compress-if-shorter rule for record
+//! parts, and `nshot-server` builds its record payloads (requests,
+//! response heads, fields) on the primitives here.
 //!
-//! * [`frame`] — the record frame: tag byte (+ compression bit), format
-//!   version byte, varint length, payload, u32 CRC trailer.
+//! * [`frame`] — the record frame: tag byte, format version byte, varint
+//!   length, raw payload, u32 CRC trailer.
 //! * [`varint`] — LEB128 unsigned integers.
-//! * [`lzss`] — the deterministic LZSS codec for large text payloads, and
-//!   `pack`/`unpack`, the compress-if-shorter rule frames and store share.
+//! * [`lzss`] — the deterministic LZSS codec, and `pack`/`unpack`, the
+//!   compress-if-shorter rule the store applies to its record parts.
+//!   Frames are never compressed.
 //! * [`crc32`] — CRC-32/ISO-HDLC, the one checksum frames and store use.
 //!
 //! Every decoder in this crate returns a typed [`WireError`] — never a
@@ -42,9 +41,9 @@ use std::sync::{Arc, OnceLock};
 /// the frame layout or record payload encodings — the golden wire
 /// fixtures fail until it is bumped, and a peer speaking another version
 /// gets a typed [`WireError::BadVersion`].
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
-/// Record tags (the low 7 bits of a frame's first byte).
+/// Record tags (a frame's first byte).
 pub mod tags {
     /// A request envelope (id + op + op-specific fields).
     pub const REQUEST: u8 = 1;
@@ -54,16 +53,10 @@ pub mod tags {
     pub const FIELD: u8 = 3;
     /// End of a response record stream (carries the field count).
     pub const END: u8 = 4;
-    /// A standalone specification artifact.
-    pub const SPEC: u8 = 5;
-    /// A standalone netlist artifact.
-    pub const NETLIST: u8 = 6;
-    /// A standalone certificate artifact.
-    pub const CERT: u8 = 7;
 
-    /// Is `tag` (compression bit already stripped) a known record tag?
+    /// Is `tag` a known record tag?
     pub fn is_known(tag: u8) -> bool {
-        (REQUEST..=CERT).contains(&tag)
+        (REQUEST..=END).contains(&tag)
     }
 }
 
@@ -163,16 +156,16 @@ mod tests {
     fn tags_are_stable() {
         // The wire spec (DESIGN.md §4k) names these numbers; changing one
         // is a format change and must bump WIRE_VERSION.
-        assert_eq!(WIRE_VERSION, 1);
+        assert_eq!(WIRE_VERSION, 2);
         assert_eq!(tags::REQUEST, 1);
         assert_eq!(tags::RESPONSE_HEAD, 2);
         assert_eq!(tags::FIELD, 3);
         assert_eq!(tags::END, 4);
-        assert_eq!(tags::SPEC, 5);
-        assert_eq!(tags::NETLIST, 6);
-        assert_eq!(tags::CERT, 7);
         assert!(!tags::is_known(0));
-        assert!(!tags::is_known(8));
+        // 5..=7 were the retired artifact records, 0x80 the version-1
+        // compression bit.
+        assert!(!tags::is_known(5));
+        assert!(!tags::is_known(tags::FIELD | 0x80));
     }
 
     #[test]

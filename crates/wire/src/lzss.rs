@@ -19,11 +19,12 @@
 //! [`WireError`], never a panic or an over-read. Compression is
 //! deterministic (greedy longest-match over hash chains with a fixed probe
 //! budget), so identical input bytes always produce identical compressed
-//! bytes — the property the golden wire fixtures pin down.
+//! bytes, and a store segment's length is a function of what was put.
 //!
-//! [`pack`]/[`unpack`] hold the one storage rule both containers use — wire
-//! frames and store record parts: a large payload is kept as
-//! `varint(raw_len) ++ compress(raw)` only when that is shorter.
+//! [`pack`]/[`unpack`] hold the storage rule for store record parts
+//! (`nshot-store`, its only caller): a large part is kept as
+//! `varint(raw_len) ++ compress(raw)` only when that is shorter. Wire
+//! frames carry their payloads raw.
 
 use crate::varint::{get_varint, put_varint, MAX_VARINT_LEN};
 use crate::WireError;
@@ -45,8 +46,8 @@ fn hash3(b: &[u8]) -> usize {
 }
 
 /// Compress `raw`. The output does **not** record the raw length; the
-/// caller frames it (every wire/store container stores the raw length as a
-/// varint next to the compressed bytes).
+/// caller frames it ([`pack`] stores the raw length as a varint next to the
+/// compressed bytes).
 pub fn compress(raw: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(raw.len() / 2 + 8);
     // head[h] = most recent position with hash h; prev[pos & mask] = the
@@ -188,7 +189,7 @@ pub fn decompress(comp: &[u8], raw_len: usize) -> Result<Vec<u8>, WireError> {
 
 /// The compress-if-shorter rule: a payload of at least 64 bytes is stored
 /// as `varint(raw_len) ++ compress(raw)` when that is strictly shorter than
-/// `raw`. `None` means the container stores `raw` as-is, flag bit clear.
+/// `raw`. `None` means the store keeps `raw` as is, flag bit clear.
 pub fn pack(raw: &[u8]) -> Option<Vec<u8>> {
     if raw.len() < PACK_MIN {
         return None;

@@ -291,9 +291,6 @@ fn decode_wire_bytes(bytes: &[u8]) -> Result<(), String> {
             tags::END => wirecodec::decode_end(&frame.payload)
                 .map(|_| ())
                 .map_err(|e| format!("end: {e}")),
-            tags::SPEC | tags::NETLIST | tags::CERT => wirecodec::decode_artifact(&frame)
-                .map(|_| ())
-                .map_err(|e| format!("artifact: {e}")),
             other => Err(format!("unknown tag {other}")),
         };
         result?;

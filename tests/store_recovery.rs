@@ -77,18 +77,35 @@ fn global(name: &str) -> u64 {
     Registry::global().counter_value(name)
 }
 
+/// The live value under `key`, read the way the server reads a store: one
+/// bulk scan.
+fn value_of(store: &mut Store, key: &str) -> Option<Vec<u8>> {
+    store
+        .entries()
+        .into_iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v)
+}
+
 /// Every key must round-trip; every corrupted key must miss — never panic,
 /// never return damaged bytes.
 fn assert_survivors(store: &mut Store, alive: &[&str], dead: &[&str]) {
+    let entries = store.entries();
+    let value = |key: &str| {
+        entries
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_slice())
+    };
     for key in alive {
         assert_eq!(
-            store.get(key).as_deref(),
+            value(key),
             Some(payload(key).as_slice()),
             "surviving record '{key}' must read back intact"
         );
     }
     for key in dead {
-        assert_eq!(store.get(key), None, "'{key}' was corrupted and must miss");
+        assert_eq!(value(key), None, "'{key}' was corrupted and must miss");
     }
 }
 
@@ -128,7 +145,7 @@ fn torn_tail_is_truncated_and_survivors_recovered() {
 
     // The recovered store is fully writable again.
     store.put("gamma", &payload("gamma")).expect("re-put");
-    assert_eq!(store.get("gamma").as_deref(), Some(payload("gamma").as_slice()));
+    assert_eq!(value_of(&mut store, "gamma"), Some(payload("gamma")));
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -195,7 +212,7 @@ fn deleted_newest_segment_loses_only_its_records() {
 
     // Lost keys are recompilable: a fresh put round-trips.
     store.put("new-a", &payload("new-a")).expect("re-put");
-    assert_eq!(store.get("new-a").as_deref(), Some(payload("new-a").as_slice()));
+    assert_eq!(value_of(&mut store, "new-a"), Some(payload("new-a")));
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -254,8 +271,10 @@ fn all_three_faults_at_once_still_recover() {
 
 /// The payload-migration path: a store directory holding JSON-era payloads
 /// (value version 1) opened by a binary-era store (value version 2, legacy
-/// `[1]`). Reads must be byte-identical across payload versions, recovery
-/// counters exact, and compaction must carry every survivor forward.
+/// `[1]`). Reads must be byte-identical across payload versions and
+/// recovery counters exact. Compaction then leaves only what was put since:
+/// a legacy record put again at the current version survives, one never
+/// put again ages out with the fabricated segment.
 #[test]
 fn mixed_legacy_and_binary_records_read_back_and_compact_to_binary() {
     let _guard = lock();
@@ -286,27 +305,36 @@ fn mixed_legacy_and_binary_records_read_back_and_compact_to_binary() {
     assert_eq!(global("nshot_store_recovered_records_total"), recovered_before + 2);
     assert_eq!(global("nshot_store_dropped_records_total"), dropped_before);
 
-    // Binary-era writes land at version 2 alongside the legacy records…
-    store.put("binary-a", b"\x01\x02binary payload\x00").expect("put");
-    assert_eq!(store.version_of("binary-a"), Some(2));
-    // …and reads are byte-identical across versions.
-    assert_eq!(store.get("legacy-a").as_deref(), Some(json_a));
+    // Binary-era writes land at version 2 alongside the legacy records, and
+    // reads are byte-identical across versions.
+    let binary_a: &[u8] = b"\x01\x02binary payload\x00";
+    store.put("binary-a", binary_a).expect("put");
     assert_eq!(
-        store.get("binary-a").as_deref(),
-        Some(&b"\x01\x02binary payload\x00"[..])
+        store.entries_versioned(),
+        vec![
+            ("binary-a".to_string(), 2, binary_a.to_vec()),
+            ("legacy-a".to_string(), 1, json_a.to_vec()),
+            ("legacy-b".to_string(), 1, json_b.to_vec()),
+        ]
     );
-    // get() promoted legacy-a out of the doomed generation, preserving its
-    // payload version (the store reframes, it cannot transcode payloads).
-    assert_eq!(store.stats().promotions, 1);
-    assert_eq!(store.version_of("legacy-a"), Some(1));
 
-    // Fill the current generation until rotation deletes the legacy segment.
+    // legacy-a is recompiled and put again at the current version; legacy-b
+    // is not. Fill the current generation until rotation deletes the
+    // legacy segment.
+    let binary_legacy_a: &[u8] = b"legacy-a, binary now";
+    store.put("legacy-a", binary_legacy_a).expect("re-put");
     store.put("binary-b", b"more binary").expect("put");
     store.put("binary-c", b"even more").expect("put");
     assert!(store.stats().compactions >= 1, "rotation must have happened");
-    assert!(store.contains("legacy-a"), "promoted survivor lives on");
-    assert!(!store.contains("legacy-b"), "unpromoted legacy record ages out");
-    assert_eq!(store.get("legacy-a").as_deref(), Some(json_a));
+    assert!(store.contains("legacy-a"), "a record put again survives");
+    assert!(
+        !store.contains("legacy-b"),
+        "a legacy record never put again ages out"
+    );
+    assert_eq!(
+        value_of(&mut store, "legacy-a").as_deref(),
+        Some(binary_legacy_a)
+    );
     drop(store);
 
     // After compaction every segment left on disk is a current-framing file
@@ -325,10 +353,19 @@ fn mixed_legacy_and_binary_records_read_back_and_compact_to_binary() {
     }
     assert!(checked > 0, "compaction left no segments to check");
 
-    // A reopen still serves the survivor byte-identically at its version.
+    // A reopen serves every survivor byte-identically, all at version 2.
     let mut store = Store::open(cfg).expect("reopen");
-    assert_eq!(store.get("legacy-a").as_deref(), Some(json_a));
-    assert_eq!(store.version_of("legacy-a"), Some(1));
+    let versions: Vec<u32> = store
+        .entries_versioned()
+        .iter()
+        .map(|(_, v, _)| *v)
+        .collect();
+    assert_eq!(versions, [2, 2, 2, 2]);
+    assert_eq!(
+        value_of(&mut store, "legacy-a").as_deref(),
+        Some(binary_legacy_a)
+    );
+    assert_eq!(value_of(&mut store, "binary-a").as_deref(), Some(binary_a));
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }

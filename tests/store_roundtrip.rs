@@ -71,8 +71,11 @@ fn every_suite_circuit_round_trips_byte_identically() {
         "every artifact survives the restart"
     );
     assert_eq!(store.stats().dropped_records, 0);
+    let stored: std::collections::HashMap<String, Vec<u8>> = store.entries().into_iter().collect();
     for (key, fields, name) in &artifacts {
-        let value = store.get(key).unwrap_or_else(|| panic!("{name}: lost artifact"));
+        let value = stored
+            .get(key)
+            .unwrap_or_else(|| panic!("{name}: lost artifact"));
         assert_eq!(
             value.as_slice(),
             fields.as_bytes(),
@@ -85,8 +88,7 @@ fn every_suite_circuit_round_trips_byte_identically() {
     // service parsed. (Parsing the text, not re-building the benchmark: the
     // text round-trip can renumber signals, which renames netlist nodes.)
     for (b, (key, _, name)) in suite.iter().zip(&artifacts) {
-        let value = store.get(key).expect("still present");
-        let fields = String::from_utf8(value).expect("utf-8 artifact");
+        let fields = std::str::from_utf8(&stored[key]).expect("utf-8 artifact");
         let response =
             json::parse(&format!("{{{fields}}}")).expect("stored fields parse as json");
         let stored_blif = response
@@ -127,7 +129,7 @@ fn rewriting_the_same_artifacts_is_stable() {
     }
     let mut store = Store::open(StoreConfig::new(&dir)).expect("reopen");
     assert_eq!(store.len(), 1);
-    assert_eq!(store.get(&key).as_deref(), Some(fields.as_bytes()));
+    assert_eq!(store.entries(), vec![(key, fields.into_bytes())]);
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,9 +5,8 @@
 //! protocol:
 //!
 //! 1. **Encode→decode identity** — every Table 2 suite circuit and 200
-//!    `nshot-gen` seeded specs ride through request frames and artifact
-//!    records and come back byte-identical (decode → re-encode is the
-//!    identity on valid frames).
+//!    `nshot-gen` seeded specs ride through request frames and come back
+//!    byte-identical (decode → re-encode is the identity on valid frames).
 //! 2. **Transport equivalence** — a live server answers the same synth
 //!    request over NDJSON and over negotiated binary framing with the same
 //!    response object (all fields except the per-call `cached`/
@@ -20,7 +19,7 @@
 //!    `NSHOT_BLESS=1 cargo test --test wire_differential` and review the
 //!    diff like any other code.
 
-use nshot::core::{synthesize, Minimizer, SynthesisOptions};
+use nshot::core::Minimizer;
 use nshot::server::wirecodec;
 use nshot::server::{
     client::Client, process_synth, Deadline, Envelope, Json, Method, OutputFormat, Request,
@@ -69,10 +68,9 @@ fn synth_line(id: &str, spec: &str) -> String {
     .to_string()
 }
 
-/// Request and spec-artifact encodings must survive a decode→re-encode
-/// roundtrip byte for byte, and the decoded spec text must be untouched.
+/// The request encoding must survive a decode→re-encode roundtrip byte for
+/// byte, and the decoded spec text must be untouched.
 fn assert_spec_identity(name: &str, spec: &str) {
-    // Request frame.
     let frame = wirecodec::encode_request(&synth_envelope(name, spec))
         .unwrap_or_else(|e| panic!("{name}: encode request: {e}"));
     let (decoded, used) =
@@ -89,20 +87,6 @@ fn assert_spec_identity(name: &str, spec: &str) {
     }
     let reencoded = wirecodec::encode_request(&env).expect("re-encode");
     assert_eq!(reencoded, frame, "{name}: request re-encode is not the identity");
-
-    // Spec artifact record.
-    let artifact = wirecodec::encode_artifact(tags::SPEC, spec);
-    let (decoded, used) =
-        decode_frame(&artifact).unwrap_or_else(|e| panic!("{name}: decode spec artifact: {e}"));
-    assert_eq!(used, artifact.len(), "{name}: artifact frame has trailing bytes");
-    let text = wirecodec::decode_artifact(&decoded)
-        .unwrap_or_else(|e| panic!("{name}: decode artifact text: {e}"));
-    assert_eq!(text, spec, "{name}: artifact text drifted");
-    assert_eq!(
-        decoded.encode(),
-        artifact,
-        "{name}: artifact re-encode is not the identity"
-    );
 }
 
 #[test]
@@ -130,8 +114,8 @@ fn generated_specs_roundtrip_byte_identically() {
     assert_eq!(accepted, 200, "generator dried up before 200 specs");
 }
 
-/// Netlist/certificate records and full response encodings, on circuits
-/// that are cheap enough to synthesize in a debug test run.
+/// Store values and full response encodings, on circuits that are cheap
+/// enough to synthesize in a debug test run.
 #[test]
 fn response_encodings_roundtrip() {
     for name in ["chu133", "hybridf", "vbe10b"] {
@@ -168,21 +152,6 @@ fn response_encodings_roundtrip() {
                 "{name}: response field `{key}` drifted across framing"
             );
         }
-
-        // Netlist artifact record carries the BLIF byte-identically.
-        let blif = resp
-            .body
-            .iter()
-            .find(|(k, _)| k == "blif")
-            .and_then(|(_, v)| v.as_str())
-            .expect("blif field");
-        let artifact = wirecodec::encode_artifact(tags::NETLIST, blif);
-        let (frame, _) = decode_frame(&artifact).expect("decode netlist artifact");
-        assert_eq!(
-            wirecodec::decode_artifact(&frame).expect("netlist text"),
-            blif,
-            "{name}"
-        );
     }
 }
 
@@ -264,18 +233,11 @@ fn golden_wire_dir() -> PathBuf {
 }
 
 /// Digest every deterministic wire encoding of one circuit: the request
-/// frame, the artifact records, the store value and the framed response
-/// stream (with the per-call head fields pinned to zero).
+/// frame, the store value and the framed response stream (with the
+/// per-call head fields pinned to zero).
 fn render_wire_fixture(name: &str) -> String {
     let spec = nshot::benchmarks::by_name(name).expect("in suite").build().to_text();
     let request = wirecodec::encode_request(&synth_envelope(name, &spec)).expect("encode");
-    let spec_frame = wirecodec::encode_artifact(tags::SPEC, &spec);
-    let imp = synthesize(
-        &nshot::benchmarks::by_name(name).expect("in suite").build(),
-        &SynthesisOptions::default(),
-    )
-    .expect("synthesize");
-    let netlist_frame = wirecodec::encode_artifact(tags::NETLIST, &imp.netlist.to_blif());
     let resp = process_synth(&synth_request(&spec), &Deadline::unlimited());
     let value = wirecodec::encode_response_value(resp.code, resp.status, &resp.body);
     let stream = wirecodec::encode_response_frames(
@@ -295,8 +257,6 @@ fn render_wire_fixture(name: &str) -> String {
     writeln!(out, "wire_version: {WIRE_VERSION}").unwrap();
     writeln!(out, "request_fnv1a: {:#018x}", fnv1a(&request)).unwrap();
     writeln!(out, "request_bytes: {}", request.len()).unwrap();
-    writeln!(out, "spec_frame_fnv1a: {:#018x}", fnv1a(&spec_frame)).unwrap();
-    writeln!(out, "netlist_frame_fnv1a: {:#018x}", fnv1a(&netlist_frame)).unwrap();
     writeln!(out, "store_value_fnv1a: {:#018x}", fnv1a(&value)).unwrap();
     writeln!(out, "store_value_bytes: {}", value.len()).unwrap();
     writeln!(out, "response_stream_fnv1a: {:#018x}", fnv1a(&stream)).unwrap();
@@ -305,7 +265,7 @@ fn render_wire_fixture(name: &str) -> String {
 }
 
 /// The pinned circuits: small enough to synthesize in a debug test run,
-/// diverse enough to cover compressed and uncompressed payloads.
+/// diverse enough to cover small and large response bodies.
 const GOLDEN_WIRE_CIRCUITS: [&str; 3] = ["chu133", "hybridf", "vbe10b"];
 
 #[test]
@@ -366,7 +326,7 @@ fn golden_wire_fixtures_match() {
 }
 
 /// Fixture rendering is a pure function of the circuit: encoding twice
-/// (including LZSS compression and CRC stamping) yields identical digests.
+/// (CRC stamping included) yields identical digests.
 #[test]
 fn wire_fixture_rendering_is_deterministic() {
     assert_eq!(
