@@ -2,12 +2,16 @@
 //! environment transition system.
 //!
 //! States are packed bit vectors (net values ‖ per-flip-flop enable +
-//! pending bits ‖ specification state) deduplicated through an
-//! [`FxHashSet`] of the full packed words. Exploration is plain BFS: every
+//! pending bits ‖ specification state). Every discovered state is stored
+//! once, in discovery order, in a paged flat [`Arena`]; its discovery index
+//! is its `u32` id. The visited set is an open-addressed [`Table`] of ids
+//! whose probes compare against the arena. Exploration is plain BFS: every
 //! enabled action is explored from every state, and each state is expanded
-//! once, in discovery order, off a FIFO queue that shares each state's
-//! allocation with the set, so the first violation found is depth-minimal.
-//! A state's id is its discovery index; `meta` holds its parent link.
+//! once, in discovery order, so the frontier is the id range `next..len`
+//! and the first violation found is depth-minimal. Per state the explorer
+//! keeps only its parent id: depth comes from BFS level boundaries, and a
+//! counterexample's actions are re-derived from the parent links when its
+//! trace is rendered.
 //! The canonical successor order (flip-flop fires, commits, cancels, enable
 //! updates, gate fires in index order, environment inputs in specification
 //! order) makes the result a pure function of the model — identical
@@ -15,12 +19,11 @@
 //! the explorer is sequential by design (parallelism lives one level up,
 //! across circuits).
 
-use std::collections::VecDeque;
-use std::rc::Rc;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 use nshot_obs::{Gauge, Progress, Registry};
-use nshot_par::FxHashSet;
+use nshot_par::FxHasher;
 use nshot_sg::{Dir, TransitionLabel};
 
 use crate::model::{CombGate, CombOp, Model};
@@ -43,10 +46,94 @@ enum Action {
     Fire { ff: u16, rise: bool },
 }
 
-struct Meta {
-    parent: u32,
-    action: Action,
-    depth: u32,
+/// An empty [`Table`] slot, and the root's missing parent.
+const NONE: u32 = u32::MAX;
+
+/// States per [`Arena`] page.
+const PAGE_STATES: usize = 1 << 14;
+
+/// Every discovered state's packed words, in discovery order. The arena
+/// grows by whole fixed-size pages, so storing a state never moves the
+/// ones before it: a doubling `Vec` would copy the arena on each growth
+/// and briefly hold it twice.
+struct Arena {
+    words: usize,
+    pages: Vec<Box<[u64]>>,
+    len: usize,
+}
+
+impl Arena {
+    fn new(words: usize) -> Self {
+        Arena {
+            words,
+            pages: Vec::new(),
+            len: 0,
+        }
+    }
+
+    fn get(&self, id: u32) -> &[u64] {
+        let i = id as usize;
+        let at = i % PAGE_STATES * self.words;
+        &self.pages[i / PAGE_STATES][at..at + self.words]
+    }
+
+    /// Store `w` and return its id.
+    fn push(&mut self, w: &[u64]) -> u32 {
+        assert!(self.len < NONE as usize, "state ids fit in u32");
+        let at = self.len % PAGE_STATES * self.words;
+        if at == 0 {
+            self.pages
+                .push(vec![0; PAGE_STATES * self.words].into_boxed_slice());
+        }
+        self.pages.last_mut().expect("a page")[at..at + self.words].copy_from_slice(w);
+        self.len += 1;
+        (self.len - 1) as u32
+    }
+}
+
+/// FxHash of a packed state's words.
+fn hash(w: &[u64]) -> u64 {
+    let mut h = FxHasher::default();
+    for &x in w {
+        h.write_u64(x);
+    }
+    h.finish()
+}
+
+/// The visited set: a power-of-two, linear-probing table of arena ids,
+/// rehashed from the arena when its load passes ½.
+struct Table {
+    slots: Vec<u32>,
+}
+
+impl Table {
+    /// `Ok(id)` of the stored state equal to `w`, or `Err(slot)`: the empty
+    /// slot where `w` belongs.
+    fn find(&self, arena: &Arena, w: &[u64]) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = hash(w) as usize & mask;
+        loop {
+            match self.slots[i] {
+                NONE => return Err(i),
+                id if arena.get(id) == w => return Ok(id),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Double the table and re-insert every stored state (all distinct,
+    /// so probes need no comparison).
+    fn grow(&mut self, arena: &Arena) {
+        self.slots = vec![NONE; self.slots.len() * 2];
+        let mask = self.slots.len() - 1;
+        for id in 0..arena.len as u32 {
+            let mut i = hash(arena.get(id)) as usize & mask;
+            while self.slots[i] != NONE {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = id;
+        }
+    }
 }
 
 /// Explorer statistics (grow into the proof certificate).
@@ -78,12 +165,14 @@ struct ProgressGauges {
 pub(crate) struct Explorer<'m, 'a> {
     m: &'m Model<'a>,
     max_states: usize,
-    /// Every discovered state.
-    seen: FxHashSet<Rc<[u64]>>,
-    /// Discovered states not yet expanded, in discovery order.
-    frontier: VecDeque<Rc<[u64]>>,
-    /// Parent link and depth, indexed by state id (discovery order).
-    meta: Vec<Meta>,
+    /// Every discovered state, indexed by id (discovery order).
+    arena: Arena,
+    /// The visited set, over `arena`.
+    table: Table,
+    /// Parent id, indexed by state id.
+    parents: Vec<u32>,
+    /// States expanded or being expanded; the frontier is `next..len`.
+    next: usize,
     stats: Stats,
     progress: Option<ProgressGauges>,
 }
@@ -107,9 +196,12 @@ impl<'m, 'a> Explorer<'m, 'a> {
         Explorer {
             m,
             max_states,
-            seen: FxHashSet::default(),
-            frontier: VecDeque::new(),
-            meta: Vec::new(),
+            arena: Arena::new(m.state_words()),
+            table: Table {
+                slots: vec![NONE; 256],
+            },
+            parents: Vec::new(),
+            next: 0,
             stats: Stats {
                 violation_checks: vec![0; m.ffs.len()],
                 ..Stats::default()
@@ -135,33 +227,30 @@ impl<'m, 'a> Explorer<'m, 'a> {
         self.publish_progress();
     }
 
-    /// Deterministic visited-set memory estimate, per state: the packed
-    /// words and their two reference counts, the set's slot and the BFS
-    /// metadata.
+    /// Deterministic memory estimate: per state, its packed words in the
+    /// arena and its parent id; plus the visited table's slots (a pure
+    /// function of the state count).
     fn visited_bytes(&self) -> u64 {
-        let per_state = self.m.state_words() * 8
-            + 2 * std::mem::size_of::<usize>()
-            + std::mem::size_of::<Rc<[u64]>>()
-            + std::mem::size_of::<Meta>();
-        (self.meta.len() * per_state) as u64
+        let per_state = self.m.state_words() * 8 + std::mem::size_of::<u32>();
+        (self.arena.len * per_state + self.table.slots.len() * std::mem::size_of::<u32>()) as u64
     }
 
     /// States discovered but not yet expanded.
     fn frontier(&self) -> u64 {
-        self.frontier.len() as u64
+        (self.arena.len - self.next) as u64
     }
 
     #[cold]
     fn publish_progress(&self) {
         let Some(g) = &self.progress else { return };
-        g.states.set(self.meta.len() as u64);
+        g.states.set(self.arena.len as u64);
         g.edges.set(self.stats.edges);
         g.frontier.set(self.frontier());
         g.frontier_peak.set(self.stats.peak_frontier);
         g.depth.set(self.stats.max_depth as u64);
         g.visited_bytes.set(self.visited_bytes());
         g.budget_pct
-            .set(self.meta.len() as u64 * 100 / self.max_states.max(1) as u64);
+            .set(self.arena.len as u64 * 100 / self.max_states.max(1) as u64);
         g.violation_checks.set(self.stats.vchecks_total);
     }
 
@@ -232,7 +321,7 @@ impl<'m, 'a> Explorer<'m, 'a> {
 
     // -- initial state ------------------------------------------------------
 
-    fn initial_words(&self) -> Rc<[u64]> {
+    fn initial_words(&self) -> Vec<u64> {
         let m = self.m;
         let mut w = vec![0u64; m.state_words()];
         let init = m.sg.initial();
@@ -274,14 +363,15 @@ impl<'m, 'a> Explorer<'m, 'a> {
             self.refresh_ack(&mut w, f);
         }
         self.set_spec(&mut w, init);
-        w.into()
+        w
     }
 
     // -- canonical enabled-action enumeration -------------------------------
 
-    fn enabled_actions(&self, w: &[u64]) -> Vec<Action> {
+    /// Write the actions enabled in `w`, in canonical order, into `out`.
+    fn enabled_actions(&self, w: &[u64], out: &mut Vec<Action>) {
         let m = self.m;
-        let mut out = Vec::new();
+        out.clear();
         // 1. Observable flip-flop fires.
         for f in 0..m.ffs.len() {
             if let Some(rise) = self.pending_of(w, f) {
@@ -350,7 +440,6 @@ impl<'m, 'a> Explorer<'m, 'a> {
                 rise: !m.sg.value(spec, m.signal_ids[i]),
             });
         }
-        out
     }
 
     /// Write the successor of `w` under `action` into `nw`. Returns
@@ -412,14 +501,19 @@ impl<'m, 'a> Explorer<'m, 'a> {
 
     // -- dedupe -------------------------------------------------------------
 
-    /// Record a newly discovered state: one allocation, shared by the
-    /// visited set and the queue.
-    fn insert(&mut self, w: Rc<[u64]>, meta: Meta) {
-        self.seen.insert(Rc::clone(&w));
-        self.frontier.push_back(w);
-        self.stats.max_depth = self.stats.max_depth.max(meta.depth);
-        self.meta.push(meta);
+    /// Record `w`, discovered from `parent`, unless it has been seen.
+    /// Returns whether it is new.
+    fn visit(&mut self, w: &[u64], parent: u32) -> bool {
+        let Err(slot) = self.table.find(&self.arena, w) else {
+            return false;
+        };
+        self.table.slots[slot] = self.arena.push(w);
+        self.parents.push(parent);
+        if 2 * self.arena.len > self.table.slots.len() {
+            self.table.grow(&self.arena);
+        }
         self.stats.peak_frontier = self.stats.peak_frontier.max(self.frontier());
+        true
     }
 
     // -- trace reconstruction ----------------------------------------------
@@ -458,18 +552,33 @@ impl<'m, 'a> Explorer<'m, 'a> {
         }
     }
 
+    /// The action that discovered `child` from `parent`: the first, in
+    /// canonical order, of the parent's enabled actions whose successor is
+    /// `child`. Any earlier action of `parent` leading there would have
+    /// discovered `child` itself.
+    fn discovering_action(&self, parent: u32, child: u32) -> Action {
+        let (w, target) = (self.arena.get(parent), self.arena.get(child));
+        let mut enabled = Vec::new();
+        self.enabled_actions(w, &mut enabled);
+        let mut next = vec![0u64; w.len()];
+        enabled
+            .into_iter()
+            .find(|&a| self.apply(w, &mut next, a).is_ok() && next == target)
+            .expect("a parent reaches its child")
+    }
+
     fn trace_to(&self, id: u32, last: Option<Action>) -> (Vec<String>, Vec<(String, bool)>) {
-        let mut actions = Vec::new();
+        let mut path = vec![id];
         let mut cur = id;
-        while cur != u32::MAX {
-            let meta = &self.meta[cur as usize];
-            if meta.parent == u32::MAX {
-                break;
-            }
-            actions.push(meta.action);
-            cur = meta.parent;
+        while self.parents[cur as usize] != NONE {
+            cur = self.parents[cur as usize];
+            path.push(cur);
         }
-        actions.reverse();
+        path.reverse();
+        let mut actions: Vec<Action> = path
+            .windows(2)
+            .map(|pair| self.discovering_action(pair[0], pair[1]))
+            .collect();
         actions.extend(last);
         let steps = actions.iter().map(|&a| self.describe(a)).collect();
         let inputs = actions
@@ -511,7 +620,7 @@ impl<'m, 'a> Explorer<'m, 'a> {
             assumed_delay_requirement: self.m.assume_delay_requirement,
             complete,
             stats: ExplorationStats {
-                states: self.meta.len() as u64,
+                states: self.arena.len as u64,
                 edges: self.stats.edges,
                 reopened: 0,
                 max_depth: self.stats.max_depth,
@@ -530,7 +639,7 @@ impl<'m, 'a> Explorer<'m, 'a> {
     fn publish_registry(&self, verdict: &Verdict) {
         let r = Registry::global();
         r.counter("nshot_mc_runs_total").inc();
-        r.counter("nshot_mc_states_total").add(self.meta.len() as u64);
+        r.counter("nshot_mc_states_total").add(self.arena.len as u64);
         r.counter("nshot_mc_edges_total").add(self.stats.edges);
         r.counter("nshot_mc_violation_checks_total")
             .add(self.stats.vchecks_total);
@@ -564,21 +673,26 @@ impl<'m, 'a> Explorer<'m, 'a> {
 
     fn run_loop(&mut self) -> Verdict {
         let root = self.initial_words();
-        self.insert(
-            root,
-            Meta {
-                parent: u32::MAX,
-                action: Action::Cancel { ff: 0 }, // unused sentinel at the root
-                depth: 0,
-            },
-        );
+        self.visit(&root, NONE);
 
-        // Successors are written here; only new states are copied out.
-        let mut next = vec![0u64; self.m.state_words()];
-        while let Some(words) = self.frontier.pop_front() {
-            let id = (self.meta.len() - self.frontier.len() - 1) as u32;
-            let depth = self.meta[id as usize].depth;
-            let enabled = self.enabled_actions(&words);
+        // The state being expanded, its successors and its enabled actions
+        // are written into these; only new states are copied out.
+        let mut words = root;
+        let mut next = vec![0u64; words.len()];
+        let mut enabled = Vec::new();
+        // BFS depth of the state being expanded, and the id where its
+        // level ends: every state of a level is discovered before the
+        // first of them is expanded.
+        let (mut depth, mut level_end) = (0u32, 1usize);
+        while self.next < self.arena.len {
+            if self.next == level_end {
+                depth += 1;
+                level_end = self.arena.len;
+            }
+            let id = self.next as u32;
+            self.next += 1;
+            words.copy_from_slice(self.arena.get(id));
+            self.enabled_actions(&words, &mut enabled);
             if enabled.is_empty() {
                 // Quiescent and environment-blocked: if the specification
                 // still expects an output, the circuit has deadlocked.
@@ -603,11 +717,11 @@ impl<'m, 'a> Explorer<'m, 'a> {
                 }
                 continue;
             }
-            for action in enabled {
+            for &action in &enabled {
                 if let Some(v) = self.step(id, depth, &words, &mut next, action) {
                     return v;
                 }
-                if self.meta.len() >= self.max_states {
+                if self.arena.len >= self.max_states {
                     return Verdict::BudgetExceeded(self.certificate(false));
                 }
             }
@@ -637,15 +751,8 @@ impl<'m, 'a> Explorer<'m, 'a> {
         if let Err(violation) = self.apply(words, next, action) {
             return Some(self.counterexample(id, Some(action), violation));
         }
-        if !self.seen.contains(&*next) {
-            self.insert(
-                Rc::from(&*next),
-                Meta {
-                    parent: id,
-                    action,
-                    depth: depth + 1,
-                },
-            );
+        if self.visit(next, id) {
+            self.stats.max_depth = self.stats.max_depth.max(depth + 1);
         }
         None
     }

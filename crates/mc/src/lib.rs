@@ -140,15 +140,16 @@ pub struct ExplorationStats {
     pub reopened: u64,
     /// Maximum BFS depth reached.
     pub max_depth: u32,
-    /// Peak frontier (queue) length.
+    /// Peak frontier length: states discovered but not yet expanded.
     pub peak_frontier: u64,
     /// Frontier length when exploration stopped (0 for a completed run;
-    /// for a budget-exceeded run, how much unexplored work was queued).
+    /// for a budget-exceeded run, how much unexplored work was left).
     pub final_frontier: u64,
-    /// Deterministic estimate of visited-set memory, `states` times the
-    /// per-state cost: the packed state words with their reference counts,
-    /// one visited-set slot and the BFS metadata. The frontier queue and
-    /// the set's spare capacity are not counted.
+    /// Deterministic estimate of the explorer's memory: `states` times the
+    /// per-state cost (the packed state words in the arena and a 4-byte
+    /// parent id), plus 4 bytes per visited-table slot: 2–4 slots per state
+    /// once past the table's initial 256. The arena's unfilled last page is
+    /// not counted.
     pub visited_bytes: u64,
     /// The state budget the run was given.
     pub max_states: u64,

@@ -103,21 +103,52 @@ fn checker_is_deterministic_at_any_thread_count() {
     }
 }
 
-/// Pins of one suite circuit's plain-BFS certificate, run to completion
-/// and cut by the budget mid-expansion. Every enabled action of every
-/// state is explored exactly once, so these figures are a pure function
-/// of the model and the budget: any change to what the explorer visits,
-/// or to how it counts the frontier at a cut, shows up here as a diff.
+/// Pins of two suite circuits' plain-BFS certificates, each run to
+/// completion and cut by the budget mid-expansion. Every enabled action of
+/// every state is explored exactly once, so these figures are a pure
+/// function of the model and the budget: any change to what the explorer
+/// visits, or to how it counts the frontier at a cut, shows up here as a
+/// diff. chu150's runs cross the explorer's arena page boundary and
+/// several visited-table rehashes.
 #[test]
 fn chu133_plain_bfs_certificate() {
-    let sg = nshot_benchmarks::by_name("chu133").expect("in suite").build();
-    let imp = synthesize(&sg, &SynthesisOptions::default()).unwrap();
-    // (max_states, proved, (states, edges, max_depth, peak_frontier, final_frontier))
+    let full = McConfig::default().max_states;
+    // (circuit, max_states, proved,
+    //  (states, edges, max_depth, peak_frontier, final_frontier),
+    //  violation checks per flip-flop)
     let pins = [
-        (McConfig::default().max_states, true, (3228, 11818, 68, 200, 0)),
-        (1000, false, (1000, 3083, 38, 98, 29)),
+        (
+            "chu133",
+            full,
+            true,
+            (3228, 11818, 68, 200, 0),
+            "q0=300 q1=300 d=66 t0=60",
+        ),
+        (
+            "chu133",
+            1000,
+            false,
+            (1000, 3083, 38, 98, 29),
+            "q0=75 q1=75 d=23 t0=24",
+        ),
+        (
+            "chu150",
+            full,
+            true,
+            (35802, 181422, 118, 1614, 0),
+            "s1=857 s3=678 s4=612 s6=648 s8=792 s10=1068 s12=1522",
+        ),
+        (
+            "chu150",
+            20_000,
+            false,
+            (20000, 94660, 93, 1519, 1513),
+            "s1=193 s3=256 s4=352 s6=496 s8=712 s10=1012 s12=455",
+        ),
     ];
-    for (max_states, proved, expected) in pins {
+    for (name, max_states, proved, expected, checks) in pins {
+        let sg = nshot_benchmarks::by_name(name).expect("in suite").build();
+        let imp = synthesize(&sg, &SynthesisOptions::default()).unwrap();
         let config = McConfig {
             max_states,
             ..McConfig::default()
@@ -129,9 +160,15 @@ fn chu133_plain_bfs_certificate() {
         assert_eq!(
             (s.states, s.edges, s.max_depth, s.peak_frontier, s.final_frontier),
             expected,
-            "max_states {max_states}: {}",
+            "{name} max_states {max_states}: {}",
             verdict.render()
         );
+        let seen: Vec<String> = s
+            .violation_checks
+            .iter()
+            .map(|(signal, n)| format!("{signal}={n}"))
+            .collect();
+        assert_eq!(seen.join(" "), checks, "{name} max_states {max_states}");
     }
 }
 
@@ -169,6 +206,25 @@ fn empty_covers_deadlock() {
         }
         v => panic!("expected deadlock, got {v:?}"),
     }
+    // The rendering pins the trace's re-derived action and the deadlock's
+    // missing last action.
+    let rendered = cex.render();
+    assert_eq!(cex.steps, vec!["+r (environment)".to_string()]);
+    assert_eq!(
+        fnv1a(rendered.as_bytes()),
+        0x7b12_b498_5554_61c2,
+        "{rendered}"
+    );
+}
+
+/// FNV-1a, the same stable hash the golden suite uses.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 #[test]

@@ -5,10 +5,11 @@
 //! implementation instead of two drifting copies:
 //!
 //! * [`TcpLineServer`] — bind, accept loop, one thread per connection,
-//!   newline framing (empty and bare-`\r` lines skipped), cooperative stop
-//!   flag. What to do with a request line is a [`LineHandler`], so the
-//!   same loop serves synthesis backends (queue + workers behind it) and
-//!   the shard front (a proxy with no queue at all).
+//!   newline framing (empty and bare-`\r` lines skipped, lines capped at
+//!   [`MAX_LINE_BYTES`]), cooperative stop flag. What to do with a request
+//!   line is a [`LineHandler`], so the same loop serves synthesis backends
+//!   (queue + workers behind it) and the shard front (a proxy with no
+//!   queue at all).
 //! * [`WorkerPool`] — the bounded job queue ([`nshot_par::BoundedQueue`])
 //!   with explicit 429-style backpressure, a fixed worker-thread pool
 //!   draining it, in-flight accounting and the condvar-based graceful
@@ -19,11 +20,36 @@
 //! `timeout_ms = 0 means unlimited` convention is interpreted.
 
 use nshot_par::{BoundedQueue, PushError};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
+
+/// The longest request line read, newline excluded: the same cap as a
+/// binary frame's payload. A longer line is answered with a 400 and its
+/// connection closed, so a peer that never sends a newline cannot grow a
+/// connection's buffer without bound.
+pub const MAX_LINE_BYTES: u64 = nshot_wire::MAX_FRAME_PAYLOAD;
+
+/// The 400 an over-long line gets. Both services behind this runtime speak
+/// the same NDJSON protocol, so the runtime renders it without a handler.
+fn line_too_long() -> String {
+    let refusal = crate::protocol::Response::error(
+        400,
+        format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+    );
+    let mut line = crate::protocol::render_response(
+        &crate::Json::Null,
+        &refusal.deterministic_fields(),
+        false,
+        0,
+        0,
+        "",
+    );
+    line.push('\n');
+    line
+}
 
 /// What a [`LineHandler`] wants done with one request line.
 pub struct LineReply {
@@ -178,11 +204,15 @@ fn serve_connection<H: LineHandler + ?Sized>(
     let mut writer = stream;
     loop {
         let mut raw = Vec::new();
-        match reader.read_until(b'\n', &mut raw) {
+        match (&mut reader)
+            .take(MAX_LINE_BYTES + 1)
+            .read_until(b'\n', &mut raw)
+        {
             Ok(0) | Err(_) => return,
             Ok(_) => {}
         }
-        if raw.last() == Some(&b'\n') {
+        let complete = raw.last() == Some(&b'\n');
+        if complete {
             raw.pop();
         }
         // A stopped service answers nothing further, even on established
@@ -190,6 +220,14 @@ fn serve_connection<H: LineHandler + ?Sized>(
         // front's pooled connection) observe the shutdown as EOF instead
         // of talking to a half-dead server.
         if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        // The rest of an over-long line would read as the next request,
+        // so the connection closes after the refusal.
+        if !complete && raw.len() as u64 > MAX_LINE_BYTES {
+            let _ = writer
+                .write_all(line_too_long().as_bytes())
+                .and_then(|()| writer.flush());
             return;
         }
         if raw.is_empty() || raw == b"\r" {

@@ -6,13 +6,15 @@
 //! killing one backend degrades **only that shard's keys** to 503s naming
 //! the shard while every other key keeps its exact bytes; `metrics` merges
 //! per-shard series; `shutdown` fans out as a graceful drain; a backend
-//! that never answers costs the fan-out one IO timeout; and invalid
-//! requests get the same 400 over both transports, from a server and
-//! through a front alike.
+//! that never answers costs the fan-out one IO timeout; invalid requests
+//! get the same 400 over both transports, from a server and through a
+//! front alike; and so does an NDJSON line past the runtime's cap, which
+//! also closes its connection.
 
 use nshot_server::client::Client;
 use nshot_server::json::Json;
 use nshot_server::protocol::MAX_VERIFY_STATES;
+use nshot_server::runtime::MAX_LINE_BYTES;
 use nshot_server::{
     process_synth, wirecodec, Deadline, Envelope, Method, OutputFormat, Request, Server,
     ServerConfig, SynthRequest, VerifyRequest,
@@ -406,6 +408,61 @@ fn invalid_requests_get_the_same_400_on_both_transports() {
     let direct = refusal_fields(server.local_addr());
     let proxied = refusal_fields(front.local_addr());
     assert_eq!(direct, proxied, "the front's refusals differ from the server's");
+
+    front.stop();
+    front.wait();
+    server.shutdown();
+    server.wait();
+}
+
+/// Send [`MAX_LINE_BYTES`] + 1 bytes with no newline to `addr`: the answer
+/// is one 400 line, then EOF. Returns the deterministic fields.
+fn over_long_line_refusal(addr: std::net::SocketAddr) -> String {
+    use std::io::{BufRead, BufReader, Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    // A server that keeps reading past the cap never answers: fail, not hang.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let chunk = vec![b'x'; 1 << 20];
+    let mut left = MAX_LINE_BYTES + 1;
+    while left > 0 {
+        let n = left.min(chunk.len() as u64) as usize;
+        stream.write_all(&chunk[..n]).expect("send");
+        left -= n as u64;
+    }
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("refusal line");
+    let obj = nshot_server::json::parse(line.trim_end()).expect("json refusal");
+    assert_eq!(obj.get("code").and_then(Json::as_u64), Some(400), "{line}");
+    assert_eq!(
+        obj.get("error").and_then(Json::as_str),
+        Some(format!("request line exceeds {MAX_LINE_BYTES} bytes").as_str())
+    );
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("connection closed");
+    assert!(rest.is_empty(), "nothing follows the refusal");
+    deterministic_part(line.trim_end()).to_owned()
+}
+
+#[test]
+fn over_long_lines_get_a_400_and_close_the_connection() {
+    let server = backend();
+    let front = ShardFront::bind(ShardConfig {
+        backends: vec![server.local_addr()],
+        ..ShardConfig::default()
+    })
+    .expect("bind front");
+    let direct = over_long_line_refusal(server.local_addr());
+    let proxied = over_long_line_refusal(front.local_addr());
+    assert_eq!(direct, proxied);
+    // Both services keep serving new connections.
+    for addr in [server.local_addr(), front.local_addr()] {
+        let mut client = Client::connect(addr).expect("connect");
+        let pong = client.roundtrip_json(r#"{"op":"ping"}"#).expect("ping");
+        assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
+    }
 
     front.stop();
     front.wait();

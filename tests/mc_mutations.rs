@@ -18,9 +18,11 @@
 //! * an MHS flip-flop with ω = 0 stops absorbing the sub-ω runts that an
 //!   undersized delay line relies on the filter to swallow.
 //!
-//! The last test pins the counterexample of the archived fuzz finding
-//! `tests/corpus/generated/violation_seed5.g` byte for byte, so a change
-//! to how the checker stores states or walks parent links shows up.
+//! The last two tests pin counterexamples byte for byte — the archived fuzz
+//! finding `tests/corpus/generated/violation_seed5.g` and generator seed 8
+//! of the benchmark's gen-verify pool — so a change to how the checker
+//! stores states or re-derives a trace's actions from parent links shows
+//! up.
 
 use nshot::core::{assemble_netlist, synthesize, SynthesisOptions};
 use nshot::logic::{Cover, Cube};
@@ -293,4 +295,31 @@ fn archived_violation_counterexample_is_pinned() {
     let rendered = cex.render();
     assert_eq!(cex.steps.len(), 26, "{rendered}");
     assert_eq!(fnv1a(rendered.as_bytes()), 0x3597_daf1_e4b8_11fd, "{rendered}");
+}
+
+/// Generator seed 8 at the gen-verify pool's configuration (product capped
+/// at 128 states), synthesized and checked from its `.g` text at the fuzz
+/// budget as the benchmark does.
+#[test]
+fn generated_seed8_counterexample_is_pinned() {
+    let cfg = nshot::gen::GenConfig {
+        max_states: 128,
+        ..nshot::gen::GenConfig::default()
+    };
+    let spec = nshot::gen::draw(8, &cfg).expect("seed 8 is accepted");
+    let sg = parse_stg(&spec.g_text).unwrap().elaborate().unwrap();
+    let imp = synthesize(&sg, &SynthesisOptions::default()).unwrap();
+    let config = McConfig {
+        max_states: 200_000,
+        ..McConfig::default()
+    };
+    let verdict = check(&sg, &imp.netlist, &config).unwrap();
+    let cex = verdict.counterexample().expect("seed 8 is refuted");
+    let rendered = cex.render();
+    assert_eq!(cex.steps.len(), 26, "{rendered}");
+    assert_eq!(
+        fnv1a(rendered.as_bytes()),
+        0x78f3_24ee_9b11_4c09,
+        "{rendered}"
+    );
 }
