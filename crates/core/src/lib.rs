@@ -75,5 +75,5 @@ pub const DEFAULT_PROOF_STATES: usize = 4_000_000;
 
 #[cfg(test)]
 mod fixtures;
-#[cfg(all(test, feature = "proptest"))]
+#[cfg(test)]
 mod proptests;

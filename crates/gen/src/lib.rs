@@ -44,7 +44,8 @@ use nshot_stg::{parse_stg, sg_to_g_text};
 /// in the flow may exceed 63 signals.
 pub const HARD_SIGNAL_LIMIT: usize = 63;
 
-/// Budgets and parameter ranges for sampling and validation.
+/// Budgets for sampling and validation (each archetype's own parameter
+/// ceilings are fixed in the sampler).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GenConfig {
     /// Total signals across all fragments (clamped to
@@ -54,18 +55,6 @@ pub struct GenConfig {
     pub max_states: usize,
     /// Fragments per recipe.
     pub max_fragments: usize,
-    /// Pipeline ring length.
-    pub max_pipeline: usize,
-    /// Parallel handshake count `k`.
-    pub max_handshakes: usize,
-    /// Fork/join channel count.
-    pub max_channels: usize,
-    /// Tail handshake pairs (fork/join and OR-causal).
-    pub max_tail: usize,
-    /// Free-choice branch count.
-    pub max_branches: usize,
-    /// Handshake pairs per free-choice branch.
-    pub max_pairs: usize,
 }
 
 impl Default for GenConfig {
@@ -74,12 +63,6 @@ impl Default for GenConfig {
             max_signals: 24,
             max_states: 1024,
             max_fragments: 3,
-            max_pipeline: 8,
-            max_handshakes: 3,
-            max_channels: 3,
-            max_tail: 2,
-            max_branches: 4,
-            max_pairs: 4,
         }
     }
 }
@@ -362,7 +345,7 @@ pub fn draw(seed: u64, cfg: &GenConfig) -> Result<GeneratedSpec, Rejection> {
     }
 }
 
-#[cfg(all(test, feature = "proptest"))]
+#[cfg(test)]
 mod proptests;
 
 #[cfg(test)]

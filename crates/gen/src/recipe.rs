@@ -13,6 +13,21 @@ use nshot_sg::StateGraph;
 
 use crate::{GenConfig, Rejection};
 
+// Upper bounds on each archetype's sampled parameters; the sampler clamps
+// each further into the remaining signal and state budgets.
+/// Pipeline ring length.
+const MAX_PIPELINE: usize = 8;
+/// Parallel handshake count `k`.
+const MAX_HANDSHAKES: usize = 3;
+/// Fork/join channel count.
+const MAX_CHANNELS: usize = 3;
+/// Tail handshake pairs (fork/join and OR-causal).
+const MAX_TAIL: usize = 2;
+/// Free-choice branch count.
+const MAX_BRANCHES: usize = 4;
+/// Handshake pairs per free-choice branch.
+const MAX_PAIRS: usize = 4;
+
 /// One parameterized archetype instance inside a [`Recipe`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Fragment {
@@ -195,12 +210,7 @@ impl Fragment {
     /// Sample one fragment fitting the remaining signal and state budgets,
     /// or `None` when nothing fits. Total over its domain: parameters are
     /// clamped *into* the budgets rather than drawn and rejected.
-    fn sample(
-        rng: &mut SmallRng,
-        sig_left: usize,
-        state_budget: usize,
-        cfg: &GenConfig,
-    ) -> Option<Fragment> {
+    fn sample(rng: &mut SmallRng, sig_left: usize, state_budget: usize) -> Option<Fragment> {
         #[derive(Clone, Copy)]
         enum Arch {
             Pipe,
@@ -209,24 +219,16 @@ impl Fragment {
             Choice,
             Or,
         }
-        // Degenerate configs (a knob set to 0) clamp up to 1 so the
-        // feasibility arithmetic below stays meaningful.
-        let max_pipeline = cfg.max_pipeline.max(1);
-        let max_handshakes = cfg.max_handshakes.clamp(1, 8);
-        let max_channels = cfg.max_channels.clamp(1, 8);
-        let max_branches = cfg.max_branches.max(1);
-        let max_pairs = cfg.max_pairs.max(1);
-
-        let pipe_max = max_pipeline.min(sig_left).min(state_budget / 2);
+        let pipe_max = MAX_PIPELINE.min(sig_left).min(state_budget / 2);
         let hs_max = {
-            let mut k = max_handshakes.min(sig_left / 2);
+            let mut k = MAX_HANDSHAKES.min(sig_left / 2);
             while k >= 1 && 4usize.saturating_pow(k as u32) > state_budget {
                 k -= 1;
             }
             k
         };
         let fj_max = {
-            let mut k = max_channels.min(sig_left.saturating_sub(2) / 2);
+            let mut k = MAX_CHANNELS.min(sig_left.saturating_sub(2) / 2);
             while k >= 1 && 2 * 3usize.saturating_pow(k as u32) + 2 > state_budget {
                 k -= 1;
             }
@@ -271,8 +273,7 @@ impl Fragment {
             Arch::Fj => {
                 let channels = 1 + rng.gen_index(fj_max);
                 let base_states = 2 * 3usize.saturating_pow(channels as u32) + 2;
-                let t_max = cfg
-                    .max_tail
+                let t_max = MAX_TAIL
                     .min((sig_left - 2 - 2 * channels) / 2)
                     .min((state_budget - base_states) / 4);
                 let tail = if t_max == 0 { 0 } else { rng.gen_index(t_max + 1) };
@@ -281,7 +282,7 @@ impl Fragment {
             Arch::Choice => {
                 // With branches = 1, `pairs` costs 2p signals and 4p states
                 // (p ≥ 2) — both bounds also admit p = 1.
-                let p_max = max_pairs.min(sig_left / 2).min((state_budget / 4).max(1));
+                let p_max = MAX_PAIRS.min(sig_left / 2).min((state_budget / 4).max(1));
                 let pairs = 1 + rng.gen_index(p_max);
                 let b_sig = (sig_left - (pairs - 1)) / (pairs + 1);
                 let b_state = if pairs == 1 {
@@ -289,15 +290,14 @@ impl Fragment {
                 } else {
                     (state_budget - 2) / (4 * pairs - 2)
                 };
-                let b_max = max_branches.min(b_sig).min(b_state);
+                let b_max = MAX_BRANCHES.min(b_sig).min(b_state);
                 Fragment::ChoiceCycle {
                     branches: 1 + rng.gen_index(b_max),
                     pairs,
                 }
             }
             Arch::Or => {
-                let t_max = cfg
-                    .max_tail
+                let t_max = MAX_TAIL
                     .min((sig_left - 4) / 2)
                     .min((state_budget - 14) / 4);
                 let tail = if t_max == 0 { 0 } else { rng.gen_index(t_max + 1) };
@@ -375,7 +375,7 @@ impl Recipe {
         let mut states = 1usize;
         for _ in 0..target {
             let budget = cfg.max_states.checked_div(states).unwrap_or(0);
-            let Some(f) = Fragment::sample(&mut rng, sig_left, budget, cfg) else {
+            let Some(f) = Fragment::sample(&mut rng, sig_left, budget) else {
                 break;
             };
             sig_left -= f.signals();

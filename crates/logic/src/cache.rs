@@ -33,7 +33,6 @@ use crate::{espresso, Cover, Function};
 use nshot_obs::{Counter, Gauge, Registry};
 use nshot_par::FxHashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 // The cache-statistics struct lives in `nshot-obs` now, shared with the
@@ -163,41 +162,17 @@ fn metrics() -> &'static Metrics {
     })
 }
 
-/// Entry-cap override for the global memo table (0 = unset, fall back to
-/// `NSHOT_ESPRESSO_CACHE_CAP` or [`DEFAULT_ESPRESSO_CACHE_CAP`]).
-static CAP_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 static CACHE: Mutex<Option<BoundedCache<Vec<u64>, Cover>>> = Mutex::new(None);
 
-/// Entry cap the memo table is (re)created with: the programmatic override
-/// if set, else the `NSHOT_ESPRESSO_CACHE_CAP` environment variable, else
-/// [`DEFAULT_ESPRESSO_CACHE_CAP`]. Always at least 2.
-pub fn espresso_cache_cap() -> usize {
-    let n = CAP_OVERRIDE.load(Ordering::SeqCst);
-    if n != 0 {
-        return n.max(2);
-    }
-    if let Ok(s) = std::env::var("NSHOT_ESPRESSO_CACHE_CAP") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            if n >= 2 {
-                return n;
-            }
-        }
-    }
-    DEFAULT_ESPRESSO_CACHE_CAP
-}
-
-/// Pin the memo-table entry cap (`None` clears the override) and rebuild
-/// the table empty at the new cap. Counters are preserved; returns the
-/// previous override.
-pub fn set_espresso_cache_cap(cap: Option<usize>) -> Option<usize> {
-    let prev = CAP_OVERRIDE.swap(cap.unwrap_or(0), Ordering::SeqCst);
-    let mut guard = CACHE.lock().expect("cover cache poisoned");
-    *guard = Some(BoundedCache::new(espresso_cache_cap()));
-    (prev != 0).then_some(prev)
+/// Test seam: replace the memo table with an empty one of `cap` entries.
+/// Counters are preserved; [`reset_cache`] restores the default cap.
+#[cfg(test)]
+pub(crate) fn set_espresso_cache_cap(cap: usize) {
+    *CACHE.lock().expect("cover cache poisoned") = Some(BoundedCache::new(cap));
 }
 
 /// Like [`espresso`], but memoized process-wide on the canonical encoding
-/// of `f`, in a bounded table (see [`espresso_cache_cap`]).
+/// of `f`, in a table of [`DEFAULT_ESPRESSO_CACHE_CAP`] entries.
 ///
 /// On a miss the heuristic minimizer runs on the canonicalized function and
 /// the resulting cover is cached; on a hit the cached cover is cloned. The
@@ -214,7 +189,7 @@ pub fn espresso_cached(f: &Function) -> Cover {
     if let Some(cover) = CACHE
         .lock()
         .expect("cover cache poisoned")
-        .get_or_insert_with(|| BoundedCache::new(espresso_cache_cap()))
+        .get_or_insert_with(|| BoundedCache::new(DEFAULT_ESPRESSO_CACHE_CAP))
         .get(&key)
         .cloned()
     {
@@ -230,7 +205,7 @@ pub fn espresso_cached(f: &Function) -> Cover {
     m.misses.inc();
     {
         let mut guard = CACHE.lock().expect("cover cache poisoned");
-        let table = guard.get_or_insert_with(|| BoundedCache::new(espresso_cache_cap()));
+        let table = guard.get_or_insert_with(|| BoundedCache::new(DEFAULT_ESPRESSO_CACHE_CAP));
         table.insert(key, cover.clone());
         // Keep the registry's view of the table current while we hold the
         // lock anyway (evictions are monotone, entries are a gauge).
@@ -431,7 +406,7 @@ mod tests {
     #[test]
     fn global_cap_bounds_the_memo_table() {
         let _l = TEST_LOCK.lock().unwrap();
-        let prev = set_espresso_cache_cap(Some(8));
+        set_espresso_cache_cap(8);
         // 32 distinct functions through a cap-8 table: the table stays
         // bounded, evictions are counted, and every answer is still correct.
         for i in 0..32u64 {
@@ -441,8 +416,7 @@ mod tests {
         }
         assert!(cache_len() <= 8, "cap respected, len {}", cache_len());
         assert!(cache_stats().evictions > 0, "rotation happened");
-        // Restore global state for the other tests.
-        set_espresso_cache_cap(prev);
+        // Restore the default-cap table for the other tests.
         reset_cache();
     }
 }

@@ -47,8 +47,8 @@ mod oracle;
 mod pla;
 
 pub use cache::{
-    cache_len, cache_stats, espresso_cache_cap, espresso_cached, reset_cache,
-    set_espresso_cache_cap, BoundedCache, CacheStats, DEFAULT_ESPRESSO_CACHE_CAP,
+    cache_len, cache_stats, espresso_cached, reset_cache, BoundedCache, CacheStats,
+    DEFAULT_ESPRESSO_CACHE_CAP,
 };
 pub use cover::Cover;
 pub use cube::{Cube, Polarity};
@@ -60,5 +60,5 @@ pub use key::{function_key, request_key, sorted_cubes};
 pub use multi::{espresso_multi, MultiCover};
 pub use pla::{parse_pla, ParsePlaError};
 
-#[cfg(all(test, feature = "proptest"))]
+#[cfg(test)]
 mod proptests;

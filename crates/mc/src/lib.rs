@@ -341,5 +341,5 @@ pub fn verify_budgeted(
 
 #[cfg(test)]
 mod tests;
-#[cfg(all(test, feature = "proptest"))]
+#[cfg(test)]
 mod proptests;

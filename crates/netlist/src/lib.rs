@@ -44,5 +44,5 @@ pub use delay::{DelayModel, TimingError};
 pub use gate::GateKind;
 pub use graph::{GateId, NetId, Netlist, NetlistStats};
 
-#[cfg(all(test, feature = "proptest"))]
+#[cfg(test)]
 mod proptests;

@@ -35,7 +35,7 @@
 //!   on demand or automatically on panic via a chained hook
 //!   ([`install_panic_hook`], which also flushes the trace sink).
 //! * **Progress heartbeats** ([`Progress`], env
-//!   `NSHOT_PROGRESS=path|stderr`, interval `NSHOT_PROGRESS_MS`) —
+//!   `NSHOT_PROGRESS=path|stderr`, [`DEFAULT_PROGRESS_INTERVAL_MS`]) —
 //!   per-job gauge fields plus a monotonic reporter thread emitting
 //!   periodic NDJSON heartbeat lines, for minutes-long batch jobs (the
 //!   model checker, fuzz sweeps) that otherwise say nothing until done.

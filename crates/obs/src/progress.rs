@@ -13,8 +13,8 @@
 //! ```
 //!
 //! * Off by default; enabled by `NSHOT_PROGRESS=stderr` or
-//!   `NSHOT_PROGRESS=/path/to/file` (interval `NSHOT_PROGRESS_MS`,
-//!   default 1000 ms, floor 10 ms), or programmatically with
+//!   `NSHOT_PROGRESS=/path/to/file` (one line per
+//!   [`DEFAULT_PROGRESS_INTERVAL_MS`]), or programmatically with
 //!   [`set_progress`]. The enabled check is one relaxed atomic load.
 //! * Fields marked with [`Progress::rate`] additionally emit a
 //!   `<name>_per_sec` value computed from deltas between heartbeats.
@@ -29,14 +29,14 @@
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::recorder::escape_json;
 use crate::registry::Gauge;
 use crate::target::{lock, open_env, Gate, Output, TraceTarget};
 
-/// Default heartbeat interval when `NSHOT_PROGRESS_MS` is unset.
+/// Heartbeat interval.
 pub const DEFAULT_PROGRESS_INTERVAL_MS: u64 = 1000;
 
 static PROGRESS: Gate = Gate::new();
@@ -61,18 +61,6 @@ fn install(out: Option<Output>) {
 /// heartbeats stay off.
 fn init(value: Option<&str>) {
     install(open_env("NSHOT_PROGRESS", value).map(|(_, out)| out));
-}
-
-/// The heartbeat interval: `NSHOT_PROGRESS_MS`, floor 10 ms.
-fn interval_ms() -> u64 {
-    static MS: OnceLock<u64> = OnceLock::new();
-    *MS.get_or_init(|| {
-        std::env::var("NSHOT_PROGRESS_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(DEFAULT_PROGRESS_INTERVAL_MS)
-            .max(10)
-    })
 }
 
 /// Is heartbeat reporting on? Off path: one relaxed atomic load.
@@ -196,12 +184,6 @@ impl Progress {
         lock(out).write(line.as_bytes());
     }
 
-    /// Emit one heartbeat now (`"final":false`). Useful for event-driven
-    /// jobs that beat per work chunk rather than per wall interval.
-    pub fn beat(&self) {
-        self.emit(false);
-    }
-
     /// Start the monotonic reporter thread: one heartbeat immediately,
     /// one per interval, and a `"final":true` line when the returned
     /// guard drops. When reporting is off this spawns nothing and the
@@ -219,7 +201,7 @@ impl Progress {
         let handle = std::thread::Builder::new()
             .name("nshot-heartbeat".into())
             .spawn(move || loop {
-                let interval = Duration::from_millis(interval_ms());
+                let interval = Duration::from_millis(DEFAULT_PROGRESS_INTERVAL_MS);
                 let (stopped, _) = inner
                     .cv
                     .wait_timeout_while(lock(&inner.stop), interval, |stop| !*stop)
@@ -275,15 +257,14 @@ mod tests {
             let _hb = p.start_reporter();
             states.set(1000);
             frontier.set(7);
-            p.beat();
         }
         set_progress(None).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         let lines: Vec<&str> = text.lines().collect();
-        // Initial line + explicit beat + final line (the interval is 1 s,
-        // so the timer itself fired zero or more times in between).
-        assert!(lines.len() >= 3, "{text}");
+        // Opening line + final line (the interval is 1 s, so the timer
+        // itself fired zero or more times in between).
+        assert!(lines.len() >= 2, "{text}");
         for (i, line) in lines.iter().enumerate() {
             assert!(line.starts_with("{\"hb\":\"test:job\",\"seq\":"), "{line}");
             assert!(line.contains(&format!("\"seq\":{i},")), "{line}");
@@ -294,6 +275,8 @@ mod tests {
             assert!(line.ends_with('}'), "{line}");
         }
         assert!(lines[0].contains("\"final\":false"), "{}", lines[0]);
+        // The opening line is emitted at start, before the job's updates.
+        assert!(lines[0].contains("\"states\":0,"), "{}", lines[0]);
         let last = lines.last().unwrap();
         assert!(last.contains("\"final\":true"), "{last}");
         assert!(last.contains("\"states\":1000"), "{last}");
@@ -309,7 +292,6 @@ mod tests {
         let g = p.field("x");
         g.set(3);
         let _hb = p.start_reporter();
-        p.beat();
         // No writer installed → nothing to assert beyond not panicking,
         // and the reporter spawned no thread.
         assert!(_hb.handle.is_none());

@@ -17,7 +17,7 @@
 //!   hermetic builds;
 //! * [`prop`] — a fixed-seed deterministic property-test driver (the
 //!   hermetic stand-in for the `proptest` crate) used by the per-crate
-//!   `proptests.rs` modules behind their `proptest` features;
+//!   `proptests.rs` test modules;
 //! * [`queue`] — a bounded MPMC job queue with non-blocking admission
 //!   ([`BoundedQueue::try_push`] reports `Full`/`Closed` instead of
 //!   blocking), the backpressure primitive of the `nshot-server` layer.

@@ -18,7 +18,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use crate::rng::SmallRng;
 
-/// Default number of cases per property (override with `NSHOT_PROP_CASES`).
+/// Number of cases [`check`] runs per property.
 pub const DEFAULT_CASES: usize = 64;
 
 /// Structured-value generator backing one property-test case.
@@ -103,24 +103,15 @@ fn base_seed(name: &str) -> u64 {
     h
 }
 
-/// Number of cases to run (environment override honored).
-pub fn num_cases() -> usize {
-    std::env::var("NSHOT_PROP_CASES")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_CASES)
-}
-
-/// Run `f` against [`num_cases`] deterministically seeded generators.
+/// Run `f` against [`DEFAULT_CASES`] deterministically seeded generators.
 ///
 /// On a panic inside `f`, reports the property name, case index and the
 /// case's seed (for `Gen::from_seed` replay) and re-raises the panic.
 pub fn check(name: &str, f: impl FnMut(&mut Gen)) {
-    check_n(name, num_cases(), f)
+    check_n(name, DEFAULT_CASES, f)
 }
 
-/// [`check`] with an explicit case count (ignores `NSHOT_PROP_CASES`).
+/// [`check`] with an explicit case count.
 pub fn check_n(name: &str, cases: usize, mut f: impl FnMut(&mut Gen)) {
     let base = base_seed(name);
     for case in 0..cases {

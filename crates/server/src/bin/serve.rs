@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! nshot-serve [--addr HOST:PORT] [--workers N] [--queue-cap N]
-//!             [--timeout-ms N] [--cache-cap N] [--port-file PATH]
+//!             [--timeout-ms N] [--cache-cap N]
 //!             [--store DIR] [--store-fsync always|batch|never]
 //!             [--warm-store DIR] [--slow-ms N]
 //! ```
@@ -11,9 +11,8 @@
 //! parallelism, queue 64, timeout 30 s, cache 1024 entries, no store,
 //! slow-request log at 1000 ms (`--slow-ms 0` disables). Once the
 //! listener is accepting, a single machine-readable `ready ADDR` line is
-//! printed on stdout (and the address written to `--port-file` when
-//! given) — parents and scripts wait for that line instead of polling the
-//! file. With `--store` the response cache is warmed from the persistent
+//! printed on stdout; parents and scripts wait for that line. With
+//! `--store` the response cache is warmed from the persistent
 //! artifact store at startup and every cache fill is persisted
 //! write-behind, so a restarted service answers previously seen specs
 //! from disk without recompiling. `--warm-store` warms from a directory
@@ -38,7 +37,6 @@ fn main() -> ExitCode {
 
 fn run(args: &[String]) -> Result<(), String> {
     let mut config = ServerConfig::default();
-    let mut port_file: Option<String> = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> Result<String, String> {
@@ -73,7 +71,6 @@ fn run(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|_| "--slow-ms must be an integer".to_string())?;
             }
-            "--port-file" => port_file = Some(value("--port-file")?),
             "--store" => config.store_dir = Some(value("--store")?.into()),
             "--warm-store" => config.warm_dir = Some(value("--warm-store")?.into()),
             "--store-fsync" => {
@@ -82,7 +79,7 @@ fn run(args: &[String]) -> Result<(), String> {
             "--help" | "-h" => {
                 println!(
                     "usage: nshot-serve [--addr HOST:PORT] [--workers N] [--queue-cap N] \
-                     [--timeout-ms N] [--cache-cap N] [--port-file PATH] \
+                     [--timeout-ms N] [--cache-cap N] \
                      [--store DIR] [--store-fsync always|batch|never] \
                      [--warm-store DIR] [--slow-ms N]"
                 );
@@ -94,12 +91,8 @@ fn run(args: &[String]) -> Result<(), String> {
 
     let server = Server::bind(config).map_err(|e| format!("bind: {e}"))?;
     let addr = server.local_addr();
-    if let Some(path) = port_file {
-        std::fs::write(&path, format!("{addr}\n")).map_err(|e| format!("{path}: {e}"))?;
-    }
     // The single machine-readable readiness line: everything a parent
-    // needs (the listener is accepting, and where). Written after the
-    // port file so a reader woken by this line finds the file complete.
+    // needs (the listener is accepting, and where).
     println!("ready {addr}");
     use std::io::Write;
     let _ = std::io::stdout().flush();

@@ -89,8 +89,8 @@ impl LineReply {
 /// What a [`LineHandler`] wants done with one binary request frame (only
 /// reachable after a [`LineReply::upgrade`]).
 pub struct FrameReply {
-    /// Encoded response frames, written in order and flushed together —
-    /// a response streams out record by record (head, fields, end).
+    /// Encoded response frames (head, fields, end), sent in order as one
+    /// write.
     pub frames: Vec<Vec<u8>>,
     /// Stop the whole service once the frames have been flushed (the
     /// binary shutdown ack), like [`LineReply::shutdown`].
@@ -194,8 +194,7 @@ fn serve_connection<H: LineHandler + ?Sized>(
     local_addr: SocketAddr,
 ) {
     // Small request/response exchanges must not sit out Nagle + delayed-ACK
-    // stalls — the binary path in particular streams a response as several
-    // frames, and 40 ms per exchange would swamp every latency figure.
+    // stalls: 40 ms per exchange would swamp every latency figure.
     let _ = stream.set_nodelay(true);
     let mut reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
@@ -265,12 +264,9 @@ fn serve_connection<H: LineHandler + ?Sized>(
         let Some(reply) = handler.handle_frame(frame) else {
             return;
         };
-        for bytes in &reply.frames {
-            if writer.write_all(bytes).is_err() {
-                return;
-            }
-        }
-        if writer.flush().is_err() {
+        // One write per response: on a no-delay socket each write is its
+        // own syscall and segment.
+        if writer.write_all(&reply.frames.concat()).is_err() {
             return;
         }
         if reply.shutdown {

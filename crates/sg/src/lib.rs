@@ -61,5 +61,5 @@ pub use stateset::StateSet;
 
 #[cfg(test)]
 mod fixtures;
-#[cfg(all(test, feature = "proptest"))]
+#[cfg(test)]
 mod proptests;

@@ -12,7 +12,7 @@
 //!   position in the list)
 //! * `--spawn N` — instead of `--backends`, spawn `N` local `nshot-serve`
 //!   children on ephemeral ports and front them; children are discovered
-//!   by their `ready ADDR` stdout line (no port-file polling race)
+//!   by their `ready ADDR` stdout line
 //! * `--serve-bin PATH` — the `nshot-serve` binary for `--spawn` (default:
 //!   sibling of this executable)
 //! * `--store DIR` — with `--spawn`, pass the shared warm-start store to
@@ -22,9 +22,6 @@
 //!   (default 8)
 //! * `--io-timeout-ms MS` — per-attempt backend IO timeout (default
 //!   60000; 0 = OS defaults)
-//! * `--vnodes N` — virtual nodes per backend on the hash ring (default
-//!   64)
-//! * `--port-file PATH` — write the front's bound address for discovery
 //!
 //! The front prints its own `ready ADDR` line once accepting. A protocol
 //! `shutdown` drains every backend (children exit on their own drain) and
@@ -41,7 +38,6 @@ struct Options {
     spawn: usize,
     serve_bin: Option<PathBuf>,
     store: Option<PathBuf>,
-    port_file: Option<PathBuf>,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -50,7 +46,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         spawn: 0,
         serve_bin: None,
         store: None,
-        port_file: None,
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -90,18 +85,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("--io-timeout-ms: {e}"))?;
             }
-            "--vnodes" => {
-                opts.config.vnodes = value("--vnodes")?
-                    .parse()
-                    .map_err(|e| format!("--vnodes: {e}"))?;
-            }
-            "--port-file" => opts.port_file = Some(PathBuf::from(value("--port-file")?)),
             "--help" | "-h" => {
                 println!(
                     "usage: nshot-shard (--backends HOST:PORT,... | --spawn N) \
                      [--addr HOST:PORT] [--serve-bin PATH] [--store DIR] \
-                     [--pool-cap N] [--io-timeout-ms MS] [--vnodes N] \
-                     [--port-file PATH]"
+                     [--pool-cap N] [--io-timeout-ms MS]"
                 );
                 std::process::exit(0);
             }
@@ -195,10 +183,6 @@ fn run(args: &[String]) -> Result<(), String> {
         format!("bind {}: {e}", opts.config.addr)
     })?;
     let addr = front.local_addr();
-    if let Some(path) = &opts.port_file {
-        std::fs::write(path, format!("{addr}\n"))
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-    }
     eprintln!(
         "nshot-shard: front at {addr}, {} shard(s)",
         opts.config.backends.len()

@@ -51,7 +51,7 @@ pub mod ring;
 pub use pool::BackendPool;
 pub use ring::{HashRing, DEFAULT_VNODES};
 
-use nshot_obs::{Counter, Gauge, HeartbeatGuard, Histogram, Progress, Registry};
+use nshot_obs::{Counter, Gauge, Histogram, Registry};
 use nshot_server::json::{self, Json};
 use nshot_server::protocol::{self, Decoded, Envelope, Request, Response};
 use nshot_server::runtime::{FrameReply, LineHandler, LineReply, TcpLineServer};
@@ -74,8 +74,6 @@ pub struct ShardConfig {
     /// (0 = OS defaults). Keep it above the backends' own request
     /// deadline, or slow-but-alive synthesis gets misread as a dead shard.
     pub io_timeout_ms: u64,
-    /// Virtual nodes per backend on the hash ring (0 = [`DEFAULT_VNODES`]).
-    pub vnodes: usize,
 }
 
 impl Default for ShardConfig {
@@ -85,7 +83,6 @@ impl Default for ShardConfig {
             backends: Vec::new(),
             pool_cap: 8,
             io_timeout_ms: 60_000,
-            vnodes: 0,
         }
     }
 }
@@ -107,9 +104,6 @@ struct FrontShared {
     requests: Arc<Counter>,
     degraded: Arc<Counter>,
     shards: Vec<ShardSeries>,
-    progress: Progress,
-    hb_requests: Arc<Gauge>,
-    hb_degraded: Arc<Gauge>,
 }
 
 impl FrontShared {
@@ -134,19 +128,13 @@ impl FrontShared {
                 )),
             });
         }
-        let progress = Progress::new("shard-front");
-        let hb_requests = progress.field("requests");
-        let hb_degraded = progress.field("degraded");
         FrontShared {
-            ring: HashRing::new(config.backends.len(), config.vnodes),
+            ring: HashRing::new(config.backends.len(), DEFAULT_VNODES),
             pools,
             registry,
             requests,
             degraded,
             shards,
-            progress,
-            hb_requests,
-            hb_degraded,
         }
     }
 
@@ -234,13 +222,10 @@ impl FrontShared {
             .count()
     }
 
-    /// Count an arriving request, beat the heartbeat and start the clock —
-    /// before decoding, so a frame too damaged to answer is still counted.
+    /// Count an arriving request and start the clock — before decoding, so
+    /// a frame too damaged to answer is still counted.
     fn admit(&self) -> Instant {
         self.requests.inc();
-        self.hb_requests.set(self.requests.get());
-        self.hb_degraded.set(self.degraded.get());
-        self.progress.beat();
         Instant::now()
     }
 
@@ -395,7 +380,6 @@ impl LineHandler for FrontShared {
 pub struct ShardFront {
     shared: Arc<FrontShared>,
     line_server: TcpLineServer,
-    _heartbeat: HeartbeatGuard,
 }
 
 impl ShardFront {
@@ -419,12 +403,10 @@ impl ShardFront {
         for i in 0..shared.pools.len() {
             let _ = shared.call(i, "{\"op\":\"ping\"}", 0);
         }
-        let heartbeat = shared.progress.start_reporter();
         let line_server = TcpLineServer::bind(&config.addr, Arc::clone(&shared))?;
         Ok(ShardFront {
             shared,
             line_server,
-            _heartbeat: heartbeat,
         })
     }
 

@@ -50,5 +50,5 @@ pub use mhs::{MhsAction, MhsCell, PulseResponse};
 pub use structural::{StructuralMhs, StructuralTrace};
 pub use trace::{WaveSignal, Waveform};
 
-#[cfg(all(test, feature = "proptest"))]
+#[cfg(test)]
 mod proptests;

@@ -47,5 +47,5 @@ pub use error::StgError;
 pub use parse::parse_stg;
 pub use petri::{Marking, PlaceId, Stg, TransId};
 
-#[cfg(all(test, feature = "proptest"))]
+#[cfg(test)]
 mod proptests;

