@@ -5,13 +5,21 @@
 //! pending bits ‖ specification state). Every discovered state is stored
 //! once, in discovery order, in a paged flat [`Arena`]; its discovery index
 //! is its `u32` id. The visited set is an open-addressed [`Table`] of ids
-//! whose probes compare against the arena. Exploration is plain BFS: every
+//! tagged with hash bits, so a probe reads the arena only where the tag
+//! matches. Exploration is plain BFS: every
 //! enabled action is explored from every state, and each state is expanded
 //! once, in discovery order, so the frontier is the id range `next..len`
 //! and the first violation found is depth-minimal. Per state the explorer
 //! keeps only its parent id: depth comes from BFS level boundaries, and a
 //! counterexample's actions are re-derived from the parent links when its
 //! trace is rendered.
+//!
+//! Expanding a state evaluates every combinational gate once, through the
+//! word masks `Model::build` compiled, into one excitation bitset. Excited
+//! gates are its set bits, and the Eq. 1 opening check is one disjointness
+//! test of that bitset with the cone's. The flip-flops' enable, pending
+//! and rail bits are gathered into masks once per state as well.
+//!
 //! The canonical successor order (flip-flop fires, commits, cancels, enable
 //! updates, gate fires in index order, environment inputs in specification
 //! order) makes the result a pure function of the model — identical
@@ -26,7 +34,7 @@ use nshot_obs::{Gauge, Progress, Registry};
 use nshot_par::FxHasher;
 use nshot_sg::{Dir, TransitionLabel};
 
-use crate::model::{CombGate, CombOp, Model};
+use crate::model::{disjoint, Model};
 use crate::{Certificate, Counterexample, ExplorationStats, McViolation, Verdict};
 
 /// One interleaving transition.
@@ -100,22 +108,87 @@ fn hash(w: &[u64]) -> u64 {
     h.finish()
 }
 
-/// The visited set: a power-of-two, linear-probing table of arena ids,
-/// rehashed from the arena when its load passes ½.
+/// How a [`Table`] slot packs a state id with a tag of its hash. The id
+/// takes the low `id_bits` bits, the width of `max(max_states, 2)`
+/// (capped at 32); the spare high bits of the slot hold the same bits of
+/// the hash's high half. Equal states hash alike, so a slot whose tag
+/// differs cannot hold the state sought, and the probe skips it without
+/// reading the arena. The tag bits sit above the ones that pick the slot,
+/// so the states of one probe run seldom share a tag. From `id_bits = 32`
+/// on, there is no tag.
+///
+/// No encoded slot equals [`NONE`]: that takes an id of `2^id_bits - 1`
+/// with `id_bits < 32`, and ids stay below `max(max_states, 2)`, since the
+/// explorer stops once the arena holds `max_states` states (a budget of 0
+/// or 1 still stores the root and one successor).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SlotCode {
+    /// The id bits of a slot.
+    id_mask: u32,
+}
+
+impl SlotCode {
+    pub(crate) fn for_budget(max_states: usize) -> Self {
+        let id_bits = 64 - (max_states.max(2) as u64).leading_zeros();
+        SlotCode {
+            id_mask: if id_bits >= 32 {
+                u32::MAX
+            } else {
+                (1 << id_bits) - 1
+            },
+        }
+    }
+
+    /// Bits of a slot that hold the id (32: no tag).
+    #[cfg(test)]
+    pub(crate) fn id_bits(self) -> u32 {
+        self.id_mask.count_ones()
+    }
+
+    /// The slot for state `id`, whose words hash to `h`.
+    pub(crate) fn encode(self, id: u32, h: u64) -> u32 {
+        debug_assert_eq!(id & !self.id_mask, 0, "id {id} exceeds the id bits");
+        ((h >> 32) as u32 & !self.id_mask) | id
+    }
+
+    /// The id an occupied slot holds.
+    pub(crate) fn id(self, slot: u32) -> u32 {
+        slot & self.id_mask
+    }
+
+    /// Whether `slot` may hold a state whose words hash to `h`.
+    pub(crate) fn tag_matches(self, slot: u32, h: u64) -> bool {
+        (slot ^ (h >> 32) as u32) & !self.id_mask == 0
+    }
+}
+
+/// The visited set: a power-of-two, linear-probing table of tagged arena
+/// ids (see [`SlotCode`]), rehashed from the arena when its load passes ½.
+/// A probe compares a state's words only where the tag matches.
 struct Table {
     slots: Vec<u32>,
+    code: SlotCode,
 }
 
 impl Table {
-    /// `Ok(id)` of the stored state equal to `w`, or `Err(slot)`: the empty
-    /// slot where `w` belongs.
-    fn find(&self, arena: &Arena, w: &[u64]) -> Result<u32, usize> {
+    fn new(max_states: usize) -> Self {
+        Table {
+            slots: vec![NONE; 256],
+            code: SlotCode::for_budget(max_states),
+        }
+    }
+
+    /// `Ok(id)` of the stored state equal to `w`, whose words hash to `h`,
+    /// or `Err(slot)`: the empty slot where `w` belongs.
+    fn find(&self, arena: &Arena, w: &[u64], h: u64) -> Result<u32, usize> {
         let mask = self.slots.len() - 1;
-        let mut i = hash(w) as usize & mask;
+        let mut i = h as usize & mask;
         loop {
             match self.slots[i] {
                 NONE => return Err(i),
-                id if arena.get(id) == w => return Ok(id),
+                s if self.code.tag_matches(s, h) && arena.get(self.code.id(s)) == w => {
+                    return Ok(self.code.id(s))
+                }
                 _ => i = (i + 1) & mask,
             }
         }
@@ -127,11 +200,12 @@ impl Table {
         self.slots = vec![NONE; self.slots.len() * 2];
         let mask = self.slots.len() - 1;
         for id in 0..arena.len as u32 {
-            let mut i = hash(arena.get(id)) as usize & mask;
+            let h = hash(arena.get(id));
+            let mut i = h as usize & mask;
             while self.slots[i] != NONE {
                 i = (i + 1) & mask;
             }
-            self.slots[i] = id;
+            self.slots[i] = self.code.encode(id, h);
         }
     }
 }
@@ -179,6 +253,17 @@ pub(crate) struct Explorer<'m, 'a> {
 
 // --- packed-state bit accessors -------------------------------------------
 
+/// The set bits of `mask`, lowest first.
+fn ones(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
 fn get_bit(w: &[u64], i: usize) -> bool {
     w[i >> 6] >> (i & 63) & 1 == 1
 }
@@ -197,9 +282,7 @@ impl<'m, 'a> Explorer<'m, 'a> {
             m,
             max_states,
             arena: Arena::new(m.state_words()),
-            table: Table {
-                slots: vec![NONE; 256],
-            },
+            table: Table::new(max_states),
             parents: Vec::new(),
             next: 0,
             stats: Stats {
@@ -260,15 +343,6 @@ impl<'m, 'a> Explorer<'m, 'a> {
         self.m.net_words * 64 + 3 * ff
     }
 
-    fn pending_of(&self, w: &[u64], ff: usize) -> Option<bool> {
-        let base = self.enable_bit(ff);
-        if get_bit(w, base + 1) {
-            Some(get_bit(w, base + 2))
-        } else {
-            None
-        }
-    }
-
     fn set_pending(&self, w: &mut [u64], ff: usize, p: Option<bool>) {
         let base = self.enable_bit(ff);
         set_bit(w, base + 1, p.is_some());
@@ -276,29 +350,11 @@ impl<'m, 'a> Explorer<'m, 'a> {
     }
 
     fn spec_of(&self, w: &[u64]) -> nshot_sg::StateId {
-        let idx = w[self.m.net_words + self.m.ff_words] as usize;
-        self.m
-            .sg
-            .state_ids()
-            .nth(idx)
-            .expect("packed spec state index in range")
+        self.m.spec_states[w[self.m.net_words + self.m.ff_words] as usize]
     }
 
     fn set_spec(&self, w: &mut [u64], s: nshot_sg::StateId) {
         w[self.m.net_words + self.m.ff_words] = s.index() as u64;
-    }
-
-    fn eval_comb(&self, w: &[u64], c: &CombGate) -> bool {
-        match c.op {
-            CombOp::And => c.inputs.iter().all(|&(n, inv)| get_bit(w, n as usize) ^ inv),
-            CombOp::Or => c.inputs.iter().any(|&(n, _)| get_bit(w, n as usize)),
-            CombOp::Not => !get_bit(w, c.inputs[0].0 as usize),
-        }
-    }
-
-    fn excited(&self, w: &[u64], comb: u32) -> bool {
-        let c = &self.m.comb[comb as usize];
-        self.eval_comb(w, c) != get_bit(w, c.gate as usize)
     }
 
     /// Refresh the zero-delay acknowledgement rails of flip-flop `f` (and
@@ -313,10 +369,6 @@ impl<'m, 'a> Explorer<'m, 'a> {
         if let Some(d) = ff.delay_line {
             set_bit(w, d as usize, e);
         }
-    }
-
-    fn settled(&self, w: &[u64], cone: &[u32]) -> bool {
-        cone.iter().all(|&c| !self.excited(w, c))
     }
 
     // -- initial state ------------------------------------------------------
@@ -348,7 +400,7 @@ impl<'m, 'a> Explorer<'m, 'a> {
         for _ in 0..m.comb.len() + 1 {
             let mut changed = false;
             for c in &m.comb {
-                let v = self.eval_comb(&w, c);
+                let v = m.value(c, &w);
                 if v != get_bit(&w, c.gate as usize) {
                     set_bit(&mut w, c.gate as usize, v);
                     changed = true;
@@ -358,7 +410,10 @@ impl<'m, 'a> Explorer<'m, 'a> {
                 break;
             }
         }
-        debug_assert!((0..m.comb.len()).all(|c| !self.excited(&w, c as u32)));
+        debug_assert!(m
+            .comb
+            .iter()
+            .all(|c| m.value(c, &w) == get_bit(&w, c.gate as usize)));
         for f in 0..m.ffs.len() {
             self.refresh_ack(&mut w, f);
         }
@@ -369,72 +424,77 @@ impl<'m, 'a> Explorer<'m, 'a> {
     // -- canonical enabled-action enumeration -------------------------------
 
     /// Write the actions enabled in `w`, in canonical order, into `out`.
-    fn enabled_actions(&self, w: &[u64], out: &mut Vec<Action>) {
+    /// `exc` (`comb_words` long) receives `w`'s excitation bitset.
+    fn enabled_actions(&self, w: &[u64], exc: &mut [u64], out: &mut Vec<Action>) {
         let m = self.m;
         out.clear();
+        m.excitation(w, exc);
+        // Every flip-flop's bits, as masks over flip-flop indices (a
+        // specification has at most 63 signals).
+        let (mut pending, mut rising, mut enable, mut output, mut set, mut reset) =
+            (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
+        for (f, ff) in m.ffs.iter().enumerate() {
+            let base = self.enable_bit(f);
+            enable |= u64::from(get_bit(w, base)) << f;
+            pending |= u64::from(get_bit(w, base + 1)) << f;
+            rising |= u64::from(get_bit(w, base + 2)) << f;
+            output |= u64::from(get_bit(w, ff.ff as usize)) << f;
+            set |= u64::from(get_bit(w, ff.ack_set as usize)) << f;
+            reset |= u64::from(get_bit(w, ff.ack_reset as usize)) << f;
+        }
         // 1. Observable flip-flop fires.
-        for f in 0..m.ffs.len() {
-            if let Some(rise) = self.pending_of(w, f) {
-                out.push(Action::Fire { ff: f as u16, rise });
-            }
+        for f in ones(pending) {
+            out.push(Action::Fire {
+                ff: f as u16,
+                rise: rising >> f & 1 == 1,
+            });
         }
         // 2. Pulse commits (the opposite rail is structurally low: the two
         //    acknowledgement gates share one enable, so a conflict cannot
         //    reach the flip-flop — the guard mirrors `MhsCell` regardless).
-        for (f, ff) in m.ffs.iter().enumerate() {
-            if self.pending_of(w, f).is_some() {
-                continue;
-            }
-            let out_v = get_bit(w, ff.ff as usize);
-            let set = get_bit(w, ff.ack_set as usize);
-            let reset = get_bit(w, ff.ack_reset as usize);
-            if set && !reset && !out_v {
-                out.push(Action::Commit { ff: f as u16, rise: true });
-            }
-            if reset && !set && out_v {
-                out.push(Action::Commit { ff: f as u16, rise: false });
-            }
+        for f in ones(!pending & ((set & !reset & !output) | (reset & !set & output))) {
+            out.push(Action::Commit {
+                ff: f as u16,
+                rise: set >> f & 1 == 1,
+            });
         }
-        // 3. Runt absorption (only with ω > 0, only while the rail is back
-        //    low — a held-high rail must eventually fire).
+        // 3. Runt absorption (only with ω > 0, only while the pending
+        //    pulse's rail is back low — a held-high rail must eventually
+        //    fire).
         if m.absorption {
-            for (f, ff) in m.ffs.iter().enumerate() {
-                if let Some(rise) = self.pending_of(w, f) {
-                    let rail = if rise { ff.ack_set } else { ff.ack_reset };
-                    if !get_bit(w, rail as usize) {
-                        out.push(Action::Cancel { ff: f as u16 });
-                    }
-                }
+            for f in ones(pending & !((rising & set) | (!rising & reset))) {
+                out.push(Action::Cancel { ff: f as u16 });
             }
         }
         // 4. Enable/feedback updates. The update that *opens* an
-        //    acknowledgement gate waits for that SOP cone to settle when the
-        //    Eq. 1 assumption is in force.
-        for (f, ff) in m.ffs.iter().enumerate() {
-            let e = get_bit(w, self.enable_bit(f));
-            let out_v = get_bit(w, ff.ff as usize);
-            if e != out_v {
-                let opening = if out_v { &ff.reset_cone } else { &ff.set_cone };
-                if !m.assume_delay_requirement || self.settled(w, opening) {
-                    out.push(Action::Enable { ff: f as u16, value: out_v });
-                }
+        //    acknowledgement gate waits for that SOP cone to settle (no
+        //    gate of it excited) when the Eq. 1 assumption is in force.
+        for f in ones(enable ^ output) {
+            let ff = &m.ffs[f];
+            let value = output >> f & 1 == 1;
+            let opening = if value { &ff.reset_cone } else { &ff.set_cone };
+            if !m.assume_delay_requirement || disjoint(exc, opening) {
+                out.push(Action::Enable {
+                    ff: f as u16,
+                    value,
+                });
             }
         }
-        // 5. Excited combinational gates, in gate-index order.
-        for c in 0..m.comb.len() as u32 {
-            if self.excited(w, c) {
-                let value = !get_bit(w, m.comb[c as usize].gate as usize);
-                out.push(Action::Gate { comb: c, value });
+        // 5. Excited combinational gates, in index order.
+        for (i, &word) in exc.iter().enumerate() {
+            for c in ones(word).map(|b| i * 64 + b) {
+                let value = !get_bit(w, m.comb[c].gate as usize);
+                out.push(Action::Gate {
+                    comb: c as u32,
+                    value,
+                });
             }
         }
         // 6. Specification-enabled environment inputs, straight off the
         //    excitation mask (determinism gives one transition per signal;
         //    its direction is forced by the signal's current value).
         let spec = self.spec_of(w);
-        let mut inputs = m.sg.excited_mask(spec) & !m.sg.non_input_mask();
-        while inputs != 0 {
-            let i = inputs.trailing_zeros() as usize;
-            inputs &= inputs - 1;
+        for i in ones(m.sg.excited_mask(spec) & m.input_mask) {
             out.push(Action::Input {
                 signal: i as u16,
                 rise: !m.sg.value(spec, m.signal_ids[i]),
@@ -504,10 +564,11 @@ impl<'m, 'a> Explorer<'m, 'a> {
     /// Record `w`, discovered from `parent`, unless it has been seen.
     /// Returns whether it is new.
     fn visit(&mut self, w: &[u64], parent: u32) -> bool {
-        let Err(slot) = self.table.find(&self.arena, w) else {
+        let h = hash(w);
+        let Err(slot) = self.table.find(&self.arena, w, h) else {
             return false;
         };
-        self.table.slots[slot] = self.arena.push(w);
+        self.table.slots[slot] = self.table.code.encode(self.arena.push(w), h);
         self.parents.push(parent);
         if 2 * self.arena.len > self.table.slots.len() {
             self.table.grow(&self.arena);
@@ -559,7 +620,7 @@ impl<'m, 'a> Explorer<'m, 'a> {
     fn discovering_action(&self, parent: u32, child: u32) -> Action {
         let (w, target) = (self.arena.get(parent), self.arena.get(child));
         let mut enabled = Vec::new();
-        self.enabled_actions(w, &mut enabled);
+        self.enabled_actions(w, &mut vec![0; self.m.comb_words], &mut enabled);
         let mut next = vec![0u64; w.len()];
         enabled
             .into_iter()
@@ -679,6 +740,7 @@ impl<'m, 'a> Explorer<'m, 'a> {
         // are written into these; only new states are copied out.
         let mut words = root;
         let mut next = vec![0u64; words.len()];
+        let mut exc = vec![0u64; self.m.comb_words];
         let mut enabled = Vec::new();
         // BFS depth of the state being expanded, and the id where its
         // level ends: every state of a level is discovered before the
@@ -692,7 +754,7 @@ impl<'m, 'a> Explorer<'m, 'a> {
             let id = self.next as u32;
             self.next += 1;
             words.copy_from_slice(self.arena.get(id));
-            self.enabled_actions(&words, &mut enabled);
+            self.enabled_actions(&words, &mut exc, &mut enabled);
             if enabled.is_empty() {
                 // Quiescent and environment-blocked: if the specification
                 // still expects an output, the circuit has deadlocked.

@@ -31,7 +31,7 @@
 
 use nshot_core::delay_requirement_ns;
 use nshot_netlist::{DelayModel, GateKind, Netlist};
-use nshot_sg::{SignalId, SignalKind, StateGraph};
+use nshot_sg::{SignalId, SignalKind, StateGraph, StateId};
 
 /// Configuration of a model-checking run.
 #[derive(Debug, Clone)]
@@ -94,23 +94,33 @@ impl std::error::Error for ModelError {}
 /// Operator of a delayed combinational gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CombOp {
-    /// AND with per-input bubbles.
+    /// High when every term matches: `w & care == want`. An inverter is an
+    /// AND with one term and `want = 0`.
     And,
-    /// OR (no bubbles).
+    /// High when some term has a care bit set: `w & care != 0`, i.e. not
+    /// every term matches its `want = 0`.
     Or,
-    /// Inverter.
-    Not,
 }
 
-/// One delayed combinational gate.
+/// One net word of a compiled gate's inputs: the bits `care` of packed word
+/// `word`, and the values an AND wants there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Term {
+    pub word: u32,
+    pub care: u64,
+    pub want: u64,
+}
+
+/// One delayed combinational gate, compiled to word masks.
 #[derive(Debug, Clone)]
 pub(crate) struct CombGate {
     /// Gate index (== output net index) in the netlist.
     pub gate: u32,
     /// Operator.
     pub op: CombOp,
-    /// `(net, inverted)` inputs.
-    pub inputs: Vec<(u32, bool)>,
+    /// Its terms, `Model::terms[start..end]`: one per net word its inputs
+    /// touch, in word order.
+    pub terms: (u32, u32),
 }
 
 /// Per-non-input-signal structure (flip-flop and its two network cones).
@@ -130,10 +140,10 @@ pub(crate) struct FfInfo {
     pub reset_sop: u32,
     /// Net index of the Eq. 1 delay line, when present.
     pub delay_line: Option<u32>,
-    /// Comb-gate indices in the transitive fanin of the set SOP.
-    pub set_cone: Vec<u32>,
-    /// Comb-gate indices in the transitive fanin of the reset SOP.
-    pub reset_cone: Vec<u32>,
+    /// Bitset over comb indices: the transitive fanin of the set SOP.
+    pub set_cone: Vec<u64>,
+    /// Bitset over comb indices: the transitive fanin of the reset SOP.
+    pub reset_cone: Vec<u64>,
     /// Eq. 1 requirement in ps under the configured delay model.
     pub required_ps: u64,
     /// Physical delay-line length in ps (0 when absent).
@@ -146,12 +156,20 @@ pub(crate) struct Model<'a> {
     pub nl: &'a Netlist,
     /// Delayed combinational gates, in gate-index order.
     pub comb: Vec<CombGate>,
+    /// Every comb gate's terms, gate after gate.
+    pub terms: Vec<Term>,
+    /// Words of a bitset over comb indices (excitation, cones).
+    pub comb_words: usize,
     /// Per non-input signal (in `sg.non_input_signals()` order).
     pub ffs: Vec<FfInfo>,
     /// Signal index → net index (inputs: input gate; non-inputs: ff gate).
     pub signal_net: Vec<u32>,
     /// Signal index → `SignalId` (ids are opaque outside `nshot-sg`).
     pub signal_ids: Vec<SignalId>,
+    /// Specification state index → `StateId`.
+    pub spec_states: Vec<StateId>,
+    /// Input signals, as a mask over signal indices.
+    pub input_mask: u64,
     /// Net index → positions in `ffs` whose set (`false`) / reset (`true`)
     /// SOP output this net is (for derived ack recomputation).
     pub sop_readers: Vec<Vec<(u16, bool)>>,
@@ -308,6 +326,7 @@ impl<'a> Model<'a> {
         // Classify every gate; anything not accounted for must be a plain
         // delayed combinational gate.
         let mut comb: Vec<CombGate> = Vec::new();
+        let mut terms: Vec<Term> = Vec::new();
         let mut comb_of_gate: Vec<Option<u32>> = vec![None; num_nets];
         let registered_ack: std::collections::HashSet<u32> = ffs
             .iter()
@@ -318,46 +337,34 @@ impl<'a> Model<'a> {
         let registered_ff: std::collections::HashSet<u32> = ffs.iter().map(|f| f.ff).collect();
         for g in nl.gate_ids() {
             let gi = g.index() as u32;
-            match nl.kind(g) {
-                GateKind::Input | GateKind::Const(_) => {}
+            let ins = nl.inputs(g).iter().map(|n| n.index() as u32);
+            let compiled = match nl.kind(g) {
+                GateKind::Input | GateKind::Const(_) => None,
                 GateKind::And { inverted } => {
-                    comb_of_gate[g.index()] = Some(comb.len() as u32);
-                    comb.push(CombGate {
-                        gate: gi,
-                        op: CombOp::And,
-                        inputs: nl
-                            .inputs(g)
-                            .iter()
-                            .zip(inverted.iter())
-                            .map(|(n, &inv)| (n.index() as u32, inv))
-                            .collect(),
-                    });
+                    let literals = ins.zip(inverted.iter().map(|&bubble| !bubble));
+                    Some((CombOp::And, compile_and(literals)))
                 }
-                GateKind::Or => {
-                    comb_of_gate[g.index()] = Some(comb.len() as u32);
-                    comb.push(CombGate {
-                        gate: gi,
-                        op: CombOp::Or,
-                        inputs: nl.inputs(g).iter().map(|n| (n.index() as u32, false)).collect(),
-                    });
-                }
-                GateKind::Not => {
-                    comb_of_gate[g.index()] = Some(comb.len() as u32);
-                    comb.push(CombGate {
-                        gate: gi,
-                        op: CombOp::Not,
-                        inputs: nl.inputs(g).iter().map(|n| (n.index() as u32, false)).collect(),
-                    });
-                }
-                GateKind::AckAnd { .. } if registered_ack.contains(&gi) => {}
-                GateKind::DelayLine { .. } if registered_line.contains(&gi) => {}
-                GateKind::MhsFlipFlop if registered_ff.contains(&gi) => {}
+                GateKind::Or => Some((CombOp::Or, compile_and(ins.map(|n| (n, false))))),
+                GateKind::Not => Some((CombOp::And, compile_and(ins.take(1).map(|n| (n, false))))),
+                GateKind::AckAnd { .. } if registered_ack.contains(&gi) => None,
+                GateKind::DelayLine { .. } if registered_line.contains(&gi) => None,
+                GateKind::MhsFlipFlop if registered_ff.contains(&gi) => None,
                 k => {
                     return Err(ModelError::UnsupportedGate {
                         gate: nl.gate_name(g).to_string(),
                         kind: format!("{k:?}"),
                     })
                 }
+            };
+            if let Some((op, gate_terms)) = compiled {
+                comb_of_gate[g.index()] = Some(comb.len() as u32);
+                let start = terms.len() as u32;
+                terms.extend(gate_terms);
+                comb.push(CombGate {
+                    gate: gi,
+                    op,
+                    terms: (start, terms.len() as u32),
+                });
             }
         }
 
@@ -370,9 +377,9 @@ impl<'a> Model<'a> {
         // come from inputs, constants, flip-flop outputs or other
         // combinational gates.
         for c in &comb {
-            for &(n, _) in &c.inputs {
+            for n in nl.inputs(nl.gate_id(c.gate as usize)) {
                 let ok = matches!(
-                    nl.kind(nl.net_id(n as usize).driver()),
+                    nl.kind(n.driver()),
                     GateKind::Input
                         | GateKind::Const(_)
                         | GateKind::MhsFlipFlop
@@ -384,33 +391,31 @@ impl<'a> Model<'a> {
                     return Err(ModelError::NotNshot(format!(
                         "combinational gate {} reads non-combinational net {}",
                         nl.gate_name(nl.gate_id(c.gate as usize)),
-                        nl.gate_name(nl.net_id(n as usize).driver())
+                        nl.gate_name(n.driver())
                     )));
                 }
             }
         }
 
-        // Transitive comb fanin cones of every SOP output.
-        let cone = |root: u32| -> Vec<u32> {
-            let mut seen = vec![false; comb.len()];
-            let mut out = Vec::new();
-            let mut stack = Vec::new();
-            if let Some(c) = comb_of_gate[root as usize] {
-                stack.push(c);
-            }
+        // Transitive comb fanin cones of every SOP output, as bitsets.
+        let comb_words = comb.len().div_ceil(64);
+        let cone = |root: u32| -> Vec<u64> {
+            let mut seen = vec![0u64; comb_words];
+            let mut stack: Vec<u32> = comb_of_gate[root as usize].into_iter().collect();
             while let Some(c) = stack.pop() {
-                if std::mem::replace(&mut seen[c as usize], true) {
+                let (word, bit) = (c as usize >> 6, 1u64 << (c & 63));
+                if seen[word] & bit != 0 {
                     continue;
                 }
-                out.push(c);
-                for &(n, _) in &comb[c as usize].inputs {
-                    if let Some(up) = comb_of_gate[n as usize] {
-                        stack.push(up);
-                    }
-                }
+                seen[word] |= bit;
+                let gate = nl.gate_id(comb[c as usize].gate as usize);
+                stack.extend(
+                    nl.inputs(gate)
+                        .iter()
+                        .filter_map(|n| comb_of_gate[n.index()]),
+                );
             }
-            out.sort_unstable();
-            out
+            seen
         };
         for f in &mut ffs {
             f.set_cone = cone(f.set_sop);
@@ -438,9 +443,13 @@ impl<'a> Model<'a> {
             sg,
             nl,
             comb,
+            terms,
+            comb_words,
             ffs,
             signal_net,
             signal_ids: sg.signal_ids().collect(),
+            spec_states: sg.state_ids().collect(),
+            input_mask: !sg.non_input_mask(),
             sop_readers,
             assume_delay_requirement: assume,
             absorption: config.omega_ps > 0,
@@ -453,6 +462,69 @@ impl<'a> Model<'a> {
     pub fn state_words(&self) -> usize {
         self.net_words + self.ff_words + 1
     }
+
+    /// The function value of comb gate `c` over packed state `w`.
+    pub fn value(&self, c: &CombGate, w: &[u64]) -> bool {
+        let (start, end) = c.terms;
+        let all = self.terms[start as usize..end as usize]
+            .iter()
+            .all(|t| w[t.word as usize] & t.care == t.want);
+        all == (c.op == CombOp::And)
+    }
+
+    /// Write the excitation bitset of `w` into `exc` (`comb_words` long):
+    /// bit `c` is set when comb gate `c`'s function differs from its
+    /// output net.
+    pub fn excitation(&self, w: &[u64], exc: &mut [u64]) {
+        exc.fill(0);
+        for (i, c) in self.comb.iter().enumerate() {
+            let out = w[c.gate as usize >> 6] >> (c.gate & 63) & 1 == 1;
+            exc[i >> 6] |= u64::from(self.value(c, w) != out) << (i & 63);
+        }
+    }
+}
+
+/// `true` when bitsets `a` and `b` share no bit: an excitation and a cone
+/// that share none mean the cone has settled.
+pub(crate) fn disjoint(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x & y == 0)
+}
+
+/// The terms of an AND over `(net, want)` literals: one per net word, in
+/// word order. OR and NOT compile through here too, with every `want` 0:
+/// NOT is that AND, OR its negation.
+fn compile_and(literals: impl Iterator<Item = (u32, bool)>) -> Vec<Term> {
+    let mut terms: Vec<Term> = Vec::new();
+    for (net, want) in literals {
+        let (word, bit) = (net >> 6, 1u64 << (net & 63));
+        let at = match terms.iter().position(|t| t.word == word) {
+            Some(at) => at,
+            None => {
+                terms.push(Term {
+                    word,
+                    care: 0,
+                    want: 0,
+                });
+                terms.len() - 1
+            }
+        };
+        let t = &mut terms[at];
+        if t.care & bit != 0 && (t.want & bit != 0) != want {
+            // The AND reads `net` both plain and inverted: it is constant
+            // 0, as is a term that wants a bit it does not care about.
+            return vec![Term {
+                word: 0,
+                care: 0,
+                want: 1,
+            }];
+        }
+        t.care |= bit;
+        if want {
+            t.want |= bit;
+        }
+    }
+    terms.sort_unstable_by_key(|t| t.word);
+    terms
 }
 
 /// Net index → its driving `GateId` (1:1 in this netlist representation).

@@ -174,8 +174,12 @@ pub fn parse_stg(text: &str) -> Result<Stg, StgError> {
 
     // Apply the marking. `<a,b>` names transitions by their canonical
     // names (`Stg::transition_name`, the first transition wins a shared
-    // name); the map is built once, on the first such token.
-    let mut by_name: Option<FxHashMap<String, TransId>> = None;
+    // name). Every parsed transition came from `split_edge_token`, so its
+    // name splits back to its own `(signal, dir, occurrence)` key: a token
+    // is looked up by its split and accepted only if it is that
+    // transition's name (`a+/0` and `a+/01` are not). The map is built
+    // once, on the first such token.
+    let mut by_key: Option<FxHashMap<(usize, Dir, u32), TransId>> = None;
     for (line, tok) in &marking_tokens {
         let (name, count) = match tok.split_once('=') {
             Some((n, c)) => (
@@ -192,17 +196,21 @@ pub fn parse_stg(text: &str) -> Result<Stg, StgError> {
                 line: *line,
                 message: format!("bad implicit place '{name}'"),
             })?;
-            let by_name = by_name.get_or_insert_with(|| {
+            let by_key = by_key.get_or_insert_with(|| {
                 let mut map = FxHashMap::default();
-                for t in (0..stg.num_transitions() as u32).map(TransId) {
-                    map.entry(stg.transition_name(t)).or_insert(t);
+                for (i, tr) in stg.transitions.iter().enumerate() {
+                    map.entry((tr.signal, tr.dir, tr.occurrence))
+                        .or_insert(TransId(i as u32));
                 }
                 map
             });
             let lookup = |t: &str| {
-                by_name
-                    .get(t.trim())
-                    .copied()
+                let t = t.trim();
+                split_edge_token(t)
+                    .and_then(|(sig, dir, occ)| {
+                        by_key.get(&(stg.signal_index(sig)?, dir, occ)).copied()
+                    })
+                    .filter(|&id| stg.transition_name(id) == t)
                     .ok_or_else(|| StgError::Parse {
                         line: *line,
                         message: format!("unknown transition '{t}' in marking"),
@@ -369,5 +377,38 @@ mod tests {
             parse_stg(".inputs a\n.outputs b\n.graph\na+ b+\nb+ a-\na- b-\nb- a+\n.marking { <a+,a-> }\n.end")
                 .unwrap_err();
         assert!(matches!(err, StgError::Parse { .. }));
+    }
+
+    #[test]
+    fn marking_names_only_canonical_transitions() {
+        let ring = |graph: &str, marking: &str| {
+            parse_stg(&format!(
+                ".inputs a\n.outputs b\n.graph\n{graph}\n.marking {{ {marking} }}\n.end"
+            ))
+        };
+        // `a+/0` is the transition `a+`: the marking must call it that.
+        let g = "a+/0 b+\nb+ a-\na- b-\nb- a+/0";
+        let stg = ring(g, "<b-,a+>").unwrap();
+        assert_eq!(
+            stg.transition_name(stg.enabled(&stg.initial_marking())[0]),
+            "a+"
+        );
+        assert!(matches!(ring(g, "<b-,a+/0>"), Err(StgError::Parse { .. })));
+        // `a+/01` is the transition `a+/1`, and likewise.
+        let g = "a+/01 b+\nb+ a-\na- b-\nb- a+/01";
+        let stg = ring(g, "<b-,a+/1>").unwrap();
+        assert_eq!(
+            stg.transition_name(stg.enabled(&stg.initial_marking())[0]),
+            "a+/1"
+        );
+        assert!(matches!(ring(g, "<b-,a+/01>"), Err(StgError::Parse { .. })));
+        // Tokens `a+/0` and `a+` are two transitions named `a+`; the marking
+        // means the first one created. Only that one has an arc to `b+`.
+        let g = "a+/0 b+\nb+ a-\na- b-\nb- a+/0\nb- a+\na+ a-";
+        let stg = ring(g, "<a+,b+>").unwrap();
+        let first = stg.enabled(&stg.initial_marking());
+        assert_eq!(first.len(), 1);
+        assert_eq!(stg.transition_name(first[0]), "b+");
+        assert!(matches!(ring(g, "<a+,a->"), Err(StgError::Parse { .. })));
     }
 }
