@@ -1,7 +1,13 @@
 //! Sums of product terms ([`Cover`]) with the classic cover algebra.
 
 use crate::cube::{Cube, Polarity};
+use nshot_par::FxHashSet;
 use std::fmt;
+
+/// [`Cover::single_cube_containment`] compares a cube with the kept cubes
+/// of its own size level one by one up to this many, and through a hash set
+/// beyond.
+const LEVEL_SCAN_LIMIT: usize = 8;
 
 /// A sum of [`Cube`]s over a fixed variable count.
 ///
@@ -96,6 +102,11 @@ impl Cover {
         &self.cubes
     }
 
+    /// Take the cubes out of the cover.
+    pub(crate) fn into_cubes(self) -> Vec<Cube> {
+        self.cubes
+    }
+
     /// Append a cube, silently dropping empty cubes.
     ///
     /// # Panics
@@ -149,21 +160,59 @@ impl Cover {
     }
 
     /// Remove cubes contained in another single cube of the cover
-    /// (single-cube containment minimization).
+    /// (single-cube containment minimization). Survivors keep their order
+    /// after a stable sort by decreasing free count, and an empty cube is
+    /// dropped unless it comes first.
+    ///
+    /// A non-empty cube can only be contained in a cube with strictly more
+    /// free variables or in an equal one: a cube with as many free
+    /// variables that contains it has the same free variables and the same
+    /// literals. So each cube is tested for containment against the kept
+    /// cubes of larger size levels, and for equality against the kept cubes
+    /// of its own level, through a hash set once the level is large.
     pub fn single_cube_containment(&mut self) {
         // Sort big-to-small so that keepers come first.
         self.cubes
             .sort_by_key(|c| std::cmp::Reverse(c.free_count()));
-        let mut kept: Vec<Cube> = Vec::with_capacity(self.cubes.len());
-        'outer: for c in self.cubes.drain(..) {
-            for k in &kept {
-                if k.contains(&c) {
-                    continue 'outer;
+        let mut kept: Vec<usize> = Vec::new();
+        // `kept[..larger]` hold more free variables than the current level;
+        // `level` holds the rest once there are enough of them.
+        let (mut larger, mut level_free) = (0, usize::MAX);
+        let mut level: FxHashSet<&Cube> = FxHashSet::default();
+        for (i, c) in self.cubes.iter().enumerate() {
+            if c.free_count() != level_free {
+                (larger, level_free) = (kept.len(), c.free_count());
+                level.clear();
+            }
+            let same = &kept[larger..];
+            let contained = if c.is_empty() {
+                // Every cube contains the empty cube.
+                !kept.is_empty()
+            } else if kept[..larger].iter().any(|&k| self.cubes[k].contains(c)) {
+                true
+            } else if same.len() < LEVEL_SCAN_LIMIT {
+                same.iter().any(|&k| self.cubes[k] == *c)
+            } else {
+                if level.is_empty() {
+                    level.extend(same.iter().map(|&k| &self.cubes[k]));
+                }
+                level.contains(c)
+            };
+            if !contained {
+                kept.push(i);
+                if !level.is_empty() {
+                    level.insert(c);
                 }
             }
-            kept.push(c);
         }
-        self.cubes = kept;
+        drop(level);
+        // `kept` is ascending: take each index off its front as `retain`
+        // passes it.
+        let (mut kept, mut i) = (kept.into_iter().peekable(), 0);
+        self.cubes.retain(|_| {
+            i += 1;
+            kept.next_if_eq(&(i - 1)).is_some()
+        });
     }
 
     /// Cofactor of the cover with respect to cube `p` (drop empty cofactors).

@@ -147,6 +147,12 @@ impl Cube {
         cube
     }
 
+    /// The words that hold variable fields: none for a cube over zero
+    /// variables, whose one word holds none.
+    fn used_words(&self) -> &[u64] {
+        &self.words[..self.num_vars.div_ceil(VARS_PER_WORD)]
+    }
+
     /// Number of variables of the space this cube lives in.
     pub fn num_vars(&self) -> usize {
         self.num_vars
@@ -210,16 +216,20 @@ impl Cube {
 
     /// Number of literals (non-free, non-empty variable positions).
     pub fn literal_count(&self) -> usize {
-        (0..self.num_vars)
-            .filter(|&v| matches!(self.polarity(v), Polarity::Positive | Polarity::Negative))
-            .count()
+        // A literal field has exactly one of its two bits set.
+        self.used_words()
+            .iter()
+            .map(|&w| ((w ^ (w >> 1)) & 0x5555_5555_5555_5555).count_ones() as usize)
+            .sum()
     }
 
     /// Number of free variables; `2^free_count` is the cube's minterm count.
     pub fn free_count(&self) -> usize {
-        (0..self.num_vars)
-            .filter(|&v| self.polarity(v) == Polarity::Free)
-            .count()
+        // A free field has both bits set.
+        self.used_words()
+            .iter()
+            .map(|&w| (w & (w >> 1) & 0x5555_5555_5555_5555).count_ones() as usize)
+            .sum()
     }
 
     /// Cube intersection (bitwise AND). The result may be empty.
@@ -551,6 +561,34 @@ mod tests {
         let m2 = Cube::from_minterm(40, (1u64 << 39) | 1);
         assert!(!c.contains(&m2));
         assert_eq!(c.distance(&m2), 1);
+    }
+
+    #[test]
+    fn counts_match_the_per_variable_definition() {
+        let mut rng = nshot_par::SmallRng::seed_from_u64(7);
+        for n in [0, 1, 5, 31, 32, 33, 40, 64] {
+            for _ in 0..64 {
+                let mut c = Cube::full(n);
+                for v in 0..n {
+                    match rng.gen_index(4) {
+                        0 => c.set(v, false),
+                        1 => c.set(v, true),
+                        2 if rng.gen_index(8) == 0 => {
+                            c = c.intersect(&Cube::from_literals(n, &[(v, true)]));
+                            c = c.intersect(&Cube::from_literals(n, &[(v, false)]));
+                        }
+                        _ => {}
+                    }
+                }
+                let count = |p: &[Polarity]| (0..n).filter(|&v| p.contains(&c.polarity(v))).count();
+                assert_eq!(c.free_count(), count(&[Polarity::Free]), "{c:?}");
+                assert_eq!(
+                    c.literal_count(),
+                    count(&[Polarity::Positive, Polarity::Negative]),
+                    "{c:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -171,8 +171,20 @@ pub(crate) fn essential_primes(cover: &Cover, oracle: &dyn Oracle) -> Cover {
 /// EXPAND: make every cube prime by greedily raising literals while the cube
 /// stays disjoint from the OFF-set, then remove covered cubes.
 ///
-/// Raising single literals to a fixpoint yields primes: a cube is prime iff
-/// no single literal can be removed without hitting the OFF-set.
+/// Raising single literals yields primes: a cube is prime iff no single
+/// literal can be removed without hitting the OFF-set. One sweep over the
+/// raise order is enough, because a rejected raise stays rejected: the cube
+/// only grows, and a superset of a trial that meets OFF meets OFF too.
+///
+/// The oracle is asked only when the answer is not already known. Every
+/// cube that enters EXPAND is OFF-free (an ON minterm, a DC cube of
+/// [`crate::minimize_exact`], or a REDUCE result, which only shrinks a
+/// cover cube), and EXPAND accepts only OFF-free raises, so every prime it
+/// has finished is OFF-free. A subcube of an OFF-free cube is OFF-free, so
+/// a trial inside a finished prime is accepted without asking: that is the
+/// oracle's own answer. A trial lies inside a prime only if the cube before
+/// the raise does, so each cube tests its trials only against the primes
+/// that contain it.
 pub(crate) fn expand(cover: &mut Cover, oracle: &dyn Oracle) {
     let order = oracle.raise_order();
     let mut cubes: Vec<Cube> = cover.iter().cloned().collect();
@@ -180,23 +192,39 @@ pub(crate) fn expand(cover: &mut Cover, oracle: &dyn Oracle) {
     cubes.sort_by_key(Cube::literal_count);
     cubes.reverse();
 
-    for c in &mut cubes {
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &v in &order {
-                if matches!(
-                    c.polarity(v),
-                    crate::Polarity::Positive | crate::Polarity::Negative
-                ) {
-                    let mut trial = c.clone();
-                    trial.raise(v);
-                    if !oracle.meets_off(&trial) {
-                        *c = trial;
-                        changed = true;
-                    }
-                }
+    // Indices of the distinct primes finished so far, and of those that
+    // contain the cube being raised.
+    let mut primes: Vec<usize> = Vec::new();
+    let mut around: Vec<usize> = Vec::new();
+    for i in 0..cubes.len() {
+        let (done, rest) = cubes.split_at_mut(i);
+        let c = &mut rest[0];
+        around.clear();
+        around.extend(primes.iter().copied().filter(|&p| done[p].contains(c)));
+        for &v in &order {
+            let positive = match c.polarity(v) {
+                crate::Polarity::Positive => true,
+                crate::Polarity::Negative => false,
+                _ => continue,
+            };
+            c.raise(v);
+            if around.iter().any(|&p| done[p].contains(c)) {
+                around.retain(|&p| done[p].contains(c));
+            } else if oracle.meets_off(c) {
+                c.set(v, positive);
+            } else {
+                // The trial lies in no listed prime, and it only grows.
+                around.clear();
             }
+        }
+        // A prime inside another prime equals it, so only a cube that no
+        // listed prime contains is a new one.
+        if around.is_empty() {
+            debug_assert!(
+                !oracle.meets_off(c),
+                "EXPAND met a cube that is not OFF-free"
+            );
+            primes.push(i);
         }
     }
     let mut result = Cover::from_cubes(cover.num_vars(), cubes);

@@ -22,8 +22,7 @@ pub fn all_primes(f: &Function) -> Vec<Cube> {
     let oracle = f.oracle();
     let mut cover = Cover::from_cubes(f.num_vars(), cubes);
     crate::espresso::expand(&mut cover, &*oracle);
-    cubes = cover.iter().cloned().collect();
-    absorb(&mut cubes);
+    cubes = cover.into_cubes();
 
     // Iterated consensus: add consensus terms, expand them to primes, absorb.
     let mut changed = true;
@@ -45,7 +44,9 @@ pub fn all_primes(f: &Function) -> Vec<Cube> {
         }
         if !new_cubes.is_empty() {
             cubes.extend(new_cubes);
-            absorb(&mut cubes);
+            let mut cover = Cover::from_cubes(f.num_vars(), cubes);
+            cover.single_cube_containment();
+            cubes = cover.into_cubes();
             changed = true;
         }
     }
@@ -70,21 +71,6 @@ fn expand_single(c: &mut Cube, oracle: &dyn Oracle, n: usize) {
             }
         }
     }
-}
-
-/// Remove cubes contained in another cube of the list.
-fn absorb(cubes: &mut Vec<Cube>) {
-    cubes.sort_by_key(|c| std::cmp::Reverse(c.free_count()));
-    let mut kept: Vec<Cube> = Vec::with_capacity(cubes.len());
-    'outer: for c in cubes.drain(..) {
-        for k in &kept {
-            if k.contains(&c) {
-                continue 'outer;
-            }
-        }
-        kept.push(c);
-    }
-    *cubes = kept;
 }
 
 /// Exact minimum-cube cover of `f`.
