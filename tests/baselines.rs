@@ -176,3 +176,72 @@ fn nshot_fanout_assumption_report() {
     // Every flip-flop output also fans out (feedback + observability).
     assert!(report.iter().any(|&(_, _, is_input)| !is_input));
 }
+
+/// FNV-1a, as in `tests/golden.rs`: stable across Rust releases.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// FNV-1a of the SIS-like and Q-module results over the whole suite: per
+/// circuit the cover of every signal cube for cube, the area, the delay and
+/// the BLIF of the netlist, or the refusal. `(SIS-like, Q-module)`.
+const BASELINE_PINS: (u64, u64) = (0xdba14d72cd06b71e, 0xc60b909238f6c94b);
+
+#[test]
+fn sis_and_qmodule_results_are_pinned() {
+    use nshot::baselines::qmodule;
+    use std::fmt::Write as _;
+    let model = DelayModel::nominal();
+    let (mut sis_text, mut q_text) = (String::new(), String::new());
+    for b in nshot::benchmarks::suite() {
+        let sg = b.build();
+        let name = |s| sg.signal_name(s);
+        match sis(&sg, &model) {
+            Ok(imp) => {
+                for (a, cover) in &imp.covers {
+                    writeln!(sis_text, "{} {}: {cover}", b.name, name(*a)).unwrap();
+                }
+                writeln!(
+                    sis_text,
+                    "{} area {} delay {:.3} lines {} {:?}\n{}",
+                    b.name,
+                    imp.area,
+                    imp.delay_ns,
+                    imp.delay_lines,
+                    imp.hazards,
+                    imp.netlist.to_blif()
+                )
+                .unwrap();
+            }
+            Err(e) => writeln!(sis_text, "{} {e:?}", b.name).unwrap(),
+        }
+        match qmodule(&sg, &model) {
+            Ok(imp) => {
+                for (a, cover) in &imp.covers {
+                    writeln!(q_text, "{} {}: {cover}", b.name, name(*a)).unwrap();
+                }
+                writeln!(
+                    q_text,
+                    "{} area {} delay {:.3}\n{}",
+                    b.name,
+                    imp.area,
+                    imp.delay_ns,
+                    imp.netlist.to_blif()
+                )
+                .unwrap();
+            }
+            Err(e) => writeln!(q_text, "{} {e:?}", b.name).unwrap(),
+        }
+    }
+    let got = (fnv1a(sis_text.as_bytes()), fnv1a(q_text.as_bytes()));
+    assert_eq!(
+        got, BASELINE_PINS,
+        "baseline results hash to ({:#018x}, {:#018x})",
+        got.0, got.1
+    );
+}
