@@ -85,10 +85,7 @@ pub fn qmodule(
                 _ => off.push(sg.code(s)),
             }
         }
-        let on = Cover::from_minterms(n, &on);
-        let off = Cover::from_minterms(n, &off);
-        let dc = on.union(&off).complement();
-        covers.push((a, espresso(&Function::with_off(on, dc, off))));
+        covers.push((a, espresso(&Function::from_points(n, on, Vec::new(), off))));
     }
 
     // Combinational core netlist (all signals enter through Q-flops, so the

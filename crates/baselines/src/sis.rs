@@ -76,11 +76,7 @@ pub fn sis(sg: &StateGraph, model: &DelayModel) -> Result<SisImplementation, Bas
                 _ => off.push(sg.code(s)),
             }
         }
-        let on = Cover::from_minterms(n, &on);
-        let off = Cover::from_minterms(n, &off);
-        let dc = on.union(&off).complement();
-        let f = Function::with_off(on, dc, off);
-        let cover = espresso(&f);
+        let cover = espresso(&Function::from_points(n, on, Vec::new(), off));
 
         // Hazard analysis under the bounded-delay model. Two conditions
         // require masking delays on the feedback of this signal:

@@ -3,20 +3,26 @@
 //!
 //! Usage: `cargo run --release -p nshot-bench --bin ablation`
 
-use nshot_core::{synthesize, Minimizer, SynthesisOptions};
+use nshot_core::{synthesize, SynthesisOptions};
 
 fn main() {
     let configs: Vec<(&str, SynthesisOptions)> = vec![
-        ("heuristic+share", SynthesisOptions::default()),
-        ("heuristic", SynthesisOptions::without_sharing()),
-        ("exact+share", SynthesisOptions::exact()),
         (
-            "multi-output",
+            "heuristic+share",
             SynthesisOptions {
-                minimizer: Minimizer::MultiOutput,
+                share_products: true,
                 ..SynthesisOptions::default()
             },
         ),
+        ("heuristic", SynthesisOptions::default()),
+        (
+            "exact+share",
+            SynthesisOptions {
+                share_products: true,
+                ..SynthesisOptions::exact()
+            },
+        ),
+        ("multi-output", SynthesisOptions::multi_output()),
     ];
 
     println!(
@@ -59,6 +65,6 @@ fn main() {
     println!(
         "\nsharing saves {:.1}% area over no-sharing; multi-output saves {:.1}% over per-function",
         100.0 * (1.0 - totals[0] as f64 / totals[1] as f64),
-        100.0 * (1.0 - totals[3] as f64 / totals[0] as f64),
+        100.0 * (1.0 - totals[3] as f64 / totals[1] as f64),
     );
 }

@@ -64,14 +64,6 @@ pub struct SynthesisOptions {
 }
 
 impl SynthesisOptions {
-    /// Options with product sharing disabled (for ablation studies).
-    pub fn without_sharing() -> Self {
-        SynthesisOptions {
-            share_products: false,
-            ..SynthesisOptions::default()
-        }
-    }
-
     /// Options using the exact minimizer.
     pub fn exact() -> Self {
         SynthesisOptions {
@@ -428,8 +420,12 @@ mod tests {
     #[test]
     fn sharing_never_increases_area() {
         for sg in [fixtures::figure1_csc(), fixtures::parallel_handshakes()] {
-            let shared = synthesize(&sg, &SynthesisOptions::default()).unwrap();
-            let unshared = synthesize(&sg, &SynthesisOptions::without_sharing()).unwrap();
+            let sharing = SynthesisOptions {
+                share_products: true,
+                ..SynthesisOptions::default()
+            };
+            let shared = synthesize(&sg, &sharing).unwrap();
+            let unshared = synthesize(&sg, &SynthesisOptions::default()).unwrap();
             assert!(shared.area <= unshared.area);
         }
     }

@@ -2,7 +2,7 @@
 
 use crate::cube::{Cube, Polarity};
 use nshot_par::FxHashSet;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// [`Cover::single_cube_containment`] compares a cube with the kept cubes
 /// of its own size level one by one up to this many, and through a hash set
@@ -270,6 +270,17 @@ impl Cover {
         out
     }
 
+    /// Serialize as a single-output Berkeley PLA (the ESPRESSO format),
+    /// ON cubes only.
+    pub fn to_pla(&self) -> String {
+        let mut out = format!(".i {}\n.o 1\n.p {}\n", self.num_vars, self.cubes.len());
+        for cube in &self.cubes {
+            let _ = writeln!(out, "{cube} 1");
+        }
+        out.push_str(".e\n");
+        out
+    }
+
     fn check_dims(&self, other: &Cover) {
         assert_eq!(
             self.num_vars, other.num_vars,
@@ -414,6 +425,12 @@ mod tests {
 
     fn lits(n: usize, l: &[(usize, bool)]) -> Cube {
         Cube::from_literals(n, l)
+    }
+
+    #[test]
+    fn pla_lists_the_cubes() {
+        let c = Cover::from_cubes(3, vec![lits(3, &[(0, true), (2, false)])]);
+        assert_eq!(c.to_pla(), ".i 3\n.o 1\n.p 1\n1-0 1\n.e\n");
     }
 
     #[test]

@@ -177,14 +177,14 @@ pub(crate) fn essential_primes(cover: &Cover, oracle: &dyn Oracle) -> Cover {
 /// only grows, and a superset of a trial that meets OFF meets OFF too.
 ///
 /// The oracle is asked only when the answer is not already known. Every
-/// cube that enters EXPAND is OFF-free (an ON minterm, a DC cube of
-/// [`crate::minimize_exact`], or a REDUCE result, which only shrinks a
-/// cover cube), and EXPAND accepts only OFF-free raises, so every prime it
-/// has finished is OFF-free. A subcube of an OFF-free cube is OFF-free, so
-/// a trial inside a finished prime is accepted without asking: that is the
-/// oracle's own answer. A trial lies inside a prime only if the cube before
-/// the raise does, so each cube tests its trials only against the primes
-/// that contain it.
+/// cube that enters EXPAND is OFF-free (an ON minterm, a DC cube or a
+/// consensus of two primes in [`crate::all_primes`], or a REDUCE result,
+/// which only shrinks a cover cube), and EXPAND accepts only OFF-free
+/// raises, so every prime it has finished is OFF-free. A subcube of an
+/// OFF-free cube is OFF-free, so a trial inside a finished prime is
+/// accepted without asking: that is the oracle's own answer. A trial lies
+/// inside a prime only if the cube before the raise does, so each cube
+/// tests its trials only against the primes that contain it.
 pub(crate) fn expand(cover: &mut Cover, oracle: &dyn Oracle) {
     let order = oracle.raise_order();
     let mut cubes: Vec<Cube> = cover.iter().cloned().collect();

@@ -4,7 +4,6 @@
 //! generate all primes of the ON ∪ DC space, then solve the minimum covering
 //! problem over the ON points with branch-and-bound.
 
-use crate::oracle::Oracle;
 use crate::{Cover, Cube, Function, LogicError};
 
 /// Hard cap on the covering table; beyond this, callers should fall back to
@@ -31,9 +30,11 @@ pub fn all_primes(f: &Function) -> Vec<Cube> {
         let mut new_cubes: Vec<Cube> = Vec::new();
         for i in 0..cubes.len() {
             for j in (i + 1)..cubes.len() {
-                if let Some(mut c) = cubes[i].consensus(&cubes[j]) {
+                if let Some(c) = cubes[i].consensus(&cubes[j]) {
                     // Expand the consensus to a prime.
-                    expand_single(&mut c, &*oracle, f.num_vars());
+                    let mut one = Cover::from_cubes(f.num_vars(), vec![c]);
+                    crate::espresso::expand(&mut one, &*oracle);
+                    let c = one.into_cubes().pop().expect("EXPAND keeps a lone cube");
                     if !cubes.iter().any(|k| k.contains(&c))
                         && !new_cubes.iter().any(|k| k.contains(&c))
                     {
@@ -51,26 +52,6 @@ pub fn all_primes(f: &Function) -> Vec<Cube> {
         }
     }
     cubes
-}
-
-fn expand_single(c: &mut Cube, oracle: &dyn Oracle, n: usize) {
-    let mut again = true;
-    while again {
-        again = false;
-        for v in 0..n {
-            if matches!(
-                c.polarity(v),
-                crate::Polarity::Positive | crate::Polarity::Negative
-            ) {
-                let mut t = c.clone();
-                t.raise(v);
-                if !oracle.meets_off(&t) {
-                    *c = t;
-                    again = true;
-                }
-            }
-        }
-    }
 }
 
 /// Exact minimum-cube cover of `f`.

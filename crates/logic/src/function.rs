@@ -107,7 +107,7 @@ impl Function {
     /// # Panics
     ///
     /// Panics if `num_vars > 64`, if a code has a bit at or above
-    /// `num_vars`, or if ON overlaps OFF or `qr`.
+    /// `num_vars`, or if any two of ON, `qr` and OFF overlap.
     pub fn from_points(num_vars: usize, on: Vec<u64>, qr: Vec<u64>, off: Vec<u64>) -> Self {
         assert!(num_vars <= 64, "point-form functions cap at 64 vars");
         let in_range = |c: &u64| num_vars == 64 || c >> num_vars == 0;
@@ -115,14 +115,18 @@ impl Function {
             on.iter().chain(&qr).chain(&off).all(in_range),
             "code out of range for {num_vars} variables"
         );
-        let on_sorted = sorted(&on);
+        let (on_sorted, qr_sorted, off_sorted) = (sorted(&on), sorted(&qr), sorted(&off));
         assert!(
-            disjoint(&on_sorted, &sorted(&off)),
+            disjoint(&on_sorted, &off_sorted),
             "ON-set and OFF-set overlap"
         );
         assert!(
-            disjoint(&on_sorted, &sorted(&qr)),
+            disjoint(&on_sorted, &qr_sorted),
             "ON-set and DC-set overlap"
+        );
+        assert!(
+            disjoint(&qr_sorted, &off_sorted),
+            "DC-set and OFF-set overlap"
         );
         Self::points_unchecked(num_vars, on, qr, off)
     }
@@ -365,6 +369,12 @@ mod tests {
     #[should_panic(expected = "ON-set and OFF-set overlap")]
     fn overlapping_on_off_points_panic() {
         let _ = Function::from_points(3, vec![5, 1], vec![], vec![2, 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "DC-set and OFF-set overlap")]
+    fn overlapping_qr_off_points_panic() {
+        let _ = Function::from_points(2, vec![0b00], vec![0b01, 0b11], vec![0b01, 0b11]);
     }
 
     #[test]

@@ -12,12 +12,16 @@
 //!   variable packed into `u64` words);
 //! * [`Cover`] — a sum of cubes with set-algebra, tautology, containment and
 //!   complementation via unate recursion;
-//! * [`Function`] — an incompletely specified single-output function given by
-//!   ON/DC covers (OFF derived by complementation);
+//! * [`Function`] — an incompletely specified single-output function. The
+//!   flow builds it from the ON, reachable don't-care and OFF codes of a
+//!   state graph ([`Function::from_points`]; every other code is a
+//!   don't-care); tests also build it from covers ([`Function::new`],
+//!   [`Function::with_off`]);
 //! * [`espresso`] — the heuristic EXPAND / IRREDUNDANT / REDUCE loop;
 //! * [`minimize_exact`] — prime generation plus branch-and-bound unate
 //!   covering (the ESPRESSO-exact analogue, practical for the controller-sized
-//!   functions that arise from state graphs).
+//!   functions that arise from state graphs). Its primes are raised by the
+//!   same EXPAND as [`espresso`]'s.
 //!
 //! # Example
 //!
@@ -44,7 +48,6 @@ mod function;
 mod key;
 mod multi;
 mod oracle;
-mod pla;
 
 pub use cache::{
     cache_len, cache_stats, espresso_cached, reset_cache, BoundedCache, CacheStats,
@@ -58,7 +61,6 @@ pub use exact::{all_primes, minimize_exact};
 pub use function::Function;
 pub use key::{function_key, request_key, sorted_cubes};
 pub use multi::{espresso_multi, MultiCover};
-pub use pla::{parse_pla, ParsePlaError};
 
 #[cfg(test)]
 mod proptests;

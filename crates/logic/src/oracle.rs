@@ -42,7 +42,7 @@ pub(crate) trait Oracle {
 }
 
 /// Cube-algebra answers against explicit DC and OFF covers: the form of
-/// PLA input and of [`crate::Function::new`].
+/// [`crate::Function::new`] and [`crate::Function::with_off`].
 pub(crate) struct CoverOracle<'a> {
     pub(crate) dc: &'a Cover,
     pub(crate) off: &'a Cover,

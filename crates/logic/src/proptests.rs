@@ -151,32 +151,6 @@ fn cofactor_shannon_expansion() {
 }
 
 #[test]
-fn pla_round_trip() {
-    prop::check("logic_pla_round_trip", |g| {
-        let on = arb_minterms(g);
-        let dc: Vec<u64> = arb_minterms(g)
-            .into_iter()
-            .filter(|m| !on.contains(m))
-            .collect();
-        let f = Function::new(
-            Cover::from_minterms(NVARS, &on),
-            Cover::from_minterms(NVARS, &dc),
-        );
-        let back = crate::parse_pla(&f.to_pla()).expect("self-emitted PLA parses");
-        for m in 0..(1u64 << NVARS) {
-            assert_eq!(
-                f.on_set().contains_minterm(m),
-                back.on_set().contains_minterm(m)
-            );
-            assert_eq!(
-                f.dc_set().contains_minterm(m),
-                back.dc_set().contains_minterm(m)
-            );
-        }
-    });
-}
-
-#[test]
 fn multi_output_implements_every_function() {
     prop::check("logic_multi_output_implements", |g| {
         let functions: Vec<Function> = (0..3)

@@ -7,7 +7,7 @@
 //! makes *where the time goes* observable without adding a single external
 //! dependency or measurable cost to the disabled path:
 //!
-//! * **Spans** ([`span`]) — RAII guards over [`std::time::Instant`] named by
+//! * **Spans** ([`span()`]) — RAII guards over [`std::time::Instant`] named by
 //!   a fixed [`Stage`] vocabulary. A span records its duration into the
 //!   process-wide per-stage histograms, into the active request's trace
 //!   context (for the server's per-response `timing` map) and, when the

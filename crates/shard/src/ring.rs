@@ -3,11 +3,11 @@
 //! The ring places `vnodes` virtual points per backend on a `u64` circle
 //! and routes a request key to the backend owning the first point at or
 //! after the key's hash. Both hashes come from the repo's deterministic
-//! [`FxHasher`](nshot_par::FxHasher) — no per-process seed — so every
-//! front process, thread, and restart computes the *same* placement for
-//! the same topology. That determinism is what makes shard-local caches
-//! effective: a key always lands on the shard whose espresso memo and
-//! response cache already saw it.
+//! [`FxHasher`] — no per-process seed — so every front process, thread,
+//! and restart computes the *same* placement for the same topology. That
+//! determinism is what makes shard-local caches effective: a key always
+//! lands on the shard whose espresso memo and response cache already saw
+//! it.
 //!
 //! Virtual nodes bound the disruption of resizing: going from `n` to
 //! `n + 1` backends moves only the keys whose ring interval the new

@@ -34,14 +34,12 @@
 //! # Ok::<(), nshot_stg::StgError>(())
 //! ```
 
-mod analysis;
 mod emit;
 mod error;
 mod parse;
 mod petri;
 mod reach;
 
-pub use analysis::{NetClass, StgReport};
 pub use emit::{sg_to_g_text, sg_to_stg};
 pub use error::StgError;
 pub use parse::parse_stg;

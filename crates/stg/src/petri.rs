@@ -60,11 +60,6 @@ impl Marking {
     fn marked(&self) -> impl Iterator<Item = u32> + '_ {
         self.0.chunk_by(|a, b| a == b).map(|run| run[0])
     }
-
-    /// `true` if no place holds more than one token.
-    pub(crate) fn is_safe(&self) -> bool {
-        self.0.windows(2).all(|w| w[0] != w[1])
-    }
 }
 
 /// A Signal Transition Graph: a Petri net whose transitions are labelled

@@ -1,5 +1,5 @@
-//! The token game ([`Stg::explore`], shared with `Stg::analyze`) and
-//! reachability elaboration: STG → state graph.
+//! The token game ([`Stg::explore`]) and reachability elaboration: STG →
+//! state graph.
 
 use crate::error::StgError;
 use crate::petri::{Marking, Stg, TransId};

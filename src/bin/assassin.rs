@@ -5,7 +5,6 @@
 //! assassin check <file>                       analyse a specification
 //! assassin synth <file> [options]             synthesize an N-SHOT circuit
 //!     --exact          use the exact minimizer
-//!     --no-share       disable product-term sharing
 //!     --fix-csc        repair CSC violations by state-signal insertion
 //!     --report         print the full synthesis report (covers, PLA, Eq. 1)
 //!     --verilog <out>  write structural Verilog
@@ -129,9 +128,6 @@ fn synth(path: &str, flags: &[String]) -> Result<(), String> {
     let mut options = SynthesisOptions::default();
     if has_flag(flags, "--exact") {
         options.minimizer = nshot::core::Minimizer::Exact;
-    }
-    if has_flag(flags, "--no-share") {
-        options.share_products = false;
     }
     let imp = synthesize(&sg, &options).map_err(|e| e.to_string())?;
     println!(

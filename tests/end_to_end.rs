@@ -59,8 +59,11 @@ fn exact_and_heuristic_flows_both_validate() {
 fn sharing_ablation_preserves_correctness() {
     let sg = nshot::benchmarks::or_causal("abl", "", 2);
     for options in [
+        SynthesisOptions {
+            share_products: true,
+            ..SynthesisOptions::default()
+        },
         SynthesisOptions::default(),
-        SynthesisOptions::without_sharing(),
     ] {
         let imp = synthesize(&sg, &options).expect("synthesizes");
         let report = check_conformance(&sg, &imp, &ConformanceConfig::default());
