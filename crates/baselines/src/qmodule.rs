@@ -14,10 +14,11 @@
 //! claim can be measured.
 
 use crate::error::BaselineError;
+use crate::sis::next_state_cover;
 use nshot_core::build_sop;
-use nshot_logic::{espresso, Cover, Function};
+use nshot_logic::Cover;
 use nshot_netlist::{DelayModel, GateKind, NetId, Netlist};
-use nshot_sg::{RegionMode, SignalId, StateGraph};
+use nshot_sg::{SignalId, StateGraph};
 
 /// Area of one Q-flop in library units: a metastability-hardened
 /// master/slave synchronizer — two RS latches plus filter, per \[9\].
@@ -74,19 +75,10 @@ pub fn qmodule(
 
     // Conventionally minimized next-state logic (hazards are fine: the
     // Q-flops sample only after the clock step).
-    let n = sg.num_signals();
-    let mut covers = Vec::new();
-    for a in sg.non_input_signals() {
-        let mut on = Vec::new();
-        let mut off = Vec::new();
-        for &s in sg.reachable() {
-            match sg.region_mode(s, a) {
-                RegionMode::ExcitedUp | RegionMode::StableHigh => on.push(sg.code(s)),
-                _ => off.push(sg.code(s)),
-            }
-        }
-        covers.push((a, espresso(&Function::from_points(n, on, Vec::new(), off))));
-    }
+    let covers: Vec<(SignalId, Cover)> = sg
+        .non_input_signals()
+        .map(|a| (a, next_state_cover(sg, a)))
+        .collect();
 
     // Combinational core netlist (all signals enter through Q-flops, so the
     // SOP inputs are the synchronizer outputs — modeled as inputs here).

@@ -34,6 +34,21 @@ pub struct SisImplementation {
     pub delay_ns: f64,
 }
 
+/// The minimized next-state function of `a`: 1 on ER(+a) ∪ QR(+a), 0 on
+/// every other reachable state, and free on the unreachable codes.
+pub(crate) fn next_state_cover(sg: &StateGraph, a: SignalId) -> Cover {
+    let mut on = Vec::new();
+    let mut off = Vec::new();
+    for &s in sg.reachable() {
+        match sg.region_mode(s, a) {
+            RegionMode::ExcitedUp | RegionMode::StableHigh => on.push(sg.code(s)),
+            _ => off.push(sg.code(s)),
+        }
+    }
+    let n = sg.num_signals();
+    espresso(&Function::from_points(n, on, Vec::new(), off))
+}
+
 /// Synthesize the next-state functions with conventional minimization, then
 /// insert feedback delay lines for every signal whose cover exhibits
 /// static-1 hazards (adjacent ON-states not covered by a common cube).
@@ -67,16 +82,7 @@ pub fn sis(sg: &StateGraph, model: &DelayModel) -> Result<SisImplementation, Bas
     let mut covers = Vec::new();
     let mut hazards = Vec::new();
     for a in sg.non_input_signals() {
-        // Next-state function: 1 on ER(+a) ∪ QR(+a), 0 elsewhere reachable.
-        let mut on = Vec::new();
-        let mut off = Vec::new();
-        for &s in sg.reachable() {
-            match sg.region_mode(s, a) {
-                RegionMode::ExcitedUp | RegionMode::StableHigh => on.push(sg.code(s)),
-                _ => off.push(sg.code(s)),
-            }
-        }
-        let cover = espresso(&Function::from_points(n, on, Vec::new(), off));
+        let cover = next_state_cover(sg, a);
 
         // Hazard analysis under the bounded-delay model. Two conditions
         // require masking delays on the feedback of this signal:
