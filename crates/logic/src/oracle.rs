@@ -245,6 +245,133 @@ mod tests {
         }
     }
 
+    /// Brute-force answers over the minterms of each cube. `mode[m]` is the
+    /// class of code `m`: 0 = OFF, 1 = ON, 2 = unlisted DC, 3 = listed QR.
+    struct Reference<'a> {
+        mode: &'a [u8],
+    }
+
+    impl Reference<'_> {
+        fn meets_off(&self, c: &Cube) -> bool {
+            c.minterms().iter().any(|&m| self.mode[m as usize] == 0)
+        }
+
+        /// The minterms of `c` that are neither DC nor in a cube of `rest`.
+        fn uncovered(&self, rest: &[&Cube], c: &Cube) -> Vec<u64> {
+            c.minterms()
+                .into_iter()
+                .filter(|&m| self.mode[m as usize] < 2)
+                .filter(|&m| !rest.iter().any(|r| r.contains_minterm(m)))
+                .collect()
+        }
+
+        fn covers(&self, rest: &[&Cube], c: &Cube) -> bool {
+            self.uncovered(rest, c).is_empty()
+        }
+
+        fn reduce(&self, rest: &[&Cube], c: &Cube) -> Cube {
+            let n = c.num_vars();
+            self.uncovered(rest, c)
+                .into_iter()
+                .map(|m| Cube::from_minterm(n, m))
+                .reduce(|s, x| s.supercube(&x))
+                .map_or_else(|| c.clone(), |s| c.intersect(&s))
+        }
+    }
+
+    /// Check the oracle of the point-form function with code classes
+    /// `mode` against [`Reference`] on every cube of `cubes`, with `rest`
+    /// drawn by `pick` from the OFF-free ones. Returns the OFF code count.
+    fn matches_reference(
+        n: usize,
+        mode: &[u8],
+        cubes: &[Cube],
+        mut pick: impl FnMut(&[&Cube]) -> Vec<usize>,
+    ) -> usize {
+        let codes = |want: u8| -> Vec<u64> {
+            (0..1u64 << n)
+                .filter(|&m| mode[m as usize] == want)
+                .collect()
+        };
+        let (on, off, qr) = (codes(1), codes(0), codes(3));
+        let off_codes = off.len();
+        let f = crate::Function::from_points(n, on, qr, off);
+        let oracle = f.oracle();
+        let reference = Reference { mode };
+        let off_free: Vec<&Cube> = cubes.iter().filter(|c| !reference.meets_off(c)).collect();
+        for c in cubes {
+            assert_eq!(reference.meets_off(c), oracle.meets_off(c), "meets_off {c}");
+        }
+        for &c in &off_free {
+            let rest: Vec<&Cube> = pick(&off_free).into_iter().map(|i| off_free[i]).collect();
+            assert_eq!(
+                reference.covers(&rest, c),
+                oracle.covers(&rest, c),
+                "covers {c} / {rest:?}"
+            );
+            assert_eq!(
+                reference.reduce(&rest, c),
+                oracle.reduce(&rest, c),
+                "reduce {c} / {rest:?}"
+            );
+        }
+        off_codes
+    }
+
+    #[test]
+    fn point_oracle_matches_brute_force_on_every_small_function() {
+        // Every ON/OFF/DC assignment over up to 2 variables, every cube,
+        // and for each OFF-free cube every single-cube `rest` in turn.
+        for n in 1..=2 {
+            let cubes = all_cubes(n);
+            let points = 1usize << n;
+            for f in 0..3usize.pow(points as u32) {
+                let mode: Vec<u8> = (0..points)
+                    .map(|m| (f / 3usize.pow(m as u32) % 3) as u8)
+                    .collect();
+                for r in 0..=cubes.len() {
+                    matches_reference(n, &mode, &cubes, |free| {
+                        if r < free.len() {
+                            vec![r]
+                        } else {
+                            vec![]
+                        }
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn point_oracle_matches_brute_force_on_every_cube_up_to_eight_vars() {
+        // Every cube over 3..=8 variables, against seeded point assignments
+        // with some don't-cares listed as QR, and seeded `rest` sets of up
+        // to three OFF-free cubes. A third to a half of the codes are OFF,
+        // so at 8 variables the OFF columns span more than one word.
+        let mut rng = SmallRng::seed_from_u64(27);
+        let mut multi_word = 0;
+        for n in 3..=8 {
+            let cubes = all_cubes(n);
+            for _ in 0..24 {
+                let dc_share = rng.gen_index(3) as u64;
+                let mode: Vec<u8> = (0..1usize << n)
+                    .map(|_| match rng.gen_range_u64(0, 4 + dc_share) {
+                        0 | 1 => 1u8,
+                        2 | 3 => 0,
+                        4 => 2,
+                        _ => 3,
+                    })
+                    .collect();
+                let off_codes = matches_reference(n, &mode, &cubes, |free| {
+                    let k = rng.gen_index(4).min(free.len());
+                    (0..k).map(|_| rng.gen_index(free.len())).collect()
+                });
+                multi_word += usize::from(off_codes > 64);
+            }
+        }
+        assert!(multi_word >= 12, "{multi_word} multi-word cases");
+    }
+
     #[test]
     fn point_oracle_matches_cover_algebra_on_every_small_function() {
         // Every ON/OFF/DC assignment over up to 2 variables, every cube,
