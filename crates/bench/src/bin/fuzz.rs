@@ -4,7 +4,6 @@
 //! ```text
 //! nshot-fuzz [--seeds A..B] [--budget STATES] [--out PATH]
 //!            [--archive DIR] [--archive-anchors N] [--deadline-ms MS]
-//!            [--max-signals N] [--max-states N] [--max-fragments N]
 //! nshot-fuzz --corpus [--archive DIR] [--budget STATES] [--out PATH]
 //! nshot-fuzz --wire-mutations N [--wire-archive DIR] [--out PATH]
 //! ```
@@ -66,6 +65,8 @@ struct Options {
     archive_anchors: usize,
     corpus: bool,
     deadline_ms: u64,
+    /// The generator configuration: always the default, so an archived
+    /// artifact reproduces from the `--seeds` and `--budget` of its header.
     cfg: GenConfig,
     /// Number of frame mutations to run (`--wire-mutations`; 0 = off).
     wire_mutations: usize,
@@ -166,21 +167,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|_| "--deadline-ms must be an integer".to_string())?;
             }
-            "--max-signals" => {
-                opts.cfg.max_signals = parse_usize("--max-signals", value("--max-signals")?)?;
-            }
-            "--max-states" => {
-                opts.cfg.max_states = parse_usize("--max-states", value("--max-states")?)?;
-            }
-            "--max-fragments" => {
-                opts.cfg.max_fragments =
-                    parse_usize("--max-fragments", value("--max-fragments")?)?;
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: nshot-fuzz [--seeds A..B] [--budget STATES] [--out PATH] \
-                     [--archive DIR] [--archive-anchors N] [--deadline-ms MS] \
-                     [--max-signals N] [--max-states N] [--max-fragments N] [--corpus] \
+                     [--archive DIR] [--archive-anchors N] [--deadline-ms MS] [--corpus] \
                      [--wire-mutations N] [--wire-archive DIR]"
                 );
                 std::process::exit(0);

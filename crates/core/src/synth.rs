@@ -72,7 +72,14 @@ impl SynthesisOptions {
         }
     }
 
-    /// Options using the multi-output minimizer with term sharing.
+    /// Options using the multi-output minimizer, with `share_products`
+    /// left `false`.
+    ///
+    /// The minimizer may give one cube to several functions, but without
+    /// netlist sharing each function still builds its own AND gate for it,
+    /// so the area is that of the unshared heuristic (6,864 over the 21
+    /// suite circuits of at most 300 states). Set `share_products: true`
+    /// to build a shared cube once.
     pub fn multi_output() -> Self {
         SynthesisOptions {
             minimizer: Minimizer::MultiOutput,

@@ -148,11 +148,8 @@ mod tests {
     fn impossible_region_is_reported() {
         // Artificial: a two-minterm "region" whose supercube hits the
         // off-set. Build the pieces directly.
-        use nshot_logic::{Cover, Function};
-        let on = Cover::from_minterms(2, &[0b00, 0b11]);
-        let off = Cover::from_minterms(2, &[0b01]);
-        let dc = Cover::from_minterms(2, &[0b10]);
-        let f = Function::with_off(on.clone(), dc, off);
+        use nshot_logic::Function;
+        let f = Function::from_points(2, vec![0b00, 0b11], vec![0b10], vec![0b01]);
         // Supercube of {00, 11} is the universe, which hits off {01}.
         let sup = nshot_logic::Cube::full(2);
         assert!(!f.admits_cube(&sup));

@@ -5,18 +5,16 @@
 //! and across the benchmark suite produce identical functions, and
 //! minimization dominates synthesis runtime. This module caches minimized
 //! covers process-wide, keyed by a **canonical encoding** of the function —
-//! the sorted ON and OFF codes of a point-form function, the sorted cube
-//! lists of the ON- and DC-sets of a cover-form one — so a hit is
-//! independent of the order in which points were derived, and a partially
-//! constructed or "poisoned" entry is impossible by construction: values
-//! are inserted complete, under a mutex, and are pure functions of their
-//! key.
+//! its sorted ON and OFF codes — so a hit is independent of the order in
+//! which points were derived, and a partially constructed or "poisoned"
+//! entry is impossible by construction: values are inserted complete, under
+//! a mutex, and are pure functions of their key.
 //!
 //! Determinism: on a miss the minimizer runs on the *canonicalized* function
-//! (ON, DC and OFF sorted), so the cover stored — and every cover
-//! ever returned for that key, from any thread, in any order — is the same.
-//! This is what makes the parallel synthesis pipeline byte-identical across
-//! thread counts even though the cache population order changes.
+//! (ON and OFF sorted), so the cover stored — and every cover ever returned
+//! for that key, from any thread, in any order — is the same. This is what
+//! makes the parallel synthesis pipeline byte-identical across thread
+//! counts even though the cache population order changes.
 //!
 //! Boundedness: a long-running process (the `nshot-server` service layer in
 //! particular) must not grow memory without bound, so the memo table lives
@@ -180,10 +178,8 @@ pub(crate) fn set_espresso_cache_cap(cap: usize) {
 /// result is identical across calls, threads, and thread counts —
 /// eviction can only cause recomputation, never a different answer.
 pub fn espresso_cached(f: &Function) -> Cover {
-    // The key encodings live in `crate::key`, alongside the request-key
-    // encoding shared with the server cache and the artifact store: the
-    // full key is stored (not just a hash), so collisions cannot poison
-    // the cache.
+    // The full key is stored (not just a hash), so collisions cannot
+    // poison the cache.
     let key = f.memo_key();
 
     if let Some(cover) = CACHE
@@ -261,10 +257,7 @@ mod tests {
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     fn toggle(num_vars: usize, on: &[u64], dc: &[u64]) -> Function {
-        Function::new(
-            Cover::from_minterms(num_vars, on),
-            Cover::from_minterms(num_vars, dc),
-        )
+        Function::from_on_dc(num_vars, on, dc)
     }
 
     #[test]
@@ -286,14 +279,8 @@ mod tests {
         let _l = TEST_LOCK.lock().unwrap();
         reset_cache();
         // The same function with the ON cubes derived in opposite orders.
-        let a = Function::new(
-            Cover::from_minterms(4, &[3, 7, 11]),
-            Cover::empty(4),
-        );
-        let b = Function::new(
-            Cover::from_minterms(4, &[11, 3, 7]),
-            Cover::empty(4),
-        );
+        let a = toggle(4, &[3, 7, 11], &[]);
+        let b = toggle(4, &[11, 3, 7], &[]);
         let ca = espresso_cached(&a);
         let cb = espresso_cached(&b);
         assert_eq!(ca, cb, "canonicalization must collapse cube orderings");
@@ -346,7 +333,7 @@ mod tests {
     fn empty_on_set_is_cached_too() {
         let _l = TEST_LOCK.lock().unwrap();
         reset_cache();
-        let f = Function::new(Cover::empty(2), Cover::from_minterms(2, &[1]));
+        let f = toggle(2, &[], &[1]);
         assert!(espresso_cached(&f).is_empty());
         assert!(espresso_cached(&f).is_empty());
         assert_eq!(cache_stats().hits, 1);

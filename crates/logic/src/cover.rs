@@ -1,6 +1,6 @@
-//! Sums of product terms ([`Cover`]) with the classic cover algebra.
+//! Sums of product terms ([`Cover`]).
 
-use crate::cube::{Cube, Polarity};
+use crate::cube::Cube;
 use nshot_par::FxHashSet;
 use std::fmt::{self, Write as _};
 
@@ -11,10 +11,10 @@ const LEVEL_SCAN_LIMIT: usize = 8;
 
 /// A sum of [`Cube`]s over a fixed variable count.
 ///
-/// Covers are the working representation for on-sets, don't-care sets and
-/// off-sets throughout the synthesis flow. The algebra implemented here —
-/// tautology, containment and complement via unate recursion, single-cube
-/// containment minimization — is the standard ESPRESSO tool-kit.
+/// Covers are the working representation for minimized set/reset networks
+/// and for the materialized ON, DC and OFF sets of a [`crate::Function`].
+/// The minimizers decide containment over state codes, so a cover needs no
+/// tautology or complement algebra, only single-cube containment.
 ///
 /// # Example
 ///
@@ -24,8 +24,8 @@ const LEVEL_SCAN_LIMIT: usize = 8;
 /// let mut f = Cover::empty(2);
 /// f.push(Cube::from_literals(2, &[(0, true)]));  // a
 /// f.push(Cube::from_literals(2, &[(0, false)])); // !a
-/// assert!(f.is_tautology());
-/// assert!(f.complement().is_empty());
+/// assert!((0..4).all(|m| f.contains_minterm(m)));
+/// assert_eq!(f.literal_count(), 2);
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct Cover {
@@ -38,14 +38,6 @@ impl Cover {
     pub fn empty(num_vars: usize) -> Self {
         Cover {
             cubes: Vec::new(),
-            num_vars,
-        }
-    }
-
-    /// A cover consisting of the single full cube (constant 1).
-    pub fn tautology(num_vars: usize) -> Self {
-        Cover {
-            cubes: vec![Cube::full(num_vars)],
             num_vars,
         }
     }
@@ -135,28 +127,9 @@ impl Cover {
         }
     }
 
-    /// Pairwise intersection of two covers.
-    pub fn intersection(&self, other: &Cover) -> Cover {
-        self.check_dims(other);
-        let mut out = Cover::empty(self.num_vars);
-        for a in &self.cubes {
-            for b in &other.cubes {
-                out.push(a.intersect(b));
-            }
-        }
-        out
-    }
-
     /// `true` if any cube covers the minterm.
     pub fn contains_minterm(&self, minterm: u64) -> bool {
         self.cubes.iter().any(|c| c.contains_minterm(minterm))
-    }
-
-    /// `true` if the covers intersect as point sets.
-    pub fn intersects(&self, other: &Cover) -> bool {
-        self.cubes
-            .iter()
-            .any(|a| other.cubes.iter().any(|b| a.intersects(b)))
     }
 
     /// Remove cubes contained in another single cube of the cover
@@ -215,49 +188,6 @@ impl Cover {
         });
     }
 
-    /// Cofactor of the cover with respect to cube `p` (drop empty cofactors).
-    pub fn cofactor(&self, p: &Cube) -> Cover {
-        let mut out = Cover::empty(self.num_vars);
-        for c in &self.cubes {
-            if let Some(cf) = c.cofactor(p) {
-                out.push(cf);
-            }
-        }
-        out
-    }
-
-    /// `true` if the cover denotes the constant-1 function.
-    ///
-    /// Uses the standard unate-recursion tautology check: unate leaves are
-    /// decided directly, binate variables are split on.
-    pub fn is_tautology(&self) -> bool {
-        tautology_rec(self, 0)
-    }
-
-    /// `true` if cube `c ⊆` this cover (cover containment).
-    pub fn contains_cube(&self, c: &Cube) -> bool {
-        if c.is_empty() {
-            return true;
-        }
-        self.cofactor(c).is_tautology()
-    }
-
-    /// `true` if `other ⊆ self` as point sets.
-    pub fn contains_cover(&self, other: &Cover) -> bool {
-        other.cubes.iter().all(|c| self.contains_cube(c))
-    }
-
-    /// `true` if the two covers denote the same function.
-    pub fn equivalent(&self, other: &Cover) -> bool {
-        self.contains_cover(other) && other.contains_cover(self)
-    }
-
-    /// The complement of the cover, computed by recursive Shannon expansion
-    /// with unate shortcuts (a compact version of ESPRESSO's COMPLEMENT).
-    pub fn complement(&self) -> Cover {
-        complement_rec(self, &Cube::full(self.num_vars), 0)
-    }
-
     /// Enumerate all covered minterms (sorted, deduplicated).
     ///
     /// # Panics
@@ -288,88 +218,6 @@ impl Cover {
             self.num_vars, other.num_vars
         );
     }
-}
-
-/// Pick the most binate variable (appears in both polarities, max occurrences),
-/// or any variable with a literal if the cover is unate. `None` when no cube
-/// has any literal (i.e. the cover is either empty or contains a full cube).
-fn select_split_var(cover: &Cover) -> Option<usize> {
-    let n = cover.num_vars();
-    let mut pos = vec![0usize; n];
-    let mut neg = vec![0usize; n];
-    for c in cover.iter() {
-        for v in 0..n {
-            match c.polarity(v) {
-                Polarity::Positive => pos[v] += 1,
-                Polarity::Negative => neg[v] += 1,
-                _ => {}
-            }
-        }
-    }
-    // Most binate first.
-    let mut best: Option<(usize, usize)> = None; // (var, min(pos,neg)*big + total)
-    for v in 0..n {
-        if pos[v] + neg[v] == 0 {
-            continue;
-        }
-        let score = pos[v].min(neg[v]) * 1_000_000 + pos[v] + neg[v];
-        if best.is_none_or(|(_, s)| score > s) {
-            best = Some((v, score));
-        }
-    }
-    best.map(|(v, _)| v)
-}
-
-fn tautology_rec(cover: &Cover, depth: usize) -> bool {
-    // Fast exits.
-    if cover.cubes.iter().any(Cube::is_full) {
-        return true;
-    }
-    if cover.is_empty() {
-        return false;
-    }
-    debug_assert!(depth <= 2 * cover.num_vars() + 2, "tautology recursion runaway");
-    let Some(var) = select_split_var(cover) else {
-        // No cube has a literal and none is full: impossible since empty
-        // cubes are dropped, so every cube is full — handled above.
-        return true;
-    };
-    let p1 = Cube::from_literals(cover.num_vars(), &[(var, true)]);
-    let p0 = Cube::from_literals(cover.num_vars(), &[(var, false)]);
-    tautology_rec(&cover.cofactor(&p1), depth + 1) && tautology_rec(&cover.cofactor(&p0), depth + 1)
-}
-
-/// Complement of `cover` restricted to the subspace `within`, expressed as
-/// cubes of the full space.
-fn complement_rec(cover: &Cover, within: &Cube, depth: usize) -> Cover {
-    let n = cover.num_vars();
-    if cover.is_empty() {
-        return Cover::from_cubes(n, vec![within.clone()]);
-    }
-    if cover.cubes.iter().any(Cube::is_full) {
-        return Cover::empty(n);
-    }
-    debug_assert!(depth <= 2 * n + 2, "complement recursion runaway");
-    let Some(var) = select_split_var(cover) else {
-        return Cover::empty(n);
-    };
-    let p1 = Cube::from_literals(n, &[(var, true)]);
-    let p0 = Cube::from_literals(n, &[(var, false)]);
-    let mut out = Cover::empty(n);
-    for (p, value) in [(&p1, true), (&p0, false)] {
-        let sub = complement_rec(&cover.cofactor(p), within, depth + 1);
-        for mut c in sub.cubes {
-            // Constrain back to this branch unless the literal is redundant.
-            if c.polarity(var) == Polarity::Free {
-                c.set(var, value);
-            }
-            if within.intersects(&c) {
-                out.push(c.intersect(within));
-            }
-        }
-    }
-    out.single_cube_containment();
-    out
 }
 
 impl fmt::Debug for Cover {
@@ -434,60 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn tautology_basic() {
-        let mut f = Cover::empty(1);
-        assert!(!f.is_tautology());
-        f.push(lits(1, &[(0, true)]));
-        assert!(!f.is_tautology());
-        f.push(lits(1, &[(0, false)]));
-        assert!(f.is_tautology());
-    }
-
-    #[test]
-    fn tautology_three_vars() {
-        // a + a'b + a'b' is a tautology.
-        let f = Cover::from_cubes(
-            3,
-            vec![
-                lits(3, &[(0, true)]),
-                lits(3, &[(0, false), (1, true)]),
-                lits(3, &[(0, false), (1, false)]),
-            ],
-        );
-        assert!(f.is_tautology());
-        // a + a'b is not.
-        let g = Cover::from_cubes(3, vec![lits(3, &[(0, true)]), lits(3, &[(0, false), (1, true)])]);
-        assert!(!g.is_tautology());
-    }
-
-    #[test]
-    fn complement_roundtrip_exhaustive() {
-        // xor function on 2 vars.
-        let f = Cover::from_minterms(2, &[0b01, 0b10]);
-        let g = f.complement();
-        for m in 0..4u64 {
-            assert_eq!(f.contains_minterm(m), !g.contains_minterm(m), "minterm {m}");
-        }
-    }
-
-    #[test]
-    fn complement_of_empty_and_full() {
-        let e = Cover::empty(3);
-        assert!(e.complement().is_tautology());
-        let t = Cover::tautology(3);
-        assert!(t.complement().is_empty());
-    }
-
-    #[test]
-    fn cover_containment() {
-        let f = Cover::from_cubes(3, vec![lits(3, &[(0, true)]), lits(3, &[(1, true)])]);
-        // ab ⊆ f
-        assert!(f.contains_cube(&lits(3, &[(0, true), (1, true)])));
-        // c ⊄ f
-        assert!(!f.contains_cube(&lits(3, &[(2, true)])));
-    }
-
-    #[test]
     fn scc_removes_contained() {
         let mut f = Cover::from_cubes(
             2,
@@ -512,22 +306,10 @@ mod tests {
     }
 
     #[test]
-    fn union_and_intersection() {
+    fn union_concatenates() {
         let a = Cover::from_minterms(2, &[0, 1]);
         let b = Cover::from_minterms(2, &[1, 2]);
         assert_eq!(a.union(&b).minterms(), vec![0, 1, 2]);
-        assert_eq!(a.intersection(&b).minterms(), vec![1]);
-        assert!(a.intersects(&b));
-    }
-
-    #[test]
-    fn equivalence_of_different_forms() {
-        // a + b  ==  a + a'b
-        let f = Cover::from_cubes(2, vec![lits(2, &[(0, true)]), lits(2, &[(1, true)])]);
-        let g = Cover::from_cubes(
-            2,
-            vec![lits(2, &[(0, true)]), lits(2, &[(0, false), (1, true)])],
-        );
-        assert!(f.equivalent(&g));
+        assert_eq!(a.union(&b).num_cubes(), 4);
     }
 }

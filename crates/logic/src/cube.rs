@@ -23,9 +23,9 @@ pub enum Polarity {
 /// `00` = empty (the cube denotes no minterms at all).
 ///
 /// Cubes support the classic cube-calculus operations: intersection,
-/// containment, distance, consensus, supercube and cofactor. All operations
-/// panic if the operands disagree on the number of variables — mixing
-/// dimensions is always a programming error in this codebase.
+/// containment, distance, consensus and supercube. All operations panic if
+/// the operands disagree on the number of variables — mixing dimensions is
+/// always a programming error in this codebase.
 ///
 /// # Example
 ///
@@ -108,12 +108,6 @@ impl Cube {
             cube.set(var, value);
         }
         cube
-    }
-
-    /// The packed positional-cube words (two bits per variable). Used by the
-    /// memoization cache to build canonical keys.
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.words
     }
 
     /// The cube as a `(care, value)` pair over `u64` codes: code `m` lies
@@ -207,11 +201,6 @@ impl Cube {
             }
         }
         false
-    }
-
-    /// `true` if every variable is free (the cube covers the whole space).
-    pub fn is_full(&self) -> bool {
-        *self == Cube::full(self.num_vars)
     }
 
     /// Number of literals (non-free, non-empty variable positions).
@@ -337,32 +326,6 @@ impl Cube {
         }
     }
 
-    /// The cofactor `self / p` (Shannon cofactor generalized to cubes).
-    ///
-    /// Returns `None` when `self ∩ p = ∅` (the cofactor is empty). For each
-    /// variable where `p` has a literal, the result is freed.
-    pub fn cofactor(&self, p: &Cube) -> Option<Cube> {
-        self.check_dims(p);
-        if !self.intersects(p) {
-            return None;
-        }
-        let mask = tail_mask(self.num_vars);
-        let words = self
-            .words
-            .iter()
-            .zip(&p.words)
-            .enumerate()
-            .map(|(i, (a, b))| {
-                let m = if i + 1 == self.words.len() { mask } else { u64::MAX };
-                (a | !b) & m
-            })
-            .collect();
-        Some(Cube {
-            words,
-            num_vars: self.num_vars,
-        })
-    }
-
     /// Enumerate all minterms covered by the cube (ascending order).
     ///
     /// # Panics
@@ -444,7 +407,6 @@ mod tests {
     fn full_cube_covers_everything() {
         let c = Cube::full(5);
         assert!(!c.is_empty());
-        assert!(c.is_full());
         for m in 0..32u64 {
             assert!(c.contains_minterm(m));
         }
@@ -528,18 +490,6 @@ mod tests {
         assert_eq!(s.polarity(2), Polarity::Negative);
         assert_eq!(s.polarity(0), Polarity::Free);
         assert_eq!(s.polarity(1), Polarity::Free);
-    }
-
-    #[test]
-    fn cofactor_frees_literal_vars() {
-        let c = Cube::from_literals(3, &[(0, true), (1, true)]);
-        let p = Cube::from_literals(3, &[(0, true)]);
-        let cf = c.cofactor(&p).expect("they intersect");
-        assert_eq!(cf.polarity(0), Polarity::Free);
-        assert_eq!(cf.polarity(1), Polarity::Positive);
-        // Disjoint cofactor is None.
-        let q = Cube::from_literals(3, &[(0, false)]);
-        assert!(c.cofactor(&q).is_none());
     }
 
     #[test]

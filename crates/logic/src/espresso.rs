@@ -6,21 +6,8 @@
 //! minimizer — the don't-care set may be used freely and the result is just a
 //! good sum-of-products cover.
 
-use crate::oracle::Oracle;
+use crate::oracle::PointOracle;
 use crate::{Cover, Cube, Function};
-
-/// Statistics reported by [`espresso_with_stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EspressoStats {
-    /// Number of EXPAND/IRREDUNDANT/REDUCE iterations executed.
-    pub iterations: usize,
-    /// Cube count of the initial (unminimized) cover.
-    pub initial_cubes: usize,
-    /// Cube count of the result.
-    pub final_cubes: usize,
-    /// Literal count of the result.
-    pub final_literals: usize,
-}
 
 /// Minimize `f`, returning a prime, irredundant cover of the ON-set that may
 /// dip freely into the DC-set.
@@ -28,36 +15,26 @@ pub struct EspressoStats {
 /// The result is guaranteed to implement `f`: it covers every ON point and no
 /// OFF point (checked with `debug_assert!` in debug builds).
 pub fn espresso(f: &Function) -> Cover {
-    espresso_with_stats(f).0
-}
-
-/// Above this many initial cubes the IRREDUNDANT/REDUCE refinement (whose
-/// tautology checks are super-linear in cover size) is skipped and only
-/// EXPAND + single-cube containment runs. The result is still a valid prime
-/// cover — just not guaranteed irredundant. This keeps the largest Table 2
-/// benchmarks (thousands of states) tractable.
-const REFINEMENT_CUBE_LIMIT: usize = 1_200;
-
-/// Like [`espresso`], but also reports loop statistics.
-pub fn espresso_with_stats(f: &Function) -> (Cover, EspressoStats) {
-    let (cover, stats) = minimize(f.on_set(), &*f.oracle());
+    let cover = minimize(f.on_set(), &f.oracle());
     debug_assert!(
         f.is_implemented_by(&cover),
         "espresso produced an incorrect cover"
     );
-    (cover, stats)
+    cover
 }
 
-/// The ESPRESSO loop over either [`Oracle`]: both function forms run exactly
-/// this code, so equal oracle answers give equal covers.
-fn minimize(on: &Cover, oracle: &dyn Oracle) -> (Cover, EspressoStats) {
-    let mut stats = EspressoStats {
-        initial_cubes: on.num_cubes(),
-        ..EspressoStats::default()
-    };
+/// Above this many initial cubes the IRREDUNDANT/REDUCE refinement is
+/// skipped (it asks one containment question per cube, and each scans the
+/// ON codes against the rest of the cover, so it grows with the square of
+/// the cover) and only EXPAND + single-cube containment runs. The result is
+/// still a valid prime cover — just not guaranteed irredundant. This keeps
+/// the largest Table 2 benchmarks (thousands of states) tractable.
+const REFINEMENT_CUBE_LIMIT: usize = 1_200;
+
+/// The ESPRESSO loop, starting from the ON minterms `on`.
+fn minimize(on: &Cover, oracle: &PointOracle) -> Cover {
     if on.is_empty() {
-        stats.final_cubes = 0;
-        return (Cover::empty(on.num_vars()), stats);
+        return Cover::empty(on.num_vars());
     }
 
     let fast_mode = on.num_cubes() > REFINEMENT_CUBE_LIMIT;
@@ -65,13 +42,9 @@ fn minimize(on: &Cover, oracle: &dyn Oracle) -> (Cover, EspressoStats) {
     cover.single_cube_containment();
     expand(&mut cover, oracle);
     if fast_mode {
-        stats.iterations = 1;
-        stats.final_cubes = cover.num_cubes();
-        stats.final_literals = cover.literal_count();
-        return (cover, stats);
+        return cover;
     }
     irredundant(&mut cover, oracle, &[], on);
-    stats.iterations = 1;
 
     // Essential primes are set aside: they must appear in every cover, so
     // the refinement loop only has to work on the rest (the classic
@@ -92,7 +65,6 @@ fn minimize(on: &Cover, oracle: &dyn Oracle) -> (Cover, EspressoStats) {
             reduce(&mut rest, oracle, essentials.cubes());
             expand(&mut rest, oracle);
             irredundant(&mut rest, oracle, essentials.cubes(), on);
-            stats.iterations += 1;
             let c = cost(&rest);
             if c < best_rest_cost {
                 best_rest = rest.clone();
@@ -112,7 +84,6 @@ fn minimize(on: &Cover, oracle: &dyn Oracle) -> (Cover, EspressoStats) {
         reduce(&mut cover, oracle, &[]);
         expand(&mut cover, oracle);
         irredundant(&mut cover, oracle, &[], on);
-        stats.iterations += 1;
         let c = cost(&cover);
         if c < best_cost {
             best = cover.clone();
@@ -133,10 +104,7 @@ fn minimize(on: &Cover, oracle: &dyn Oracle) -> (Cover, EspressoStats) {
     if cost(&candidate) < best_cost {
         best = candidate;
     }
-
-    stats.final_cubes = best.num_cubes();
-    stats.final_literals = best.literal_count();
-    (best, stats)
+    best
 }
 
 /// Cost: primary = cube count, secondary = literal count.
@@ -158,7 +126,7 @@ fn others<'a>(cubes: &'a [Cube], skip: usize, extra: &'a [Cube]) -> Vec<&'a Cube
 /// The relatively essential cubes of `cover`: those not covered by the rest
 /// of the cover plus the don't-care set. Every valid cover made of these
 /// primes must contain them.
-pub(crate) fn essential_primes(cover: &Cover, oracle: &dyn Oracle) -> Cover {
+pub(crate) fn essential_primes(cover: &Cover, oracle: &PointOracle) -> Cover {
     let mut essentials = Cover::empty(cover.num_vars());
     for (i, cube) in cover.iter().enumerate() {
         if !oracle.covers(&others(cover.cubes(), i, &[]), cube) {
@@ -173,8 +141,9 @@ pub(crate) fn essential_primes(cover: &Cover, oracle: &dyn Oracle) -> Cover {
 ///
 /// Raising single literals yields primes: a cube is prime iff no single
 /// literal can be removed without hitting the OFF-set. One sweep over the
-/// raise order is enough, because a rejected raise stays rejected: the cube
-/// only grows, and a superset of a trial that meets OFF meets OFF too.
+/// variables in index order is enough, because a rejected raise stays
+/// rejected: the cube only grows, and a superset of a trial that meets OFF
+/// meets OFF too.
 ///
 /// The oracle is asked only when the answer is not already known. Every
 /// cube that enters EXPAND is OFF-free (an ON minterm, a DC cube or a
@@ -185,8 +154,7 @@ pub(crate) fn essential_primes(cover: &Cover, oracle: &dyn Oracle) -> Cover {
 /// accepted without asking: that is the oracle's own answer. A trial lies
 /// inside a prime only if the cube before the raise does, so each cube
 /// tests its trials only against the primes that contain it.
-pub(crate) fn expand(cover: &mut Cover, oracle: &dyn Oracle) {
-    let order = oracle.raise_order();
+pub(crate) fn expand(cover: &mut Cover, oracle: &PointOracle) {
     let mut cubes: Vec<Cube> = cover.iter().cloned().collect();
     // Expand most-specific cubes first so expanded primes absorb the rest.
     cubes.sort_by_key(Cube::literal_count);
@@ -201,7 +169,7 @@ pub(crate) fn expand(cover: &mut Cover, oracle: &dyn Oracle) {
         let c = &mut rest[0];
         around.clear();
         around.extend(primes.iter().copied().filter(|&p| done[p].contains(c)));
-        for &v in &order {
+        for v in 0..c.num_vars() {
             let positive = match c.polarity(v) {
                 crate::Polarity::Positive => true,
                 crate::Polarity::Negative => false,
@@ -235,7 +203,7 @@ pub(crate) fn expand(cover: &mut Cover, oracle: &dyn Oracle) {
 /// IRREDUNDANT: greedily drop cubes that are covered by the remaining cover
 /// plus `extra` plus the DC-set, while preserving coverage of the original
 /// ON-set.
-fn irredundant(cover: &mut Cover, oracle: &dyn Oracle, extra: &[Cube], on: &Cover) {
+fn irredundant(cover: &mut Cover, oracle: &PointOracle, extra: &[Cube], on: &Cover) {
     let mut cubes: Vec<Cube> = cover.iter().cloned().collect();
     // Try to drop large cubes last: removing small ones first tends to keep
     // the big primes that cover many ON points.
@@ -274,7 +242,7 @@ fn irredundant(cover: &mut Cover, oracle: &dyn Oracle, extra: &[Cube], on: &Cove
 /// REDUCE: shrink each cube to the smallest cube that still covers its unique
 /// share of the ON-set (against the other cubes, `extra` and the DC-set),
 /// opening room for EXPAND to find different primes.
-fn reduce(cover: &mut Cover, oracle: &dyn Oracle, extra: &[Cube]) {
+fn reduce(cover: &mut Cover, oracle: &PointOracle, extra: &[Cube]) {
     let mut cubes: Vec<Cube> = cover.iter().cloned().collect();
     // Standard heuristic order: reduce the biggest cubes first.
     cubes.sort_by_key(Cube::literal_count);
@@ -290,7 +258,6 @@ fn reduce(cover: &mut Cover, oracle: &dyn Oracle, extra: &[Cube]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Function;
 
     fn check(f: &Function) -> Cover {
         let c = espresso(f);
@@ -300,13 +267,13 @@ mod tests {
 
     #[test]
     fn empty_on_set_gives_empty_cover() {
-        let f = Function::new(Cover::empty(3), Cover::empty(3));
+        let f = Function::from_on_dc(3, &[], &[]);
         assert!(espresso(&f).is_empty());
     }
 
     #[test]
     fn single_minterm() {
-        let f = Function::new(Cover::from_minterms(3, &[0b101]), Cover::empty(3));
+        let f = Function::from_on_dc(3, &[0b101], &[]);
         let c = check(&f);
         assert_eq!(c.num_cubes(), 1);
         assert_eq!(c.literal_count(), 3);
@@ -315,7 +282,7 @@ mod tests {
     #[test]
     fn merges_adjacent_minterms() {
         // ON = {00, 01} over 2 vars → single cube !a (var0 = a).
-        let f = Function::new(Cover::from_minterms(2, &[0b00, 0b10]), Cover::empty(2));
+        let f = Function::from_on_dc(2, &[0b00, 0b10], &[]);
         let c = check(&f);
         assert_eq!(c.num_cubes(), 1);
         assert_eq!(c.literal_count(), 1);
@@ -324,10 +291,7 @@ mod tests {
     #[test]
     fn uses_dont_cares() {
         // ON = {111}, DC = {110, 101, 011} → can reduce literals.
-        let f = Function::new(
-            Cover::from_minterms(3, &[0b111]),
-            Cover::from_minterms(3, &[0b110, 0b101, 0b011]),
-        );
+        let f = Function::from_on_dc(3, &[0b111], &[0b110, 0b101, 0b011]);
         let c = check(&f);
         assert_eq!(c.num_cubes(), 1);
         assert!(c.literal_count() <= 2);
@@ -335,7 +299,7 @@ mod tests {
 
     #[test]
     fn xor_needs_two_cubes() {
-        let f = Function::new(Cover::from_minterms(2, &[0b01, 0b10]), Cover::empty(2));
+        let f = Function::from_on_dc(2, &[0b01, 0b10], &[]);
         let c = check(&f);
         assert_eq!(c.num_cubes(), 2);
         assert_eq!(c.literal_count(), 4);
@@ -346,7 +310,7 @@ mod tests {
         // f = Σ(0,1,2,3,8,9,10,11) = !x3 … wait: minterms where bit3 clear in
         // {0..3} and bit3 set in {8..11}: both have bits {2}=0 → f = !x2.
         let ms: Vec<u64> = vec![0, 1, 2, 3, 8, 9, 10, 11];
-        let f = Function::new(Cover::from_minterms(4, &ms), Cover::empty(4));
+        let f = Function::from_on_dc(4, &ms, &[]);
         let c = check(&f);
         assert_eq!(c.num_cubes(), 1);
         assert_eq!(c.literal_count(), 1);
@@ -355,7 +319,7 @@ mod tests {
     #[test]
     fn result_is_prime_and_irredundant() {
         let ms: Vec<u64> = vec![1, 3, 5, 7, 6];
-        let f = Function::new(Cover::from_minterms(3, &ms), Cover::empty(3));
+        let f = Function::from_on_dc(3, &ms, &[]);
         let c = check(&f);
         // Every cube must be prime: raising any literal hits the off-set.
         for cube in c.iter() {
@@ -383,36 +347,32 @@ mod tests {
                 .collect();
             let rest = Cover::from_cubes(3, rest).union(f.dc_set());
             assert!(
-                !rest.contains_cover(f.on_set()),
+                !ms.iter().all(|&m| rest.contains_minterm(m)),
                 "cube {i} is redundant in the result"
             );
         }
     }
 
     #[test]
-    fn stats_are_populated() {
-        let f = Function::new(Cover::from_minterms(3, &[0, 1, 2, 3]), Cover::empty(3));
-        let (c, stats) = espresso_with_stats(&f);
-        assert_eq!(stats.initial_cubes, 4);
-        assert_eq!(stats.final_cubes, c.num_cubes());
-        assert!(stats.iterations >= 1);
-        assert_eq!(c.num_cubes(), 1);
+    fn four_minterms_merge_into_one_cube() {
+        let f = Function::from_on_dc(3, &[0, 1, 2, 3], &[]);
+        assert_eq!(f.on_set().num_cubes(), 4);
+        assert_eq!(espresso(&f).num_cubes(), 1);
     }
 }
 
 #[cfg(test)]
 mod essential_tests {
     use super::*;
-    use crate::Function;
 
     #[test]
     fn essential_primes_are_detected() {
         // f = Σ(0,1,5,7): primes x̄y̅? — concretely: cube x0'x1' (covers 0,1
         // over vars {x1,x2}?) — use the classic: ON = {00-, 1-1} shapes.
         // minterms over 3 vars: 0=000, 1=100, 5=101, 7=111 (bit0 = x0).
-        let f = Function::new(Cover::from_minterms(3, &[0, 1, 5, 7]), Cover::empty(3));
+        let f = Function::from_on_dc(3, &[0, 1, 5, 7], &[]);
         let cover = espresso(&f);
-        let ess = essential_primes(&cover, &*f.oracle());
+        let ess = essential_primes(&cover, &f.oracle());
         // Minterm 0 is only coverable by the x1'x2' cube; minterm 7 only by
         // the x0x2 cube — both of those primes are essential.
         assert!(ess.num_cubes() >= 2, "{cover:?} → {ess:?}");
@@ -421,9 +381,9 @@ mod essential_tests {
 
     #[test]
     fn essentials_of_disjoint_cubes_are_all() {
-        let f = Function::new(Cover::from_minterms(2, &[0b00, 0b11]), Cover::empty(2));
+        let f = Function::from_on_dc(2, &[0b00, 0b11], &[]);
         let cover = espresso(&f);
-        let ess = essential_primes(&cover, &*f.oracle());
+        let ess = essential_primes(&cover, &f.oracle());
         assert_eq!(ess.num_cubes(), cover.num_cubes());
     }
 
@@ -433,7 +393,7 @@ mod essential_tests {
         // cover when strictly cheaper. Exercise with a function whose primes
         // overlap heavily.
         let ms: Vec<u64> = (0..16).filter(|m| m % 3 != 0).collect();
-        let f = Function::new(Cover::from_minterms(4, &ms), Cover::empty(4));
+        let f = Function::from_on_dc(4, &ms, &[]);
         let cover = espresso(&f);
         assert!(f.is_implemented_by(&cover));
         let exact = crate::minimize_exact(&f).expect("small");

@@ -20,7 +20,7 @@ pub fn all_primes(f: &Function) -> Vec<Cube> {
     // First expand every cube to a prime (cheap, reduces consensus work).
     let oracle = f.oracle();
     let mut cover = Cover::from_cubes(f.num_vars(), cubes);
-    crate::espresso::expand(&mut cover, &*oracle);
+    crate::espresso::expand(&mut cover, &oracle);
     cubes = cover.into_cubes();
 
     // Iterated consensus: add consensus terms, expand them to primes, absorb.
@@ -33,7 +33,7 @@ pub fn all_primes(f: &Function) -> Vec<Cube> {
                 if let Some(c) = cubes[i].consensus(&cubes[j]) {
                     // Expand the consensus to a prime.
                     let mut one = Cover::from_cubes(f.num_vars(), vec![c]);
-                    crate::espresso::expand(&mut one, &*oracle);
+                    crate::espresso::expand(&mut one, &oracle);
                     let c = one.into_cubes().pop().expect("EXPAND keeps a lone cube");
                     if !cubes.iter().any(|k| k.contains(&c))
                         && !new_cubes.iter().any(|k| k.contains(&c))
@@ -202,7 +202,7 @@ mod tests {
 
     #[test]
     fn primes_of_xor() {
-        let f = Function::new(Cover::from_minterms(2, &[0b01, 0b10]), Cover::empty(2));
+        let f = Function::from_on_dc(2, &[0b01, 0b10], &[]);
         let primes = all_primes(&f);
         // XOR's only primes are its two minterms.
         assert_eq!(primes.len(), 2);
@@ -216,7 +216,7 @@ mod tests {
         // ON = {00,01,11} over (a=var0,b=var1): primes are !a? minterm 00 is
         // a=0 b=0; 01 is a=1 b=0... bit0 = var0. {0b00,0b01,0b11} = {a'b',
         // ab', ab} → primes: b' (covers 00,01) and a (covers 01,11).
-        let f = Function::new(Cover::from_minterms(2, &[0b00, 0b01, 0b11]), Cover::empty(2));
+        let f = Function::from_on_dc(2, &[0b00, 0b01, 0b11], &[]);
         let primes = all_primes(&f);
         assert_eq!(primes.len(), 2);
         assert!(primes.iter().all(|p| p.literal_count() == 1));
@@ -224,10 +224,7 @@ mod tests {
 
     #[test]
     fn exact_beats_or_ties_minterm_count() {
-        let f = Function::new(
-            Cover::from_minterms(3, &[0, 1, 2, 3, 7]),
-            Cover::empty(3),
-        );
+        let f = Function::from_on_dc(3, &[0, 1, 2, 3, 7], &[]);
         let c = minimize_exact(&f).expect("small table");
         assert!(f.is_implemented_by(&c));
         assert_eq!(c.num_cubes(), 2); // !x2 + (x0·x1·x2 expandable to x0·x1)
@@ -236,7 +233,7 @@ mod tests {
     #[test]
     fn exact_equals_heuristic_on_simple_cases() {
         for ms in [vec![0u64, 2, 4, 6], vec![1, 5, 7], vec![0, 7]] {
-            let f = Function::new(Cover::from_minterms(3, &ms), Cover::empty(3));
+            let f = Function::from_on_dc(3, &ms, &[]);
             let exact = minimize_exact(&f).expect("small table");
             let heur = crate::espresso(&f);
             assert!(f.is_implemented_by(&exact));
@@ -250,17 +247,14 @@ mod tests {
         // Classic: ON={1,5}, DC={7} over 3 vars: x0·x1' + ... with DC the
         // minimum is a single cube? minterm 1 = 001 (x0), 5 = 101 (x0,x2),
         // 7 = 111. Cube x0·x1' covers {1,5}; single cube, 2 literals.
-        let f = Function::new(
-            Cover::from_minterms(3, &[1, 5]),
-            Cover::from_minterms(3, &[7]),
-        );
+        let f = Function::from_on_dc(3, &[1, 5], &[7]);
         let c = minimize_exact(&f).expect("small table");
         assert_eq!(c.num_cubes(), 1);
     }
 
     #[test]
     fn empty_function() {
-        let f = Function::new(Cover::empty(2), Cover::empty(2));
+        let f = Function::from_on_dc(2, &[], &[]);
         assert!(minimize_exact(&f).expect("trivial").is_empty());
     }
 }

@@ -1,103 +1,48 @@
-//! Incompletely specified single-output Boolean functions.
+//! Incompletely specified single-output Boolean functions, given by the
+//! state codes of Table 1.
 
 use std::sync::OnceLock;
 
-use crate::oracle::{CoverOracle, Oracle, PointOracle};
+use crate::oracle::PointOracle;
 use crate::{Cover, Cube};
 
-/// An incompletely specified Boolean function given by an ON-set and a
-/// DC-set (don't-care set); the OFF-set is everything else.
+/// An incompletely specified Boolean function over at most 64 variables,
+/// given by the codes of its ON points, its reachable don't-care points and
+/// its OFF points. Every other code is a don't-care.
 ///
-/// A function comes in one of two forms:
-///
-/// * the **cover form** ([`Function::new`], [`Function::with_off`]) holds
-///   explicit ON, DC and OFF covers;
-/// * the **point form** ([`Function::from_points`]) holds the ON, reachable
-///   don't-care and OFF codes of a state graph, and every other code is a
-///   don't-care. This is Table 1 of the paper: the ON/DC/OFF sets of a set
-///   (reset) network come from the excitation / quiescent region
-///   decomposition, with all unreachable codes in DC.
-///
-/// The minimizers answer their questions over codes for the point form, and
-/// never build its DC cover; [`Function::dc_set`] materializes it on first
-/// use.
+/// This is Table 1 of the paper: the ON/DC/OFF sets of a set (reset)
+/// network come from the excitation / quiescent region decomposition, with
+/// all unreachable codes in DC. The minimizers answer their questions over
+/// the codes and never build the DC cover; [`Function::dc_set`] and
+/// [`Function::off_set`] materialize their covers on first use.
 ///
 /// # Example
 ///
 /// ```
-/// use nshot_logic::{Cover, Function};
+/// use nshot_logic::Function;
 ///
-/// let f = Function::new(
-///     Cover::from_minterms(2, &[0b11]),
-///     Cover::from_minterms(2, &[0b01]),
-/// );
+/// // ON = {11}, reachable DC = {01}, OFF = {00}; code 10 is unlisted, so
+/// // it is a don't-care too.
+/// let f = Function::from_points(2, vec![0b11], vec![0b01], vec![0b00]);
 /// assert!(f.off_set().contains_minterm(0b00));
+/// assert!(f.dc_set().contains_minterm(0b10));
 /// assert!(!f.off_set().contains_minterm(0b01));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Function {
-    on: Cover,
-    form: Form,
-}
-
-#[derive(Debug, Clone)]
-enum Form {
-    Covers { dc: Cover, off: Cover },
-    Points(Points),
-}
-
-/// The codes of a point-form function, with its DC and OFF covers built
-/// on first use.
-#[derive(Debug, Clone)]
-struct Points {
     on: Vec<u64>,
     qr: Vec<u64>,
     off: Vec<u64>,
+    /// The ON codes as minterm cubes, in the given order.
+    on_cover: Cover,
     dc_cover: OnceLock<Cover>,
     off_cover: OnceLock<Cover>,
 }
 
 impl Function {
-    /// Build a function from ON and DC covers; the OFF-set is computed as the
-    /// complement of their union.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the covers disagree on the variable count or if the ON and
-    /// DC sets overlap (the specification would be ambiguous).
-    pub fn new(on: Cover, dc: Cover) -> Self {
-        assert_eq!(on.num_vars(), dc.num_vars(), "cover dimension mismatch");
-        assert!(
-            !on.intersects(&dc),
-            "ON-set and DC-set overlap: ambiguous specification"
-        );
-        let off = on.union(&dc).complement();
-        Function {
-            on,
-            form: Form::Covers { dc, off },
-        }
-    }
-
-    /// Build a function with an explicitly supplied OFF-set.
-    ///
-    /// Useful when the caller has already partitioned the space.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions disagree or if ON and OFF overlap.
-    pub fn with_off(on: Cover, dc: Cover, off: Cover) -> Self {
-        assert_eq!(on.num_vars(), dc.num_vars(), "cover dimension mismatch");
-        assert_eq!(on.num_vars(), off.num_vars(), "cover dimension mismatch");
-        assert!(!on.intersects(&off), "ON-set and OFF-set overlap");
-        Function {
-            on,
-            form: Form::Covers { dc, off },
-        }
-    }
-
-    /// Build a point-form function over `num_vars ≤ 64` variables from the
-    /// codes of its ON points, its reachable don't-care points `qr` and its
-    /// OFF points. Every code in none of the three lists is a don't-care.
+    /// Build a function over `num_vars ≤ 64` variables from the codes of
+    /// its ON points, its reachable don't-care points `qr` and its OFF
+    /// points. Every code in none of the three lists is a don't-care.
     ///
     /// ON keeps the given order, duplicates included, as the initial cover
     /// of the minimizer. The DC cover ([`Function::dc_set`]) is the `qr`
@@ -109,7 +54,7 @@ impl Function {
     /// Panics if `num_vars > 64`, if a code has a bit at or above
     /// `num_vars`, or if any two of ON, `qr` and OFF overlap.
     pub fn from_points(num_vars: usize, on: Vec<u64>, qr: Vec<u64>, off: Vec<u64>) -> Self {
-        assert!(num_vars <= 64, "point-form functions cap at 64 vars");
+        assert!(num_vars <= 64, "functions cap at 64 vars");
         let in_range = |c: &u64| num_vars == 64 || c >> num_vars == 0;
         assert!(
             on.iter().chain(&qr).chain(&off).all(in_range),
@@ -135,126 +80,109 @@ impl Function {
     /// function that was already checked.
     fn points_unchecked(num_vars: usize, on: Vec<u64>, qr: Vec<u64>, off: Vec<u64>) -> Self {
         Function {
-            on: Cover::from_minterms(num_vars, &on),
-            form: Form::Points(Points {
-                on,
-                qr,
-                off,
-                dc_cover: OnceLock::new(),
-                off_cover: OnceLock::new(),
-            }),
+            on_cover: Cover::from_minterms(num_vars, &on),
+            on,
+            qr,
+            off,
+            dc_cover: OnceLock::new(),
+            off_cover: OnceLock::new(),
         }
     }
 
     /// Number of input variables.
     pub fn num_vars(&self) -> usize {
-        self.on.num_vars()
+        self.on_cover.num_vars()
     }
 
     /// The ON-set (must evaluate to 1).
     pub fn on_set(&self) -> &Cover {
-        &self.on
+        &self.on_cover
     }
 
-    /// The don't-care set (free to be 0 or 1). Built on first call for a
-    /// point-form function.
+    /// The don't-care set (free to be 0 or 1). Built on first call.
     pub fn dc_set(&self) -> &Cover {
-        match &self.form {
-            Form::Covers { dc, .. } => dc,
-            Form::Points(p) => p.dc_cover.get_or_init(|| {
-                let n = self.num_vars();
-                let mut used: Vec<u64> = p.on.iter().chain(&p.qr).chain(&p.off).copied().collect();
-                used.sort_unstable();
-                used.dedup();
-                let mut cubes: Vec<Cube> = p.qr.iter().map(|&c| Cube::from_minterm(n, c)).collect();
-                split_unused(n, &used, n, &mut Vec::new(), &mut cubes);
-                Cover::from_cubes(n, cubes)
-            }),
-        }
+        self.dc_cover.get_or_init(|| {
+            let n = self.num_vars();
+            let mut used: Vec<u64> = self
+                .on
+                .iter()
+                .chain(&self.qr)
+                .chain(&self.off)
+                .copied()
+                .collect();
+            used.sort_unstable();
+            used.dedup();
+            let mut cubes: Vec<Cube> = self.qr.iter().map(|&c| Cube::from_minterm(n, c)).collect();
+            split_unused(n, &used, n, &mut Vec::new(), &mut cubes);
+            Cover::from_cubes(n, cubes)
+        })
     }
 
-    /// The OFF-set (must evaluate to 0). Built on first call for a
-    /// point-form function.
+    /// The OFF-set (must evaluate to 0). Built on first call.
     pub fn off_set(&self) -> &Cover {
-        match &self.form {
-            Form::Covers { off, .. } => off,
-            Form::Points(p) => p
-                .off_cover
-                .get_or_init(|| Cover::from_minterms(self.num_vars(), &p.off)),
-        }
+        self.off_cover
+            .get_or_init(|| Cover::from_minterms(self.num_vars(), &self.off))
     }
 
-    /// The minimizer's view of this function: cube algebra for the cover
-    /// form, code scans for the point form.
-    pub(crate) fn oracle(&self) -> Box<dyn Oracle + '_> {
-        match &self.form {
-            Form::Covers { dc, off } => Box::new(CoverOracle { dc, off }),
-            Form::Points(p) => Box::new(PointOracle::new(self.num_vars(), &p.on, &p.off)),
-        }
+    /// The minimizer's view of this function: code scans over ON and OFF.
+    pub(crate) fn oracle(&self) -> PointOracle<'_> {
+        PointOracle::new(self.num_vars(), &self.on, &self.off)
     }
 
-    /// The key this function is memoized under.
-    ///
-    /// The cover form keys on `[num_vars, |ON|, ON words…, |DC|, DC
-    /// words…]` over sorted cube lists. The point form keys on
-    /// `[tag, num_vars, |ON|, ON codes…, |OFF|, OFF codes…]`: its covers
-    /// depend on ON and OFF alone, since every other code is DC.
+    /// The key this function is memoized under:
+    /// `[num_vars, |ON|, ON codes…, |OFF|, OFF codes…]`, each list in
+    /// canonical order. The covers depend on ON and OFF alone, since every
+    /// other code is DC, and the full codes are stored (not a hash), so
+    /// keys cannot collide.
     pub(crate) fn memo_key(&self) -> Vec<u64> {
-        let n = self.num_vars();
-        match &self.form {
-            Form::Covers { dc, .. } => {
-                crate::function_key(n, &crate::sorted_cubes(&self.on), &crate::sorted_cubes(dc))
-            }
-            Form::Points(p) => {
-                crate::key::point_function_key(n, &in_cube_order(&p.on), &sorted(&p.off))
-            }
-        }
+        let (on, off) = (in_cube_order(&self.on), sorted(&self.off));
+        let mut key = Vec::with_capacity(3 + on.len() + off.len());
+        key.extend([self.num_vars() as u64, on.len() as u64]);
+        key.extend(on);
+        key.push(off.len() as u64);
+        key.extend(off);
+        key
     }
 
     /// The copy of this function the memo table minimizes: every list in
     /// the order of its [`Function::memo_key`], so the cover depends on the
     /// key alone.
     pub(crate) fn canonical(&self) -> Function {
-        let n = self.num_vars();
-        match &self.form {
-            Form::Covers { dc, off } => Function {
-                on: Cover::from_cubes(n, crate::sorted_cubes(&self.on)),
-                form: Form::Covers {
-                    dc: Cover::from_cubes(n, crate::sorted_cubes(dc)),
-                    off: Cover::from_cubes(n, crate::sorted_cubes(off)),
-                },
-            },
-            Form::Points(p) => {
-                Self::points_unchecked(n, in_cube_order(&p.on), p.qr.clone(), sorted(&p.off))
-            }
-        }
+        Self::points_unchecked(
+            self.num_vars(),
+            in_cube_order(&self.on),
+            self.qr.clone(),
+            sorted(&self.off),
+        )
     }
 
     /// `true` if `cover` is a correct implementation: it covers all of ON and
     /// touches none of OFF.
     pub fn is_implemented_by(&self, cover: &Cover) -> bool {
-        match &self.form {
-            Form::Covers { off, .. } => cover.contains_cover(&self.on) && !cover.intersects(off),
-            Form::Points(p) => {
-                let masks: Vec<(u64, u64)> = cover.iter().map(Cube::code_mask).collect();
-                let hit = |code: &u64| masks.iter().any(|&(care, value)| code & care == value);
-                p.on.iter().all(hit) && !p.off.iter().any(hit)
-            }
-        }
+        let masks: Vec<(u64, u64)> = cover.iter().map(Cube::code_mask).collect();
+        let hit = |code: &u64| masks.iter().any(|&(care, value)| code & care == value);
+        self.on.iter().all(hit) && !self.off.iter().any(hit)
     }
 
     /// `true` if `cube` may appear in an implementation (is off-set free).
     pub fn admits_cube(&self, cube: &Cube) -> bool {
-        match &self.form {
-            Form::Covers { off, .. } => !off.iter().any(|o| o.intersects(cube)),
-            // One query: a scan is cheaper than building the oracle's columns.
-            Form::Points(p) => {
-                cube.is_empty() || {
-                    let (care, value) = cube.code_mask();
-                    !p.off.iter().any(|&code| code & care == value)
-                }
-            }
+        // One query: a scan is cheaper than building the oracle's columns.
+        cube.is_empty() || {
+            let (care, value) = cube.code_mask();
+            !self.off.iter().any(|&code| code & care == value)
         }
+    }
+}
+
+#[cfg(test)]
+impl Function {
+    /// The function with ON codes `on`, reachable DC codes `dc` and every
+    /// other code OFF: the shape of a hand-written minterm example.
+    pub(crate) fn from_on_dc(num_vars: usize, on: &[u64], dc: &[u64]) -> Self {
+        let off = (0..1u64 << num_vars)
+            .filter(|m| !on.contains(m) && !dc.contains(m))
+            .collect();
+        Self::from_points(num_vars, on.to_vec(), dc.to_vec(), off)
     }
 }
 
@@ -327,11 +255,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn off_set_is_complement_of_on_union_dc() {
-        let f = Function::new(
-            Cover::from_minterms(3, &[0, 1]),
-            Cover::from_minterms(3, &[2]),
-        );
+    fn off_set_is_the_off_codes() {
+        let f = Function::from_points(3, vec![0, 1], vec![2], vec![3, 4, 5, 6, 7]);
         for m in 0..8u64 {
             let expect_off = ![0u64, 1, 2].contains(&m);
             assert_eq!(f.off_set().contains_minterm(m), expect_off, "minterm {m}");
@@ -340,29 +265,19 @@ mod tests {
 
     #[test]
     fn implementation_check() {
-        let f = Function::new(
-            Cover::from_minterms(2, &[0b11]),
-            Cover::from_minterms(2, &[0b01]),
-        );
+        let f = Function::from_points(2, vec![0b11], vec![0b01], vec![0b00, 0b10]);
         // `a` implements it (covers 11, uses DC 01, avoids OFF {00,10}).
         let a = Cover::from_cubes(2, vec![Cube::from_literals(2, &[(0, true)])]);
         assert!(f.is_implemented_by(&a));
         // `b` does not: covers OFF minterm 10.
         let b = Cover::from_cubes(2, vec![Cube::from_literals(2, &[(1, true)])]);
         assert!(!f.is_implemented_by(&b));
-        // The same function in point form gives the same answers.
-        let p = Function::from_points(2, vec![0b11], vec![], vec![0b00, 0b10]);
-        assert!(p.is_implemented_by(&a));
-        assert!(!p.is_implemented_by(&b));
     }
 
     #[test]
-    #[should_panic(expected = "overlap")]
-    fn overlapping_on_dc_panics() {
-        let _ = Function::new(
-            Cover::from_minterms(2, &[1]),
-            Cover::from_minterms(2, &[1]),
-        );
+    #[should_panic(expected = "ON-set and DC-set overlap")]
+    fn overlapping_on_qr_points_panic() {
+        let _ = Function::from_points(2, vec![1], vec![1], vec![]);
     }
 
     #[test]
@@ -423,10 +338,9 @@ mod tests {
         for n in [5usize, 40] {
             let codes = [1u64 << (n - 1), 3, 1 << 4, 2, (1 << (n - 1)) | 1];
             let f = Function::from_points(n, codes.to_vec(), vec![], vec![]);
-            assert_eq!(
-                f.canonical().on_set().cubes(),
-                crate::sorted_cubes(f.on_set())
-            );
+            let mut cubes = f.on_set().cubes().to_vec();
+            cubes.sort_unstable();
+            assert_eq!(f.canonical().on_set().cubes(), cubes);
         }
     }
 }

@@ -10,13 +10,13 @@
 //!
 //! * [`Cube`] — a product term in positional-cube notation (two bits per
 //!   variable packed into `u64` words);
-//! * [`Cover`] — a sum of cubes with set-algebra, tautology, containment and
-//!   complementation via unate recursion;
-//! * [`Function`] — an incompletely specified single-output function. The
-//!   flow builds it from the ON, reachable don't-care and OFF codes of a
-//!   state graph ([`Function::from_points`]; every other code is a
-//!   don't-care); tests also build it from covers ([`Function::new`],
-//!   [`Function::with_off`]);
+//! * [`Cover`] — a sum of cubes with union, minterm queries and
+//!   single-cube containment;
+//! * [`Function`] — an incompletely specified single-output function, built
+//!   from the ON, reachable don't-care and OFF codes of a state graph
+//!   ([`Function::from_points`]; every other code is a don't-care). The
+//!   minimizers answer their questions by scanning these codes, so no
+//!   cover of the OFF- or DC-set is ever complemented;
 //! * [`espresso`] — the heuristic EXPAND / IRREDUNDANT / REDUCE loop;
 //! * [`minimize_exact`] — prime generation plus branch-and-bound unate
 //!   covering (the ESPRESSO-exact analogue, practical for the controller-sized
@@ -26,13 +26,11 @@
 //! # Example
 //!
 //! ```
-//! use nshot_logic::{Cover, Function, espresso};
+//! use nshot_logic::{Function, espresso};
 //!
-//! // f(a,b) with ON = {11}, DC = {01}: minimizes to the single literal `a`
-//! // (bit 0 of a minterm is variable 0).
-//! let on = Cover::from_minterms(2, &[0b11]);
-//! let dc = Cover::from_minterms(2, &[0b01]);
-//! let f = Function::new(on, dc);
+//! // f(a,b) with ON = {11}, DC = {01}, OFF = {00, 10}: minimizes to the
+//! // single literal `a` (bit 0 of a minterm is variable 0).
+//! let f = Function::from_points(2, vec![0b11], vec![0b01], vec![0b00, 0b10]);
 //! let cover = espresso(&f);
 //! assert_eq!(cover.num_cubes(), 1);
 //! assert_eq!(cover.literal_count(), 1);
@@ -56,10 +54,10 @@ pub use cache::{
 pub use cover::Cover;
 pub use cube::{Cube, Polarity};
 pub use error::LogicError;
-pub use espresso::{espresso, espresso_with_stats, EspressoStats};
+pub use espresso::espresso;
 pub use exact::{all_primes, minimize_exact};
 pub use function::Function;
-pub use key::{function_key, request_key, sorted_cubes};
+pub use key::request_key;
 pub use multi::{espresso_multi, MultiCover};
 
 #[cfg(test)]

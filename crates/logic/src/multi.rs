@@ -12,11 +12,12 @@
 //! # Example
 //!
 //! ```
-//! use nshot_logic::{espresso_multi, Cover, Function};
+//! use nshot_logic::{espresso_multi, Function};
 //!
-//! // f0 = ab (minterm 11), f1 = ab + b̄a … here simply both contain ab:
-//! let f0 = Function::new(Cover::from_minterms(2, &[0b11]), Cover::empty(2));
-//! let f1 = Function::new(Cover::from_minterms(2, &[0b11, 0b01]), Cover::empty(2));
+//! // f0 = ab (minterm 11), f1 = ab + b̄a … here simply both contain ab;
+//! // every other code is OFF:
+//! let f0 = Function::from_points(2, vec![0b11], vec![], vec![0b00, 0b01, 0b10]);
+//! let f1 = Function::from_points(2, vec![0b11, 0b01], vec![], vec![0b00, 0b10]);
 //! let multi = espresso_multi(&[f0, f1]);
 //! // The ab product term is shared: fewer distinct cubes than 1 + 2.
 //! assert!(multi.num_product_terms() <= 2);
@@ -186,7 +187,7 @@ mod tests {
     use super::*;
 
     fn f(n: usize, on: &[u64], dc: &[u64]) -> Function {
-        Function::new(Cover::from_minterms(n, on), Cover::from_minterms(n, dc))
+        Function::from_on_dc(n, on, dc)
     }
 
     #[test]
@@ -216,11 +217,7 @@ mod tests {
         // f0 = a (covers 01, 11); f1 ON = {01}, OFF = {11}: f0's cube `a`
         // must NOT be shared into f1 (it would hit f1's off-set).
         let f0 = f(2, &[0b01, 0b11], &[]);
-        let f1 = Function::with_off(
-            Cover::from_minterms(2, &[0b01]),
-            Cover::from_minterms(2, &[0b00, 0b10]),
-            Cover::from_minterms(2, &[0b11]),
-        );
+        let f1 = Function::from_points(2, vec![0b01], vec![0b00, 0b10], vec![0b11]);
         let multi = espresso_multi(&[f0.clone(), f1.clone()]);
         assert!(f0.is_implemented_by(&multi.cover_for(0)));
         assert!(f1.is_implemented_by(&multi.cover_for(1)));

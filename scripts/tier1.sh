@@ -6,6 +6,12 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
+# The smoke runs' reports and logs go to a private directory, so that
+# concurrent runs do not overwrite each other's results; it is removed on
+# exit, pass or fail.
+WORK="$(mktemp -d)"
+trap 'rm -rf "$WORK"' EXIT
+
 echo "== tier1: build (release, offline) =="
 cargo build --release --workspace
 
@@ -15,14 +21,14 @@ cargo test --release --workspace -q
 echo "== tier1: fuzz smoke (fixed seeds, bounded verify budget + deadline) =="
 cargo run --release -p nshot-bench --bin nshot-fuzz -- \
   --seeds 0..200 --budget 50000 --deadline-ms 480000 \
-  --out /tmp/BENCH_fuzz_smoke.json --archive tests/corpus/generated
-grep -q '"new_violations": 0' /tmp/BENCH_fuzz_smoke.json \
-  || { echo "fuzz smoke found an unarchived violation:"; cat /tmp/BENCH_fuzz_smoke.json; exit 1; }
+  --out "$WORK/BENCH_fuzz_smoke.json" --archive tests/corpus/generated
+grep -q '"new_violations": 0' "$WORK/BENCH_fuzz_smoke.json" \
+  || { echo "fuzz smoke found an unarchived violation:"; cat "$WORK/BENCH_fuzz_smoke.json"; exit 1; }
 
 echo "== tier1: generated-corpus regression (archived specs re-verify) =="
 cargo run --release -p nshot-bench --bin nshot-fuzz -- \
   --corpus --archive tests/corpus/generated --budget 200000 \
-  --out /tmp/BENCH_fuzz_corpus.json
+  --out "$WORK/BENCH_fuzz_corpus.json"
 
 echo "== tier1: wire frame-mutation smoke (>=200 mutants, zero panics) =="
 # Mutated binary frames must decode to typed WireErrors — never a panic
@@ -30,23 +36,23 @@ echo "== tier1: wire frame-mutation smoke (>=200 mutants, zero panics) =="
 # class, so a wire-format change shows up as a tests/corpus diff.
 cargo run --release -p nshot-bench --bin nshot-fuzz -- \
   --wire-mutations 240 --wire-archive tests/corpus/malformed/wire \
-  --out /tmp/BENCH_wire_fuzz.json
-grep -q '"panics": 0' /tmp/BENCH_wire_fuzz.json \
-  || { echo "wire mutation smoke panicked:"; cat /tmp/BENCH_wire_fuzz.json; exit 1; }
+  --out "$WORK/BENCH_wire_fuzz.json"
+grep -q '"panics": 0' "$WORK/BENCH_wire_fuzz.json" \
+  || { echo "wire mutation smoke panicked:"; cat "$WORK/BENCH_wire_fuzz.json"; exit 1; }
 
 echo "== tier1: model-checker smoke (1-circuit proof, heartbeats on) =="
 NSHOT_PROGRESS=stderr \
-  cargo run --release -p nshot-bench --bin modelcheck -- chu133 /tmp/BENCH_mc_smoke.json \
-  2> /tmp/mc_smoke_stderr.log
-grep -q '"all_hazard_free": true' /tmp/BENCH_mc_smoke.json \
+  cargo run --release -p nshot-bench --bin modelcheck -- chu133 "$WORK/BENCH_mc_smoke.json" \
+  2> "$WORK/mc_smoke_stderr.log"
+grep -q '"all_hazard_free": true' "$WORK/BENCH_mc_smoke.json" \
   || { echo "modelcheck smoke did not prove chu133"; exit 1; }
 # With progress on, every check emits at least an opening and a final
 # heartbeat; the verdicts above must be identical either way (the run's
 # own cross-thread byte-identity assertion covers that).
-grep -q '{"hb":"mc:chu133","seq":' /tmp/mc_smoke_stderr.log \
-  || { echo "no heartbeat emitted:"; cat /tmp/mc_smoke_stderr.log; exit 1; }
-grep -q '"final":true' /tmp/mc_smoke_stderr.log \
-  || { echo "no final heartbeat emitted:"; cat /tmp/mc_smoke_stderr.log; exit 1; }
+grep -q '{"hb":"mc:chu133","seq":' "$WORK/mc_smoke_stderr.log" \
+  || { echo "no heartbeat emitted:"; cat "$WORK/mc_smoke_stderr.log"; exit 1; }
+grep -q '"final":true' "$WORK/mc_smoke_stderr.log" \
+  || { echo "no final heartbeat emitted:"; cat "$WORK/mc_smoke_stderr.log"; exit 1; }
 
 echo "== tier1: disabled-observability overhead gate (<2%) =="
 cargo run --release -p nshot-bench --bin obs_overhead

@@ -1,28 +1,20 @@
 //! Differential test: heuristic ESPRESSO vs. the exact minimizer, over
 //! every set/reset function of every Table 2 benchmark.
 //!
-//! For each function the two minimizers must agree *semantically modulo
-//! don't-cares* — checked with the tautology-based cover containment both
-//! directions, not by comparing cube lists — and the heuristic result must
-//! stay within a small bound of the exact optimum, so a quality regression
-//! in the iterative loop is caught even when correctness holds.
+//! For each function both covers must implement it — cover every ON point
+//! and no OFF point, so they agree everywhere outside the don't-care set —
+//! and the heuristic result must stay within a small bound of the exact
+//! optimum, so a quality regression in the iterative loop is caught even
+//! when correctness holds.
 
 use nshot::core::SetResetSpec;
-use nshot::logic::{espresso, minimize_exact, Cover, Function};
+use nshot::logic::{espresso, minimize_exact, Function};
 
 /// Largest cube-count gap (heuristic − exact) tolerated per function. The
 /// suite's current worst case is 0 — the heuristic finds the optimum on
 /// every benchmark function — but a bound of 1 keeps the test from pinning
 /// the heuristic's exact search order.
 const MAX_CUBE_GAP: usize = 1;
-
-/// `a` and `b` implement the same completely specified extension of `f`:
-/// each is contained in the other once the don't-care space is granted.
-fn equivalent_modulo_dc(f: &Function, a: &Cover, b: &Cover) -> bool {
-    let a_dc = a.union(f.dc_set());
-    let b_dc = b.union(f.dc_set());
-    a_dc.contains_cover(b) && b_dc.contains_cover(a)
-}
 
 fn diff_function(circuit: &str, label: &str, f: &Function) -> (usize, usize) {
     let heuristic = espresso(f);
@@ -35,11 +27,6 @@ fn diff_function(circuit: &str, label: &str, f: &Function) -> (usize, usize) {
     assert!(
         f.is_implemented_by(&exact),
         "{circuit}/{label}: exact cover does not implement the function"
-    );
-    assert!(
-        equivalent_modulo_dc(f, &heuristic, &exact),
-        "{circuit}/{label}: minimizers disagree outside the don't-care set\n\
-         heuristic: {heuristic:?}\nexact: {exact:?}"
     );
     assert!(
         exact.num_cubes() <= heuristic.num_cubes(),
