@@ -193,7 +193,7 @@ fn structure_of(g_text: &str) -> String {
 }
 
 fn request_key_of(g_text: &str) -> String {
-    nshot_logic::request_key("nshot", "Heuristic", 0, "blif", false, g_text)
+    nshot_logic::request_key("nshot", "heuristic", 0, "blif", false, g_text)
 }
 
 /// Does this recipe still produce a failing spec? The shrink predicate:

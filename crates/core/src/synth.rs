@@ -37,19 +37,6 @@ pub enum Minimizer {
     MultiOutput,
 }
 
-impl Minimizer {
-    /// Stable name used in canonical cache/store keys (see
-    /// `nshot_logic::request_key`). Matches the `Debug` rendering so keys
-    /// produced by older releases (which formatted `{:?}`) stay valid.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Minimizer::Heuristic => "Heuristic",
-            Minimizer::Exact => "Exact",
-            Minimizer::MultiOutput => "MultiOutput",
-        }
-    }
-}
-
 /// Options controlling [`synthesize`].
 #[derive(Debug, Clone, Default)]
 pub struct SynthesisOptions {

@@ -17,8 +17,8 @@
 /// specification bytes. Two requests collide iff they are semantically
 /// identical.
 ///
-/// The option strings are the caller's wire/debug names (e.g. method
-/// `"nshot"`, minimizer `"Heuristic"`); this function just fixes the
+/// The option strings are the caller's wire names (e.g. method `"nshot"`,
+/// minimizer `"heuristic"`); this function just fixes the
 /// field order and separator so server cache keys and store record keys
 /// are the same bytes.
 pub fn request_key(

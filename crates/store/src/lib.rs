@@ -27,11 +27,9 @@
 //! (all little-endian; the CRC covers header + key + value). Appends are
 //! fsynced per [`FsyncPolicy`].
 //!
-//! Framing version 2 stores large record parts LZSS-compressed (bit 31 of
-//! a length field flags a part stored as `varint(raw_len) ++ lzss(raw)`).
-//! The checksum and the compress-if-shorter rule are `nshot-wire`'s
-//! (`crc32::crc32`, `lzss::pack`); the wire frames share the checksum and
-//! are never compressed.
+//! Framing version 3 stores keys and values raw: a record can always be
+//! recompiled, so it need not be small. The checksum is `nshot-wire`'s
+//! `crc32::crc32`, shared with the wire frames.
 //! [`StoreConfig::legacy_versions`] lets a reader keep serving older
 //! *payload* versions byte-identically while new writes use the current
 //! one.
@@ -67,9 +65,7 @@ mod segment;
 mod store;
 
 pub use segment::{
-    decode_part, encode_header, encode_record, encoded_len, file_name, frame_len,
-    parse_file_name, RecordLocation, ScanOutcome, FORMAT_VERSION, HEADER_LEN, MAGIC,
-    MAX_PART_LEN, PART_COMPRESSED, RECORD_HEADER_LEN, RECORD_TRAILER_LEN,
+    encode_header, encode_record, frame_len, FORMAT_VERSION, HEADER_LEN, RECORD_HEADER_LEN,
 };
 pub use store::{
     read_entries, read_entries_with, FsyncPolicy, Store, StoreConfig, StoreReport, StoreStats,

@@ -17,14 +17,14 @@
 //! it no longer understands (they are recompiled and rewritten at the
 //! current version).
 //!
-//! Framing version 2 compresses parts: bit 31 of `key_len`/`val_len`
-//! ([`PART_COMPRESSED`]) marks a part stored as `varint(raw_len) ++
-//! lzss(raw)`, by `nshot_wire::lzss::pack`'s compress-if-shorter rule. The
-//! low 31 bits are always the *stored* byte count; [`MAX_PART_LEN`] is
-//! 256 MiB, far below bit 31, so the flag can never alias a real length.
-//! The store is a cache, so older framings are not migrated: a segment
-//! whose `format_version` is not [`FORMAT_VERSION`] is ignored like a
-//! foreign file and its keys recompile.
+//! Framing version 3 stores both parts raw: `key_len`/`val_len` are the
+//! byte counts of the key and value as given. Records are recompilable,
+//! so they need not be small. The store is a cache, so older framings
+//! are not migrated: a segment whose `format_version` is not
+//! [`FORMAT_VERSION`] is ignored like a foreign file and its keys
+//! recompile. That includes framing 2, whose bit-31 length flag marked a
+//! compressed part; read as raw, such a length would look like a torn tail
+//! and get the file truncated.
 //!
 //! Recovery rules, applied by [`scan`] on every open:
 //!
@@ -41,20 +41,14 @@
 //! * a segment with a bad magic or framing version is ignored wholesale.
 
 use nshot_wire::crc32::crc32;
-use nshot_wire::lzss;
-use std::borrow::Cow;
 use std::io::{self, Read};
 use std::path::Path;
 
 /// Magic bytes opening every segment file.
-pub const MAGIC: &[u8; 8] = b"NSHOTSTR";
+pub(crate) const MAGIC: &[u8; 8] = b"NSHOTSTR";
 
-/// The one framing version written and read: compressed parts.
-pub const FORMAT_VERSION: u32 = 2;
-
-/// Bit 31 of a length field: the part is stored as
-/// `varint(raw_len) ++ lzss(raw)` instead of raw bytes.
-pub const PART_COMPRESSED: u32 = 1 << 31;
+/// The one framing version written and read: raw parts.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Segment header length in bytes.
 pub const HEADER_LEN: u64 = 16;
@@ -63,22 +57,20 @@ pub const HEADER_LEN: u64 = 16;
 pub const RECORD_HEADER_LEN: usize = 12;
 
 /// CRC trailer length.
-pub const RECORD_TRAILER_LEN: usize = 4;
+pub(crate) const RECORD_TRAILER_LEN: usize = 4;
 
 /// Upper bound on a single key or value (guards against allocating on a
-/// corrupt length field). Must stay below [`PART_COMPRESSED`].
-pub const MAX_PART_LEN: u32 = 256 * 1024 * 1024;
-
-const _: () = assert!(MAX_PART_LEN < PART_COMPRESSED);
+/// corrupt length field).
+pub(crate) const MAX_PART_LEN: u32 = 256 * 1024 * 1024;
 
 /// File name of segment `id` (zero-padded so lexicographic order is id
 /// order).
-pub fn file_name(id: u64) -> String {
+pub(crate) fn file_name(id: u64) -> String {
     format!("seg-{id:08}.log")
 }
 
 /// Parse a segment id back out of a file name produced by [`file_name`].
-pub fn parse_file_name(name: &str) -> Option<u64> {
+pub(crate) fn parse_file_name(name: &str) -> Option<u64> {
     let id = name.strip_prefix("seg-")?.strip_suffix(".log")?;
     if id.len() == 8 && id.bytes().all(|b| b.is_ascii_digit()) {
         id.parse().ok()
@@ -96,42 +88,14 @@ pub fn encode_header(segment_id: u64) -> [u8; HEADER_LEN as usize] {
     h
 }
 
-/// Compress one part when it pays: returns the stored bytes and whether
-/// the [`PART_COMPRESSED`] flag must be set.
-fn encode_part(raw: &[u8]) -> (Cow<'_, [u8]>, bool) {
-    match lzss::pack(raw) {
-        Some(packed) => (Cow::Owned(packed), true),
-        None => (Cow::Borrowed(raw), false),
-    }
-}
-
-/// Decode one stored part back to raw bytes. Uncompressed parts come back
-/// as a zero-copy borrow of `stored`; compressed parts are replayed
-/// through the LZSS decoder. `None` means the stored bytes are corrupt
-/// (bad varint, a stream that does not replay, or a raw length over
-/// [`MAX_PART_LEN`]) — the caller treats the record as damaged.
-pub fn decode_part(stored: &[u8], compressed: bool) -> Option<Cow<'_, [u8]>> {
-    if !compressed {
-        return Some(Cow::Borrowed(stored));
-    }
-    lzss::unpack(stored, MAX_PART_LEN.into()).ok().map(Cow::Owned)
-}
-
-/// One fully framed record, ready to append. Parts are LZSS-compressed
-/// when that actually shrinks them.
+/// One fully framed record, ready to append.
 pub fn encode_record(key: &[u8], value: &[u8], value_version: u32) -> Vec<u8> {
-    let (key_stored, key_flag) = encode_part(key);
-    let (val_stored, val_flag) = encode_part(value);
-    let key_field = key_stored.len() as u32 | if key_flag { PART_COMPRESSED } else { 0 };
-    let val_field = val_stored.len() as u32 | if val_flag { PART_COMPRESSED } else { 0 };
-    let mut buf = Vec::with_capacity(
-        RECORD_HEADER_LEN + key_stored.len() + val_stored.len() + RECORD_TRAILER_LEN,
-    );
-    buf.extend_from_slice(&key_field.to_le_bytes());
-    buf.extend_from_slice(&val_field.to_le_bytes());
+    let mut buf = Vec::with_capacity(frame_len(key.len() as u32, value.len() as u32) as usize);
+    buf.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&(value.len() as u32).to_le_bytes());
     buf.extend_from_slice(&value_version.to_le_bytes());
-    buf.extend_from_slice(&key_stored);
-    buf.extend_from_slice(&val_stored);
+    buf.extend_from_slice(key);
+    buf.extend_from_slice(value);
     let crc = crc32(&buf);
     buf.extend_from_slice(&crc.to_le_bytes());
     buf
@@ -143,37 +107,24 @@ pub(crate) fn crc_ok(frame: &[u8]) -> bool {
     crc32(body).to_le_bytes() == trailer
 }
 
-/// Total frame length of a record whose parts are *stored* at the given
-/// lengths (compression flags stripped).
+/// Total frame length of a record with a key and value of these lengths.
 pub fn frame_len(key_len: u32, val_len: u32) -> u64 {
     RECORD_HEADER_LEN as u64 + u64::from(key_len) + u64::from(val_len) + RECORD_TRAILER_LEN as u64
 }
 
-/// On-disk frame length [`encode_record`] would produce for this pair —
-/// what tests and size accounting should use now that parts compress.
-pub fn encoded_len(key: &[u8], value: &[u8]) -> u64 {
-    let (key_stored, _) = encode_part(key);
-    let (val_stored, _) = encode_part(value);
-    frame_len(key_stored.len() as u32, val_stored.len() as u32)
-}
-
 /// Where a live record sits inside a segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecordLocation {
+pub(crate) struct RecordLocation {
     /// Segment id.
     pub seg: u64,
     /// Byte offset of the record frame (the `key_len` field).
     pub offset: u64,
-    /// Total frame length (header + stored key + stored value + CRC).
+    /// Total frame length (header + key + value + CRC).
     pub frame_len: u64,
-    /// Stored key length in bytes (flag stripped).
+    /// Key length in bytes.
     pub key_len: u32,
-    /// Stored value length in bytes (flag stripped).
+    /// Value length in bytes.
     pub val_len: u32,
-    /// The key part carries the [`PART_COMPRESSED`] flag.
-    pub key_compressed: bool,
-    /// The value part carries the [`PART_COMPRESSED`] flag.
-    pub val_compressed: bool,
     /// The record's `value_version` as written.
     pub version: u32,
 }
@@ -183,23 +134,18 @@ impl RecordLocation {
     /// at `offset` in segment `seg` (at least [`RECORD_HEADER_LEN`] bytes).
     pub(crate) fn from_header(seg: u64, offset: u64, frame: &[u8]) -> RecordLocation {
         let field = |i: usize| u32::from_le_bytes(frame[i..i + 4].try_into().expect("4 bytes"));
-        let (key_field, val_field) = (field(0), field(4));
-        let key_len = key_field & !PART_COMPRESSED;
-        let val_len = val_field & !PART_COMPRESSED;
+        let (key_len, val_len) = (field(0), field(4));
         RecordLocation {
             seg,
             offset,
             frame_len: frame_len(key_len, val_len),
             key_len,
             val_len,
-            key_compressed: key_field & PART_COMPRESSED != 0,
-            val_compressed: val_field & PART_COMPRESSED != 0,
             version: field(8),
         }
     }
 
-    /// Byte range of the *stored* value inside the frame (decode with
-    /// [`decode_part`] and `val_compressed`).
+    /// Byte range of the value inside the frame.
     pub fn value_range(&self) -> std::ops::Range<usize> {
         let start = RECORD_HEADER_LEN + self.key_len as usize;
         start..start + self.val_len as usize
@@ -208,7 +154,7 @@ impl RecordLocation {
 
 /// What scanning one segment found.
 #[derive(Debug, Default)]
-pub struct ScanOutcome {
+pub(crate) struct ScanOutcome {
     /// Well-formed wanted-version records in append order (later entries
     /// for the same key supersede earlier ones).
     pub entries: Vec<(String, RecordLocation)>,
@@ -235,7 +181,11 @@ pub struct ScanOutcome {
 /// # Errors
 ///
 /// Only real I/O errors propagate; corruption is reported in the outcome.
-pub fn scan(path: &Path, seg_id: u64, want_versions: &[u32]) -> io::Result<Option<ScanOutcome>> {
+pub(crate) fn scan(
+    path: &Path,
+    seg_id: u64,
+    want_versions: &[u32],
+) -> io::Result<Option<ScanOutcome>> {
     let mut buf = Vec::new();
     std::fs::File::open(path)?.read_to_end(&mut buf)?;
     if buf.len() < HEADER_LEN as usize || &buf[..8] != MAGIC {
@@ -279,17 +229,15 @@ pub fn scan(path: &Path, seg_id: u64, want_versions: &[u32]) -> io::Result<Optio
             out.stale += 1;
             continue;
         }
-        // Keys that are not valid UTF-8 (or a compressed key that does not
-        // replay) cannot have been written by us; count the record corrupt.
-        let key_stored = &frame[RECORD_HEADER_LEN..RECORD_HEADER_LEN + loc.key_len as usize];
-        let key = decode_part(key_stored, loc.key_compressed)
-            .and_then(|raw| std::str::from_utf8(&raw).ok().map(str::to_owned));
-        match key {
-            Some(key) => {
-                out.entries.push((key, loc));
+        // Keys that are not valid UTF-8 cannot have been written by us;
+        // count the record corrupt.
+        let key = &frame[RECORD_HEADER_LEN..RECORD_HEADER_LEN + loc.key_len as usize];
+        match std::str::from_utf8(key) {
+            Ok(key) => {
+                out.entries.push((key.to_owned(), loc));
                 out.recovered += 1;
             }
-            None => out.dropped += 1,
+            Err(_) => out.dropped += 1,
         }
     }
     out.valid_len = out.truncate_to.unwrap_or(buf.len() as u64);
@@ -347,7 +295,7 @@ mod tests {
         let out = scan(&path, 7, &[1]).expect("io").expect("ours");
         assert_eq!(out.recovered, 1);
         assert_eq!(out.dropped, 1);
-        let expected_cut = HEADER_LEN + encoded_len(b"a", b"alpha");
+        let expected_cut = HEADER_LEN + frame_len(1, 5);
         assert_eq!(out.truncate_to, Some(expected_cut));
         assert_eq!(out.entries.len(), 1);
         assert_eq!(out.entries[0].0, "a");
@@ -357,8 +305,7 @@ mod tests {
     fn payload_flip_drops_only_that_record() {
         let path = temp_file("flip.log");
         write_segment(&path, &[("a", b"alpha", 1), ("b", b"beta", 1), ("c", b"gamma", 1)]);
-        // Flip one byte inside record b's value (short parts are stored
-        // raw).
+        // Flip one byte inside record b's value.
         let rec_a = frame_len(1, 5);
         let flip_at = HEADER_LEN + rec_a + RECORD_HEADER_LEN as u64 + 1 + 2; // inside "beta"
         let mut bytes = std::fs::read(&path).expect("read");
@@ -394,38 +341,15 @@ mod tests {
         assert_eq!(got, [("a", 1), ("b", 2)]);
     }
 
-    #[test]
-    fn large_repetitive_parts_compress_and_round_trip() {
-        let key = "spec|".repeat(40); // 200 bytes, repetitive like a request key
-        let value = ".names a b c\n110 1\n101 1\n".repeat(100).into_bytes();
-        let frame = encode_record(key.as_bytes(), &value, 2);
-        assert!(
-            (frame.len() as u64) * 3 < frame_len(key.len() as u32, value.len() as u32),
-            "part compression should shrink a repetitive record ≥3x, got {}",
-            frame.len()
-        );
-        let path = temp_file("compressed.log");
-        write_segment(&path, &[(&key, &value, 2)]);
-        let out = scan(&path, 7, &[2]).expect("io").expect("ours");
-        assert_eq!(out.recovered, 1);
-        let (scanned_key, loc) = &out.entries[0];
-        assert_eq!(scanned_key, &key);
-        assert!(loc.key_compressed && loc.val_compressed);
-        let bytes = std::fs::read(&path).expect("read");
-        let stored = &bytes[HEADER_LEN as usize..][loc.value_range()];
-        let raw = decode_part(stored, loc.val_compressed).expect("decode");
-        assert_eq!(raw.as_ref(), value.as_slice());
-    }
-
-    #[test]
-    fn uncompressed_parts_decode_zero_copy() {
-        let stored = b"short value";
-        match decode_part(stored, false) {
-            Some(Cow::Borrowed(b)) => assert_eq!(b, stored),
-            other => panic!("expected a borrow, got {other:?}"),
-        }
-        // Corrupt compressed parts are refused, not replayed.
-        assert!(decode_part(b"\xff\xff\xff", true).is_none());
+    /// A record as framing 2 wrote a part it compressed: bit 31 of
+    /// `val_len` set, the low bits counting the stored bytes.
+    fn flagged_record(key: &[u8], stored: &[u8], version: u32) -> Vec<u8> {
+        let mut rec = encode_record(key, stored, version);
+        rec[7] |= 0x80;
+        let body = rec.len() - RECORD_TRAILER_LEN;
+        let crc = crc32(&rec[..body]);
+        rec[body..].copy_from_slice(&crc.to_le_bytes());
+        rec
     }
 
     #[test]
@@ -433,13 +357,23 @@ mod tests {
         let path = temp_file("foreign.log");
         std::fs::write(&path, b"not a segment at all").expect("write");
         assert!(scan(&path, 7, &[1]).expect("io").is_none());
-        for format in [1u32, 3] {
+        let mut records = encode_record(b"a", b"alpha", 1);
+        records.extend_from_slice(&flagged_record(b"b", b"\x05packed", 1));
+        for format in [FORMAT_VERSION - 1, FORMAT_VERSION + 1] {
             let path = temp_file(&format!("framing-{format}.log"));
-            write_segment(&path, &[("a", b"alpha", 1)]);
-            let mut bytes = std::fs::read(&path).expect("read");
+            let mut bytes = encode_header(7).to_vec();
             bytes[8..12].copy_from_slice(&format.to_le_bytes());
+            bytes.extend_from_slice(&records);
             std::fs::write(&path, &bytes).expect("write");
             assert!(scan(&path, 7, &[1]).expect("io").is_none(), "framing {format}");
         }
+        // Under the current header the flagged length runs past the end of
+        // the file: read raw, it would be taken for a torn tail.
+        let path = temp_file("flagged.log");
+        let mut bytes = encode_header(7).to_vec();
+        bytes.extend_from_slice(&records);
+        std::fs::write(&path, &bytes).expect("write");
+        let out = scan(&path, 7, &[1]).expect("io").expect("ours");
+        assert_eq!(out.truncate_to, Some(HEADER_LEN + frame_len(1, 5)));
     }
 }

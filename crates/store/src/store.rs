@@ -18,7 +18,6 @@ use crate::segment::{
 };
 use nshot_obs::{Counter, Gauge, Registry};
 use nshot_par::FxHashMap;
-use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -441,8 +440,6 @@ impl Store {
         self.active_len += frame.len() as u64;
         self.seg_bytes.insert(self.active_id, self.active_len);
 
-        // The stored lengths/flags come from the frame the encoder just
-        // built (parts may have compressed).
         let loc = RecordLocation::from_header(self.active_id, offset, &frame);
         let replaced_in_cur = self
             .index
@@ -557,7 +554,7 @@ fn segment_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 }
 
 /// Read the record at `loc` back from `dir` and verify it end to end:
-/// seek, check the CRC, unpack the value. `None` on any I/O failure or
+/// seek, check the CRC, slice out the value. `None` on any I/O failure or
 /// mismatch — the segment may have been rotated away or damaged since the
 /// scan — and the caller treats the record as gone.
 fn read_record(dir: &Path, loc: &RecordLocation) -> Option<Vec<u8>> {
@@ -568,7 +565,7 @@ fn read_record(dir: &Path, loc: &RecordLocation) -> Option<Vec<u8>> {
     if !segment::crc_ok(&frame) {
         return None;
     }
-    segment::decode_part(&frame[loc.value_range()], loc.val_compressed).map(Cow::into_owned)
+    Some(frame[loc.value_range()].to_vec())
 }
 
 /// Create segment file `id` with its header; fsync the file (and,
@@ -595,7 +592,7 @@ const _: () = {
     // Compile-time sanity: the frame layout constants agree.
     assert!(RECORD_HEADER_LEN == 12);
     assert!(RECORD_TRAILER_LEN == 4);
-    assert!(FORMAT_VERSION == 2);
+    assert!(FORMAT_VERSION == 3);
 };
 
 /// Read every live `(key, value)` pair from a store directory **without

@@ -8,16 +8,13 @@
 //!
 //! The crate deliberately sits at the bottom of the dependency graph
 //! (only `nshot-obs`, for the decode-error counter): `nshot-store`
-//! borrows its checksum and its compress-if-shorter rule for record
-//! parts, and `nshot-server` builds its record payloads (requests,
-//! response heads, fields) on the primitives here.
+//! borrows its checksum for record frames, and `nshot-server` builds its
+//! record payloads (requests, response heads, fields) on the primitives
+//! here.
 //!
 //! * [`frame`] — the record frame: tag byte, format version byte, varint
 //!   length, raw payload, u32 CRC trailer.
 //! * [`varint`] — LEB128 unsigned integers.
-//! * [`lzss`] — the deterministic LZSS codec, and `pack`/`unpack`, the
-//!   compress-if-shorter rule the store applies to its record parts.
-//!   Frames are never compressed.
 //! * [`crc32`] — CRC-32/ISO-HDLC, the one checksum frames and store use.
 //!
 //! Every decoder in this crate returns a typed [`WireError`] — never a
@@ -28,7 +25,6 @@
 
 pub mod crc32;
 pub mod frame;
-pub mod lzss;
 pub mod varint;
 
 pub use frame::{decode_frame, encode_frame, read_frame, Frame, MAX_FRAME_PAYLOAD};
@@ -93,7 +89,7 @@ pub enum WireError {
         max: u64,
     },
     /// A payload is structurally invalid (bad value type byte, bad UTF-8,
-    /// an LZSS stream that does not replay, …).
+    /// …).
     Malformed(&'static str),
     /// A transport error while reading frames (not a decode failure).
     Io(std::io::ErrorKind),

@@ -10,9 +10,10 @@
 //! counter pair.
 
 use nshot::store::{
-    encode_header, encode_record, encoded_len, read_entries, FsyncPolicy, Store, StoreConfig,
+    encode_header, encode_record, frame_len, read_entries, FsyncPolicy, Store, StoreConfig,
     FORMAT_VERSION, HEADER_LEN, RECORD_HEADER_LEN,
 };
+use nshot::wire::crc32::crc32;
 use nshot_obs::Registry;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -137,10 +138,8 @@ fn torn_tail_is_truncated_and_survivors_recovered() {
     assert_eq!(global("nshot_store_dropped_records_total"), dropped_before + 1);
 
     // The torn bytes are gone from disk: the segment now ends exactly at
-    // the last whole record (encoded_len accounts for part compression).
-    let expected = HEADER_LEN
-        + encoded_len(b"alpha", &payload("alpha"))
-        + encoded_len(b"beta", &payload("beta"));
+    // the last whole record.
+    let expected = HEADER_LEN + frame_len(5, 64) + frame_len(4, 64);
     assert_eq!(std::fs::metadata(&seg).expect("metadata").len(), expected);
 
     // The recovered store is fully writable again.
@@ -160,7 +159,7 @@ fn flipped_payload_byte_drops_only_that_record() {
     // length framing alone would never notice.
     let seg = only_segment(&dir);
     let mut bytes = std::fs::read(&seg).expect("read segment");
-    let rec_alpha = encoded_len(b"alpha", &payload("alpha"));
+    let rec_alpha = frame_len(5, 64);
     let offset = (HEADER_LEN + rec_alpha) as usize + RECORD_HEADER_LEN + "beta".len() + 3;
     bytes[offset] ^= 0x40;
     std::fs::write(&seg, &bytes).expect("write corrupted segment");
@@ -381,11 +380,23 @@ fn segment_bytes(id: u64, format: u32, records: &[(&str, &[u8], u32)]) -> Vec<u8
     bytes
 }
 
+/// A record as framing 2 wrote a value it compressed: bit 31 of `val_len`
+/// set, the low bits counting the stored bytes.
+fn flagged_record(key: &[u8], stored: &[u8], version: u32) -> Vec<u8> {
+    let mut rec = encode_record(key, stored, version);
+    rec[7] |= 0x80;
+    let body = rec.len() - 4;
+    let crc = crc32(&rec[..body]);
+    rec[body..].copy_from_slice(&crc.to_le_bytes());
+    rec
+}
+
 /// The writer (`Store::open`) and the read-only warm path (`read_entries`)
 /// apply one set of recovery rules: over a directory holding every kind of
 /// damage both serve exactly the same bytes. Segments in another framing
 /// version are not migrated: neither reader serves from them, and both
-/// leave the files on disk.
+/// leave the files on disk byte for byte, even where the previous
+/// framing's compressed-part flag would read as a torn tail.
 #[test]
 fn both_readers_agree_on_a_damaged_directory() {
     let _guard = lock();
@@ -403,8 +414,7 @@ fn both_readers_agree_on_a_damaged_directory() {
     seg1.extend_from_slice(&encode_record(b"keep-a", b"alpha", 2));
     std::fs::write(dir.join("seg-00000001.log"), &seg1).expect("write seg 1");
 
-    // Segment 2: the superseding write, a compressed survivor, then a torn
-    // tail.
+    // Segment 2: the superseding write, a large survivor, then a torn tail.
     let mut seg2 = segment_bytes(
         2,
         FORMAT_VERSION,
@@ -414,11 +424,21 @@ fn both_readers_agree_on_a_damaged_directory() {
     seg2.extend_from_slice(&torn[..torn.len() - 5]);
     std::fs::write(dir.join("seg-00000002.log"), &seg2).expect("write seg 2");
 
-    // Segments 3 and 4 claim framing versions 1 and 3; segment 5 is not a
-    // segment at all.
+    // Segments 3 and 4 claim the framing versions either side of the
+    // current one; segment 3 ends in a record whose value length has bit 31
+    // set. Segment 5 is not a segment at all.
+    let mut older = segment_bytes(3, FORMAT_VERSION - 1, &[("from-old", b"old", 2)]);
+    older.extend_from_slice(&flagged_record(b"keep-a", b"\x05packed", 2));
     let other_framings = [
-        ("seg-00000003.log", segment_bytes(3, 1, &[("from-v1", b"v1", 2), ("keep-a", b"x", 2)])),
-        ("seg-00000004.log", segment_bytes(4, 3, &[("from-v3", b"v3", 2), ("keep-b", b"y", 2)])),
+        ("seg-00000003.log", older),
+        (
+            "seg-00000004.log",
+            segment_bytes(
+                4,
+                FORMAT_VERSION + 1,
+                &[("from-new", b"new", 2), ("keep-b", b"y", 2)],
+            ),
+        ),
     ];
     for (name, bytes) in &other_framings {
         std::fs::write(dir.join(name), bytes).expect("write other framing");
