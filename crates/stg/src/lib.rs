@@ -46,4 +46,6 @@ pub use parse::parse_stg;
 pub use petri::{Marking, PlaceId, Stg, TransId};
 
 #[cfg(test)]
+mod parse_pins;
+#[cfg(test)]
 mod proptests;

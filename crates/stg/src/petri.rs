@@ -294,6 +294,36 @@ impl Stg {
             .find(|p| self.places[p.0 as usize].post.contains(&to))
     }
 
+    /// The input places of `t`, in arc order.
+    #[cfg(test)]
+    pub(crate) fn t_pre(&self, t: TransId) -> &[PlaceId] {
+        &self.transitions[t.0 as usize].pre
+    }
+
+    /// The output places of `t`, in arc order.
+    #[cfg(test)]
+    pub(crate) fn t_post(&self, t: TransId) -> &[PlaceId] {
+        &self.transitions[t.0 as usize].post
+    }
+
+    /// The input transitions of `p`, in arc order.
+    #[cfg(test)]
+    pub(crate) fn p_pre(&self, p: PlaceId) -> &[TransId] {
+        &self.places[p.0 as usize].pre
+    }
+
+    /// The output transitions of `p`, in arc order.
+    #[cfg(test)]
+    pub(crate) fn p_post(&self, p: PlaceId) -> &[TransId] {
+        &self.places[p.0 as usize].post
+    }
+
+    /// The name of `p`.
+    #[cfg(test)]
+    pub(crate) fn place_name(&self, p: PlaceId) -> &str {
+        &self.places[p.0 as usize].name
+    }
+
     /// Find an explicit place by name.
     pub fn place_by_name(&self, name: &str) -> Option<PlaceId> {
         self.places
