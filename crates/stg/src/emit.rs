@@ -132,7 +132,11 @@ impl Stg {
         let model = self.name.replace(['#', '\n', '\r'], "_");
         out.push_str(&format!(
             ".model {}\n",
-            if model.trim().is_empty() { "stg" } else { model.trim() }
+            if model.trim().is_empty() {
+                "stg"
+            } else {
+                model.trim()
+            }
         ));
         for (tag, kind) in [
             (".inputs", SignalKind::Input),
@@ -188,9 +192,7 @@ impl Stg {
             .map(PlaceId)
             .filter(|p| explicit_name[p.0 as usize].is_some())
             .collect();
-        explicit_ids.sort_by(|a, b| {
-            explicit_name[a.0 as usize].cmp(&explicit_name[b.0 as usize])
-        });
+        explicit_ids.sort_by(|a, b| explicit_name[a.0 as usize].cmp(&explicit_name[b.0 as usize]));
         for &p in &explicit_ids {
             let place = &self.places[p.0 as usize];
             if place.post.is_empty() {
@@ -221,7 +223,11 @@ impl Stg {
                     self.transition_name(p.post[0])
                 ),
             };
-            marks.push(if tok == 1 { name } else { format!("{name}={tok}") });
+            marks.push(if tok == 1 {
+                name
+            } else {
+                format!("{name}={tok}")
+            });
         }
         marks.sort_unstable();
         out.push_str(&format!(".marking {{ {} }}\n.end\n", marks.join(" ")));
@@ -245,10 +251,7 @@ pub fn sg_to_stg(sg: &StateGraph) -> Stg {
     let reachable = sg.reachable();
     let mut place_of = vec![None; sg.num_states()];
     for (i, &s) in reachable.iter().enumerate() {
-        place_of[s.index()] = Some(stg.add_place(
-            &format!("p{i}"),
-            u8::from(s == sg.initial()),
-        ));
+        place_of[s.index()] = Some(stg.add_place(&format!("p{i}"), u8::from(s == sg.initial())));
     }
 
     // Occurrence indices are assigned in canonical enumeration order:
@@ -366,7 +369,10 @@ mod tests {
         b.edge_codes(0b10, (y, false), 0b00).unwrap();
         let sg = b.build(0b00).unwrap();
         let text = sg_to_g_text(&sg);
-        assert!(text.contains("/2"), "repeated labels need occurrences:\n{text}");
+        assert!(
+            text.contains("/2"),
+            "repeated labels need occurrences:\n{text}"
+        );
         let sg2 = parse_stg(&text).unwrap().elaborate().unwrap();
         assert_eq!(sg2.num_states(), sg.num_states());
     }

@@ -41,7 +41,10 @@ pub fn parse_stg(text: &str) -> Result<Stg, StgError> {
         if line.is_empty() {
             continue;
         }
-        if let Some(rest) = line.strip_prefix(".model").or_else(|| line.strip_prefix(".name")) {
+        if let Some(rest) = line
+            .strip_prefix(".model")
+            .or_else(|| line.strip_prefix(".name"))
+        {
             stg = Stg::new(rest.trim());
             continue;
         }
@@ -357,10 +360,7 @@ mod tests {
 
     #[test]
     fn marking_with_counts() {
-        let stg = parse_stg(
-            ".outputs a\n.graph\np a+\na+ p\n.marking { p=2 }\n.end",
-        )
-        .unwrap();
+        let stg = parse_stg(".outputs a\n.graph\np a+\na+ p\n.marking { p=2 }\n.end").unwrap();
         let p = stg.place_by_name("p").unwrap();
         assert_eq!(stg.initial_marking().tokens(p), 2);
     }
@@ -373,9 +373,10 @@ mod tests {
 
     #[test]
     fn marking_on_missing_place_is_error() {
-        let err =
-            parse_stg(".inputs a\n.outputs b\n.graph\na+ b+\nb+ a-\na- b-\nb- a+\n.marking { <a+,a-> }\n.end")
-                .unwrap_err();
+        let err = parse_stg(
+            ".inputs a\n.outputs b\n.graph\na+ b+\nb+ a-\na- b-\nb- a+\n.marking { <a+,a-> }\n.end",
+        )
+        .unwrap_err();
         assert!(matches!(err, StgError::Parse { .. }));
     }
 

@@ -152,7 +152,11 @@ impl Stg {
     /// `tokens` initial tokens (the `.g` arc `t1 t2`).
     pub fn connect(&mut self, from: TransId, to: TransId, tokens: u8) -> PlaceId {
         let p = self.add_place(
-            &format!("<{},{}>", self.transition_name(from), self.transition_name(to)),
+            &format!(
+                "<{},{}>",
+                self.transition_name(from),
+                self.transition_name(to)
+            ),
             tokens,
         );
         self.arc_tp(from, p);
@@ -336,7 +340,6 @@ impl Stg {
     pub fn set_tokens(&mut self, p: PlaceId, tokens: u8) {
         self.initial[p.0 as usize] = tokens;
     }
-
 }
 
 impl fmt::Display for Stg {
@@ -415,10 +418,7 @@ mod tests {
     fn firing_disabled_is_error() {
         let (stg, _, down) = toggle_net();
         let m0 = stg.initial_marking();
-        assert!(matches!(
-            stg.fire(&m0, down),
-            Err(StgError::NotEnabled(_))
-        ));
+        assert!(matches!(stg.fire(&m0, down), Err(StgError::NotEnabled(_))));
     }
 
     #[test]

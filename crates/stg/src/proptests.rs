@@ -66,10 +66,8 @@ fn elaboration_is_deterministic() {
         let a = stg.elaborate().expect("consistent");
         let b = stg.elaborate().expect("consistent");
         assert_eq!(a.num_states(), b.num_states());
-        let codes_a: std::collections::BTreeSet<u64> =
-            a.state_ids().map(|s| a.code(s)).collect();
-        let codes_b: std::collections::BTreeSet<u64> =
-            b.state_ids().map(|s| b.code(s)).collect();
+        let codes_a: std::collections::BTreeSet<u64> = a.state_ids().map(|s| a.code(s)).collect();
+        let codes_b: std::collections::BTreeSet<u64> = b.state_ids().map(|s| b.code(s)).collect();
         assert_eq!(codes_a, codes_b);
     });
 }
