@@ -91,14 +91,15 @@ impl Stg {
         // Classify places. Implicit-emittable: one pre, one post, and the
         // only such place between its (pre, post) pair — the parser can
         // address at most one implicit place per pair in the marking.
+        let places = || (0..self.num_places() as u32).map(PlaceId);
         let mut pair_count: HashMap<(u32, u32), usize> = HashMap::new();
-        for p in &self.places {
-            if let (&[pre], &[post]) = (p.pre.as_slice(), p.post.as_slice()) {
+        for p in places() {
+            if let (&[pre], &[post]) = (self.p_pre(p), self.p_post(p)) {
                 *pair_count.entry((pre.0, post.0)).or_insert(0) += 1;
             }
         }
-        let implicit = |p: &crate::petri::PlaceDecl| -> bool {
-            matches!((p.pre.as_slice(), p.post.as_slice()), (&[pre], &[post])
+        let implicit = |p: PlaceId| -> bool {
+            matches!((self.p_pre(p), self.p_post(p)), (&[pre], &[post])
                 if pair_count[&(pre.0, post.0)] == 1)
         };
 
@@ -106,16 +107,17 @@ impl Stg {
         // the rest deterministically (in place order, skipping taken
         // names). Duplicates must rename — the parser interns places by
         // token, so two lines sharing a name would merge into one place.
-        let mut explicit_name: Vec<Option<String>> = vec![None; self.places.len()];
+        let mut explicit_name: Vec<Option<String>> = vec![None; self.num_places()];
         let mut used: std::collections::HashSet<String> = std::collections::HashSet::new();
-        for (i, p) in self.places.iter().enumerate() {
-            if !implicit(p) && is_safe_place_name(&p.name) && used.insert(p.name.clone()) {
-                explicit_name[i] = Some(p.name.clone());
+        for p in places() {
+            let name = self.place_name(p);
+            if !implicit(p) && is_safe_place_name(name) && used.insert(name.to_owned()) {
+                explicit_name[p.0 as usize] = Some(name.to_owned());
             }
         }
         let mut next_fresh = 0usize;
-        for (i, p) in self.places.iter().enumerate() {
-            if implicit(p) || explicit_name[i].is_some() {
+        for p in places() {
+            if implicit(p) || explicit_name[p.0 as usize].is_some() {
                 continue;
             }
             let fresh = loop {
@@ -125,7 +127,7 @@ impl Stg {
                     break candidate;
                 }
             };
-            explicit_name[i] = Some(fresh);
+            explicit_name[p.0 as usize] = Some(fresh);
         }
 
         let mut out = String::new();
@@ -158,13 +160,11 @@ impl Stg {
         // Transition lines: implicit successors (canonical transition
         // order), then explicit post-places (canonical name order).
         for &t in &trans_order {
-            let tr = &self.transitions[t.0 as usize];
             let mut succs: Vec<TransId> = Vec::new();
             let mut posts: Vec<&str> = Vec::new();
-            for &p in &tr.post {
-                let place = &self.places[p.0 as usize];
-                if implicit(place) {
-                    succs.push(place.post[0]);
+            for &p in self.t_post(t) {
+                if implicit(p) {
+                    succs.push(self.p_post(p)[0]);
                 } else {
                     posts.push(explicit_name[p.0 as usize].as_deref().expect("explicit"));
                 }
@@ -188,17 +188,15 @@ impl Stg {
         }
 
         // Explicit place lines (place → consumers), canonical name order.
-        let mut explicit_ids: Vec<PlaceId> = (0..self.places.len() as u32)
-            .map(PlaceId)
+        let mut explicit_ids: Vec<PlaceId> = places()
             .filter(|p| explicit_name[p.0 as usize].is_some())
             .collect();
         explicit_ids.sort_by(|a, b| explicit_name[a.0 as usize].cmp(&explicit_name[b.0 as usize]));
         for &p in &explicit_ids {
-            let place = &self.places[p.0 as usize];
-            if place.post.is_empty() {
+            if self.p_post(p).is_empty() {
                 continue;
             }
-            let mut posts = place.post.clone();
+            let mut posts = self.p_post(p).to_vec();
             posts.sort_by_key(|&u| tkey(u));
             let mut line = explicit_name[p.0 as usize].clone().expect("explicit");
             for u in posts {
@@ -211,17 +209,13 @@ impl Stg {
 
         // Marking: sorted rendered tokens.
         let mut marks: Vec<String> = Vec::new();
-        for (i, (p, &tok)) in self.places.iter().zip(&self.initial).enumerate() {
+        for (p, &tok) in places().zip(&self.initial) {
             if tok == 0 {
                 continue;
             }
-            let name = match &explicit_name[i] {
+            let name = match &explicit_name[p.0 as usize] {
                 Some(n) => n.clone(),
-                None => format!(
-                    "<{},{}>",
-                    self.transition_name(p.pre[0]),
-                    self.transition_name(p.post[0])
-                ),
+                None => self.implicit_place_name(self.p_pre(p)[0], self.p_post(p)[0]),
             };
             marks.push(if tok == 1 {
                 name

@@ -1,9 +1,15 @@
 //! Parser for the `.g` (astg) interchange format.
+//!
+//! One pass over the lines sorts the header from the graph lines. The graph
+//! pass then streams each line's tokens through one intern map keyed by the
+//! token text, one lookup per token, and appends nodes and arcs to flat
+//! vectors in text order. The net takes those vectors as its arc lists.
 
 use crate::error::StgError;
-use crate::petri::{PlaceId, Stg, TransId};
+use crate::petri::{PlaceId, Stg, TransId, TransitionDecl};
 use nshot_par::{FxHashMap, FxHashSet};
 use nshot_sg::{Dir, SignalKind};
+use std::collections::hash_map::Entry;
 
 /// Parse an STG from the classic `.g` format:
 ///
@@ -30,10 +36,10 @@ use nshot_sg::{Dir, SignalKind};
 /// [`StgError::Parse`] describes the offending line.
 pub fn parse_stg(text: &str) -> Result<Stg, StgError> {
     let _span = nshot_obs::span(nshot_obs::Stage::Parse);
-    let mut stg = Stg::new("stg");
+    let mut model = "stg";
     let mut declared: Vec<(&str, SignalKind)> = Vec::new();
     let mut in_graph = false;
-    let mut graph_lines: Vec<(usize, Vec<&str>)> = Vec::new();
+    let mut graph_lines: Vec<(usize, &str)> = Vec::new();
     let mut marking_tokens: Vec<(usize, String)> = Vec::new();
 
     for (lineno, raw) in text.lines().enumerate() {
@@ -41,11 +47,21 @@ pub fn parse_stg(text: &str) -> Result<Stg, StgError> {
         if line.is_empty() {
             continue;
         }
+        if !line.starts_with('.') {
+            if !in_graph {
+                return Err(StgError::Parse {
+                    line: lineno + 1,
+                    message: format!("unexpected line outside .graph: '{line}'"),
+                });
+            }
+            graph_lines.push((lineno + 1, line));
+            continue;
+        }
         if let Some(rest) = line
             .strip_prefix(".model")
             .or_else(|| line.strip_prefix(".name"))
         {
-            stg = Stg::new(rest.trim());
+            model = rest.trim();
             continue;
         }
         if let Some(rest) = line.strip_prefix(".inputs") {
@@ -102,25 +118,14 @@ pub fn parse_stg(text: &str) -> Result<Stg, StgError> {
         if line.starts_with(".end") {
             break;
         }
-        if line.starts_with('.') {
-            // Ignore unknown dot directives (e.g. `.dummy`, which we reject
-            // below if actually used).
-            continue;
-        }
-        if in_graph {
-            graph_lines.push((lineno + 1, line.split_whitespace().collect()));
-        } else {
-            return Err(StgError::Parse {
-                line: lineno + 1,
-                message: format!("unexpected line outside .graph: '{line}'"),
-            });
-        }
+        // Other dot directives (e.g. `.dummy`) are ignored.
     }
 
     // Register declared signals in declaration order.
-    let mut seen_signals: FxHashSet<&str> = FxHashSet::default();
+    let mut stg = Stg::new(model);
+    let mut signals: FxHashMap<&str, usize> = FxHashMap::default();
     for &(name, kind) in &declared {
-        if !seen_signals.insert(name) {
+        if signals.insert(name, stg.num_signals()).is_some() {
             return Err(StgError::Parse {
                 line: 0,
                 message: format!("duplicate signal '{name}'"),
@@ -129,60 +134,72 @@ pub fn parse_stg(text: &str) -> Result<Stg, StgError> {
         stg.add_signal(name, kind);
     }
 
-    // First pass: create all transitions and explicit places named in the
-    // graph section.
-    let mut nodes = Nodes::default();
-
-    // The `.g` format has no arc weights: a repeated arc is always an
-    // authoring mistake (and a silent one — the duplicate implicit place
-    // never receives a token, so the target quietly dies).
-    let mut seen_arcs: FxHashSet<(u8, u32, u32)> = FxHashSet::default();
-    for (line, tokens) in &graph_lines {
-        if tokens.len() < 2 {
+    // The graph pass: every node and arc, in text order.
+    let mut net = Net::new(&signals, graph_lines.len());
+    for (li, &(line, body)) in graph_lines.iter().enumerate() {
+        let li = li as u32;
+        let mut toks = body.split_whitespace();
+        let (Some(src_tok), Some(first)) = (toks.next(), toks.next()) else {
             return Err(StgError::Parse {
-                line: *line,
+                line,
                 message: "graph line needs a source and at least one target".into(),
             });
+        };
+        let src = net.resolve(src_tok, line)?;
+        // The `.g` format has no arc weights: a repeated arc is always an
+        // authoring mistake (and a silent one — the duplicate implicit
+        // place never receives a token, so the target quietly dies). A
+        // repeat shares its source, so while a node is the source of one
+        // line only, a per-target stamp of the line finds it. The arcs of
+        // a source of several lines go through `repeated`.
+        let source_of = net.seen(src).source_of;
+        net.seen(src).source_of = if source_of == NEVER { li } else { MANY };
+        let repeated = source_of != NEVER;
+        if source_of < MANY {
+            // The first repeat: the one earlier line joins the set.
+            for tok in graph_lines[source_of as usize].1.split_whitespace().skip(1) {
+                let dst = net.nodes[tok];
+                net.repeated.insert(src.code() << 32 | dst.code());
+            }
         }
-        let src = nodes.resolve(&mut stg, tokens[0], *line)?;
-        for &tok in &tokens[1..] {
-            let dst = nodes.resolve(&mut stg, tok, *line)?;
-            let arc_key = match (src, dst) {
-                (Node::Trans(a), Node::Trans(b)) => (0u8, a.0, b.0),
-                (Node::Trans(a), Node::Place(p)) => (1, a.0, p.0),
-                (Node::Place(p), Node::Trans(b)) => (2, p.0, b.0),
-                (Node::Place(p), Node::Place(q)) => (3, p.0, q.0),
+        for tok in std::iter::once(first).chain(toks) {
+            let dst = net.resolve(tok, line)?;
+            let duplicate = if repeated {
+                !net.repeated.insert(src.code() << 32 | dst.code())
+            } else {
+                std::mem::replace(&mut net.seen(dst).target_on, li) == li
             };
-            if !seen_arcs.insert(arc_key) {
+            if duplicate {
                 return Err(StgError::Parse {
-                    line: *line,
-                    message: format!("duplicate arc '{} {tok}'", tokens[0]),
+                    line,
+                    message: format!("duplicate arc '{src_tok} {tok}'"),
                 });
             }
             match (src, dst) {
                 (Node::Trans(a), Node::Trans(b)) => {
-                    stg.connect(a, b, 0);
+                    let p = PlaceId(net.places.len() as u32);
+                    net.places.push(PlaceName::Between(a, b));
+                    net.p_seen.push(Seen::NOWHERE);
+                    net.tp.push((a, p));
+                    net.pt.push((p, b));
                 }
-                (Node::Trans(a), Node::Place(p)) => stg.arc_tp(a, p),
-                (Node::Place(p), Node::Trans(b)) => stg.arc_pt(p, b),
+                (Node::Trans(a), Node::Place(p)) => net.tp.push((a, p)),
+                (Node::Place(p), Node::Trans(b)) => net.pt.push((p, b)),
                 (Node::Place(_), Node::Place(_)) => {
                     return Err(StgError::Parse {
-                        line: *line,
+                        line,
                         message: "place-to-place arcs are not allowed".into(),
                     })
                 }
             }
         }
     }
+    net.build_into(&mut stg);
 
     // Apply the marking. `<a,b>` names transitions by their canonical
     // names (`Stg::transition_name`, the first transition wins a shared
-    // name). Every parsed transition came from `split_edge_token`, so its
-    // name splits back to its own `(signal, dir, occurrence)` key: a token
-    // is looked up by its split and accepted only if it is that
-    // transition's name (`a+/0` and `a+/01` are not). The map is built
-    // once, on the first such token.
-    let mut by_key: Option<FxHashMap<(usize, Dir, u32), TransId>> = None;
+    // name): a token is accepted only if it is that name (`a+/0` and
+    // `a+/01` are not).
     for (line, tok) in &marking_tokens {
         let (name, count) = match tok.split_once('=') {
             Some((n, c)) => (
@@ -199,25 +216,12 @@ pub fn parse_stg(text: &str) -> Result<Stg, StgError> {
                 line: *line,
                 message: format!("bad implicit place '{name}'"),
             })?;
-            let by_key = by_key.get_or_insert_with(|| {
-                let mut map = FxHashMap::default();
-                for (i, tr) in stg.transitions.iter().enumerate() {
-                    map.entry((tr.signal, tr.dir, tr.occurrence))
-                        .or_insert(TransId(i as u32));
-                }
-                map
-            });
             let lookup = |t: &str| {
                 let t = t.trim();
-                split_edge_token(t)
-                    .and_then(|(sig, dir, occ)| {
-                        by_key.get(&(stg.signal_index(sig)?, dir, occ)).copied()
-                    })
-                    .filter(|&id| stg.transition_name(id) == t)
-                    .ok_or_else(|| StgError::Parse {
-                        line: *line,
-                        message: format!("unknown transition '{t}' in marking"),
-                    })
+                net.first_named(t).ok_or_else(|| StgError::Parse {
+                    line: *line,
+                    message: format!("unknown transition '{t}' in marking"),
+                })
             };
             let (ta, tb) = (lookup(a)?, lookup(b)?);
             let p = stg.place_between(ta, tb).ok_or_else(|| StgError::Parse {
@@ -225,7 +229,7 @@ pub fn parse_stg(text: &str) -> Result<Stg, StgError> {
                 message: format!("no place between {a} and {b}"),
             })?;
             stg.set_tokens(p, count);
-        } else if let Some(&p) = nodes.places.get(name) {
+        } else if let Some(&Node::Place(p)) = net.nodes.get(name) {
             stg.set_tokens(p, count);
         } else {
             return Err(StgError::Parse {
@@ -239,42 +243,159 @@ pub fn parse_stg(text: &str) -> Result<Stg, StgError> {
     Ok(stg)
 }
 
+/// A graph-section node: a transition or a place (explicit or implicit).
 #[derive(Clone, Copy)]
 enum Node {
     Trans(TransId),
     Place(PlaceId),
 }
 
-/// The graph section's names, keyed by the tokens of the text itself.
-#[derive(Default)]
-struct Nodes<'t> {
-    trans: FxHashMap<&'t str, TransId>,
-    places: FxHashMap<&'t str, PlaceId>,
+impl Node {
+    /// Distinct for every node of either kind (ids stay below 2^31).
+    fn code(self) -> u64 {
+        match self {
+            Node::Trans(t) => u64::from(t.0),
+            Node::Place(p) => u64::from(p.0) | 1 << 31,
+        }
+    }
 }
 
-impl<'t> Nodes<'t> {
-    /// The transition or explicit place `tok` names, created on first use.
-    fn resolve(&mut self, stg: &mut Stg, tok: &'t str, line: usize) -> Result<Node, StgError> {
-        if let Some(&id) = self.trans.get(tok) {
-            return Ok(Node::Trans(id));
+/// A graph-line index that no line has.
+const NEVER: u32 = u32::MAX;
+/// `Seen::source_of` of a node that is the source of several lines.
+const MANY: u32 = u32::MAX - 1;
+
+/// Where a node has appeared in the graph section, by graph-line index.
+#[derive(Clone, Copy)]
+struct Seen {
+    /// The line it is the source of, [`NEVER`] or [`MANY`].
+    source_of: u32,
+    /// The last line it is a target on.
+    target_on: u32,
+}
+
+impl Seen {
+    const NOWHERE: Seen = Seen {
+        source_of: NEVER,
+        target_on: NEVER,
+    };
+}
+
+/// Where a place's name comes from.
+enum PlaceName<'t> {
+    /// An explicit place: its token.
+    Token(&'t str),
+    /// The implicit place of the arc between two transitions.
+    Between(TransId, TransId),
+}
+
+/// The graph section as flat vectors in text order, keyed by the tokens of
+/// the text itself.
+struct Net<'t, 's> {
+    signals: &'s FxHashMap<&'t str, usize>,
+    /// Every graph token, resolved once.
+    nodes: FxHashMap<&'t str, Node>,
+    trans: Vec<TransitionDecl>,
+    places: Vec<PlaceName<'t>>,
+    tp: Vec<(TransId, PlaceId)>,
+    pt: Vec<(PlaceId, TransId)>,
+    /// Per transition and per place, the graph lines it appeared on.
+    t_seen: Vec<Seen>,
+    p_seen: Vec<Seen>,
+    /// `Node::code` pairs of the arcs from sources of several lines.
+    repeated: FxHashSet<u64>,
+    /// The first transition of each `(signal, dir, occurrence)` whose
+    /// token is not its canonical name (`a+/0`, `a+/01`). Emitted text has
+    /// none.
+    aliases: FxHashMap<(usize, Dir, u32), TransId>,
+}
+
+impl<'t, 's> Net<'t, 's> {
+    /// An empty graph whose intern map takes `lines` tokens without
+    /// growing: emitted `.g` texts name about one node per graph line.
+    fn new(signals: &'s FxHashMap<&'t str, usize>, lines: usize) -> Self {
+        Net {
+            signals,
+            nodes: FxHashMap::with_capacity_and_hasher(lines, Default::default()),
+            trans: Vec::new(),
+            places: Vec::new(),
+            tp: Vec::new(),
+            pt: Vec::new(),
+            t_seen: Vec::new(),
+            p_seen: Vec::new(),
+            repeated: FxHashSet::default(),
+            aliases: FxHashMap::default(),
         }
-        if let Some((sig, dir, occ)) = split_edge_token(tok) {
-            if let Some(idx) = stg.signal_index(sig) {
-                let id = stg.add_transition(idx, dir, occ);
-                self.trans.insert(tok, id);
-                return Ok(Node::Trans(id));
-            }
+    }
+
+    /// The transition or explicit place `tok` names, created on first use.
+    fn resolve(&mut self, tok: &'t str, line: usize) -> Result<Node, StgError> {
+        let slot = match self.nodes.entry(tok) {
+            Entry::Occupied(e) => return Ok(*e.get()),
+            Entry::Vacant(slot) => slot,
+        };
+        // Not a signal edge → explicit place.
+        let Some((sig, dir, occurrence)) = split_edge_token(tok) else {
+            let p = PlaceId(self.places.len() as u32);
+            self.places.push(PlaceName::Token(tok));
+            self.p_seen.push(Seen::NOWHERE);
+            return Ok(*slot.insert(Node::Place(p)));
+        };
+        let Some(&signal) = self.signals.get(sig) else {
             return Err(StgError::Parse {
                 line,
                 message: format!("transition '{tok}' references undeclared signal '{sig}'"),
             });
+        };
+        let t = TransId(self.trans.len() as u32);
+        self.trans.push(TransitionDecl {
+            signal,
+            dir,
+            occurrence,
+        });
+        self.t_seen.push(Seen::NOWHERE);
+        if !is_canonical(tok, occurrence) {
+            self.aliases.entry((signal, dir, occurrence)).or_insert(t);
         }
-        // Not a signal edge → explicit place.
-        let id = *self
-            .places
-            .entry(tok)
-            .or_insert_with(|| stg.add_place(tok, 0));
-        Ok(Node::Place(id))
+        Ok(*slot.insert(Node::Trans(t)))
+    }
+
+    /// Where `node` has appeared so far.
+    fn seen(&mut self, node: Node) -> &mut Seen {
+        match node {
+            Node::Trans(t) => &mut self.t_seen[t.0 as usize],
+            Node::Place(p) => &mut self.p_seen[p.0 as usize],
+        }
+    }
+
+    /// The first transition whose canonical name is `t`.
+    fn first_named(&self, t: &str) -> Option<TransId> {
+        let (sig, dir, occ) = split_edge_token(t)?;
+        if !is_canonical(t, occ) {
+            return None;
+        }
+        let spelled = match self.nodes.get(t) {
+            Some(&Node::Trans(id)) => Some(id),
+            _ => None,
+        };
+        let alias = self
+            .aliases
+            .get(&(*self.signals.get(sig)?, dir, occ))
+            .copied();
+        spelled.into_iter().chain(alias).min()
+    }
+
+    /// Move the nodes and arcs into `stg`, naming every place.
+    fn build_into(&mut self, stg: &mut Stg) {
+        stg.transitions = std::mem::take(&mut self.trans);
+        let names = self.places.iter().map(|name| match *name {
+            PlaceName::Token(tok) => tok.to_owned(),
+            PlaceName::Between(a, b) => stg.implicit_place_name(a, b),
+        });
+        stg.place_names = names.collect();
+        stg.initial = vec![0; self.places.len()];
+        stg.tp = std::mem::take(&mut self.tp);
+        stg.pt = std::mem::take(&mut self.pt);
     }
 }
 
@@ -294,6 +415,15 @@ fn split_edge_token(tok: &str) -> Option<(&str, Dir, u32)> {
         return None;
     }
     Some((sig, dir, occ))
+}
+
+/// `true` if the edge token `tok`, of occurrence `occ`, is spelled as
+/// `Stg::transition_name` spells it: no `/0`, no leading zeros or sign.
+fn is_canonical(tok: &str, occ: u32) -> bool {
+    match tok.split_once('/') {
+        None => true,
+        Some((_, o)) => occ != 0 && !o.starts_with('0') && o.bytes().all(|b| b.is_ascii_digit()),
+    }
 }
 
 #[cfg(test)]

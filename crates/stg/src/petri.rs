@@ -2,7 +2,8 @@
 
 use crate::error::StgError;
 use nshot_sg::{Dir, SignalKind};
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::sync::OnceLock;
 
 /// Index of a place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -26,15 +27,54 @@ pub(crate) struct TransitionDecl {
     /// Occurrence index (the `/k` suffix of the `.g` format), used only to
     /// distinguish multiple transitions of the same signal edge.
     pub occurrence: u32,
-    pub pre: Vec<PlaceId>,
-    pub post: Vec<PlaceId>,
 }
 
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PlaceDecl {
-    pub name: String,
-    pub pre: Vec<TransId>,
-    pub post: Vec<TransId>,
+/// Every node's arcs as compressed rows, each row in the order its arcs
+/// were added: the index [`Stg`] builds from its arc lists.
+#[derive(Debug, Clone)]
+struct Adjacency {
+    t_pre: Rows<PlaceId>,
+    t_post: Rows<PlaceId>,
+    p_pre: Rows<TransId>,
+    p_post: Rows<TransId>,
+}
+
+/// Compressed sparse rows: row `i` is `items[start[i]..start[i + 1]]`.
+#[derive(Debug, Clone)]
+struct Rows<T> {
+    start: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> Rows<T> {
+    /// `n` rows from `(row, item)` pairs, by counting sort: each row keeps
+    /// the order of its pairs.
+    fn build(n: usize, pairs: impl Iterator<Item = (u32, T)> + Clone) -> Self {
+        let mut start = vec![0u32; n + 1];
+        for (r, _) in pairs.clone() {
+            start[r as usize + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        // Every slot is written below; the first item only fills the vector.
+        let mut items = match pairs.clone().next() {
+            Some((_, x)) => vec![x; start[n] as usize],
+            None => Vec::new(),
+        };
+        let mut next = start.clone();
+        for (r, x) in pairs {
+            let slot = &mut next[r as usize];
+            items[*slot as usize] = x;
+            *slot += 1;
+        }
+        Rows { start, items }
+    }
+
+    fn row(&self, i: u32) -> &[T] {
+        let i = i as usize;
+        &self.items[self.start[i] as usize..self.start[i + 1] as usize]
+    }
 }
 
 /// A marking: the marked places as a sorted multiset of place ids, a place
@@ -73,8 +113,15 @@ pub struct Stg {
     pub(crate) name: String,
     pub(crate) signals: Vec<SignalDecl>,
     pub(crate) transitions: Vec<TransitionDecl>,
-    pub(crate) places: Vec<PlaceDecl>,
+    /// Place names, by place id.
+    pub(crate) place_names: Vec<String>,
     pub(crate) initial: Vec<u8>,
+    /// The arcs transition → place, in the order they were added.
+    pub(crate) tp: Vec<(TransId, PlaceId)>,
+    /// The arcs place → transition, in the order they were added.
+    pub(crate) pt: Vec<(PlaceId, TransId)>,
+    /// Built from the arc lists on first use; every change drops it.
+    adjacency: OnceLock<Adjacency>,
 }
 
 impl Stg {
@@ -84,8 +131,11 @@ impl Stg {
             name: name.to_owned(),
             signals: Vec::new(),
             transitions: Vec::new(),
-            places: Vec::new(),
+            place_names: Vec::new(),
             initial: Vec::new(),
+            tp: Vec::new(),
+            pt: Vec::new(),
+            adjacency: OnceLock::new(),
         }
     }
 
@@ -106,7 +156,7 @@ impl Stg {
 
     /// Number of places (explicit and implicit).
     pub fn num_places(&self) -> usize {
-        self.places.len()
+        self.place_names.len()
     }
 
     /// Declare a signal. Returns its index.
@@ -131,49 +181,91 @@ impl Stg {
             signal,
             dir,
             occurrence,
-            pre: Vec::new(),
-            post: Vec::new(),
         });
+        self.adjacency.take();
         id
     }
 
     /// Add an explicit place with `tokens` initial tokens.
     pub fn add_place(&mut self, name: &str, tokens: u8) -> PlaceId {
-        let id = PlaceId(self.places.len() as u32);
-        self.places.push(PlaceDecl {
-            name: name.to_owned(),
-            ..PlaceDecl::default()
-        });
+        let id = PlaceId(self.place_names.len() as u32);
+        self.place_names.push(name.to_owned());
         self.initial.push(tokens);
+        self.adjacency.take();
         id
     }
 
     /// Connect two transitions through a fresh implicit place holding
     /// `tokens` initial tokens (the `.g` arc `t1 t2`).
     pub fn connect(&mut self, from: TransId, to: TransId, tokens: u8) -> PlaceId {
-        let p = self.add_place(
-            &format!(
-                "<{},{}>",
-                self.transition_name(from),
-                self.transition_name(to)
-            ),
-            tokens,
-        );
+        let p = self.add_place(&self.implicit_place_name(from, to), tokens);
         self.arc_tp(from, p);
         self.arc_pt(p, to);
         p
     }
 
+    /// The name of the implicit place from `from` to `to`: `<a+,b->`.
+    pub(crate) fn implicit_place_name(&self, from: TransId, to: TransId) -> String {
+        let mut name = String::from("<");
+        self.push_transition_name(&mut name, from);
+        name.push(',');
+        self.push_transition_name(&mut name, to);
+        name.push('>');
+        name
+    }
+
     /// Arc transition → place.
     pub fn arc_tp(&mut self, t: TransId, p: PlaceId) {
-        self.transitions[t.0 as usize].post.push(p);
-        self.places[p.0 as usize].pre.push(t);
+        assert!(t.0 < self.transitions.len() as u32 && p.0 < self.num_places() as u32);
+        self.tp.push((t, p));
+        self.adjacency.take();
     }
 
     /// Arc place → transition.
     pub fn arc_pt(&mut self, p: PlaceId, t: TransId) {
-        self.transitions[t.0 as usize].pre.push(p);
-        self.places[p.0 as usize].post.push(t);
+        assert!(t.0 < self.transitions.len() as u32 && p.0 < self.num_places() as u32);
+        self.pt.push((p, t));
+        self.adjacency.take();
+    }
+
+    /// The arc index, built on first use after a change.
+    fn adjacency(&self) -> &Adjacency {
+        self.adjacency.get_or_init(|| {
+            let (nt, np) = (self.transitions.len(), self.num_places());
+            let tp = self.tp.iter();
+            let pt = self.pt.iter();
+            Adjacency {
+                t_pre: Rows::build(nt, pt.clone().map(|&(p, t)| (t.0, p))),
+                t_post: Rows::build(nt, tp.clone().map(|&(t, p)| (t.0, p))),
+                p_pre: Rows::build(np, tp.map(|&(t, p)| (p.0, t))),
+                p_post: Rows::build(np, pt.map(|&(p, t)| (p.0, t))),
+            }
+        })
+    }
+
+    /// The input places of `t`, in arc order.
+    pub(crate) fn t_pre(&self, t: TransId) -> &[PlaceId] {
+        self.adjacency().t_pre.row(t.0)
+    }
+
+    /// The output places of `t`, in arc order.
+    pub(crate) fn t_post(&self, t: TransId) -> &[PlaceId] {
+        self.adjacency().t_post.row(t.0)
+    }
+
+    /// The input transitions of `p`, in arc order.
+    pub(crate) fn p_pre(&self, p: PlaceId) -> &[TransId] {
+        self.adjacency().p_pre.row(p.0)
+    }
+
+    /// The output transitions of `p`, in arc order.
+    pub(crate) fn p_post(&self, p: PlaceId) -> &[TransId] {
+        self.adjacency().p_post.row(p.0)
+    }
+
+    /// The name of `p`.
+    pub(crate) fn place_name(&self, p: PlaceId) -> &str {
+        &self.place_names[p.0 as usize]
     }
 
     /// The initial marking.
@@ -189,21 +281,24 @@ impl Stg {
 
     /// Human-readable transition name, e.g. `a+` or `b-/2`.
     pub fn transition_name(&self, t: TransId) -> String {
+        let mut name = String::new();
+        self.push_transition_name(&mut name, t);
+        name
+    }
+
+    /// Append [`Stg::transition_name`] to `out`.
+    fn push_transition_name(&self, out: &mut String, t: TransId) {
         let tr = &self.transitions[t.0 as usize];
-        let base = format!("{}{}", self.signals[tr.signal].name, tr.dir.sign());
-        if tr.occurrence == 0 {
-            base
-        } else {
-            format!("{base}/{}", tr.occurrence)
+        out.push_str(&self.signals[tr.signal].name);
+        out.push(tr.dir.sign());
+        if tr.occurrence != 0 {
+            write!(out, "/{}", tr.occurrence).expect("writing to a String");
         }
     }
 
     /// `true` if `t` is enabled in `m` (every pre-place holds a token).
     pub fn is_enabled(&self, m: &Marking, t: TransId) -> bool {
-        self.transitions[t.0 as usize]
-            .pre
-            .iter()
-            .all(|&p| m.count(p) > 0)
+        self.t_pre(t).iter().all(|&p| m.count(p) > 0)
     }
 
     /// All transitions enabled in `m`, in ascending [`TransId`] order.
@@ -216,14 +311,19 @@ impl Stg {
     /// breadth-first in this order, and state ids, the order of ON codes
     /// and the emitted netlists all follow that numbering.
     pub fn enabled(&self, m: &Marking) -> Vec<TransId> {
-        let mut out: Vec<TransId> = m
-            .marked()
-            .flat_map(|p| self.places[p as usize].post.iter().copied())
-            .collect();
+        let mut out = Vec::new();
+        self.enabled_into(m, &mut out);
+        out
+    }
+
+    /// [`Stg::enabled`] into a reused buffer.
+    pub(crate) fn enabled_into(&self, m: &Marking, out: &mut Vec<TransId>) {
+        out.clear();
+        let post = &self.adjacency().p_post;
+        out.extend(m.marked().flat_map(|p| post.row(p).iter().copied()));
         out.sort_unstable();
         out.dedup();
         out.retain(|&t| self.is_enabled(m, t));
-        out
     }
 
     /// Fire `t` from `m`.
@@ -236,22 +336,38 @@ impl Stg {
         if !self.is_enabled(m, t) {
             return Err(StgError::NotEnabled(self.transition_name(t)));
         }
-        let mut next = m.clone();
-        let tr = &self.transitions[t.0 as usize];
-        for &p in &tr.pre {
+        let mut next = Marking(Vec::new());
+        self.fire_into(m, t, &mut next)?;
+        Ok(next)
+    }
+
+    /// Fire the enabled transition `t` from `m` into `next`, reusing its
+    /// buffer.
+    ///
+    /// # Errors
+    ///
+    /// [`StgError::Unbounded`] if a place would exceed 8 tokens.
+    pub(crate) fn fire_into(
+        &self,
+        m: &Marking,
+        t: TransId,
+        next: &mut Marking,
+    ) -> Result<(), StgError> {
+        next.0.clone_from(&m.0);
+        for &p in self.t_pre(t) {
             if let Ok(i) = next.0.binary_search(&p.0) {
                 next.0.remove(i);
             }
         }
-        for &p in &tr.post {
+        for &p in self.t_post(t) {
             next.0.insert(next.0.partition_point(|&q| q <= p.0), p.0);
             if next.count(p) > 8 {
                 return Err(StgError::Unbounded {
-                    place: self.places[p.0 as usize].name.clone(),
+                    place: self.place_name(p).to_owned(),
                 });
             }
         }
-        Ok(next)
+        Ok(())
     }
 
     /// Structural sanity check: every transition has at least one pre-place
@@ -262,19 +378,20 @@ impl Stg {
     ///
     /// [`StgError::Structural`] describing the offending element.
     pub fn check_structure(&self) -> Result<(), StgError> {
-        for (i, t) in self.transitions.iter().enumerate() {
-            if t.pre.is_empty() {
+        let adj = self.adjacency();
+        for t in 0..self.transitions.len() as u32 {
+            if adj.t_pre.row(t).is_empty() {
                 return Err(StgError::Structural(format!(
                     "transition {} has no input place",
-                    self.transition_name(TransId(i as u32))
+                    self.transition_name(TransId(t))
                 )));
             }
         }
-        for p in &self.places {
-            if p.pre.is_empty() && p.post.is_empty() {
+        for p in 0..self.num_places() as u32 {
+            if adj.p_pre.row(p).is_empty() && adj.p_post.row(p).is_empty() {
                 return Err(StgError::Structural(format!(
                     "place {} is disconnected",
-                    p.name
+                    self.place_name(PlaceId(p))
                 )));
             }
         }
@@ -291,48 +408,17 @@ impl Stg {
     /// Find or lazily remember a place between two transitions (used by the
     /// parser to place marking tokens on implicit places).
     pub(crate) fn place_between(&self, from: TransId, to: TransId) -> Option<PlaceId> {
-        self.transitions[from.0 as usize]
-            .post
+        self.t_post(from)
             .iter()
             .copied()
-            .find(|p| self.places[p.0 as usize].post.contains(&to))
-    }
-
-    /// The input places of `t`, in arc order.
-    #[cfg(test)]
-    pub(crate) fn t_pre(&self, t: TransId) -> &[PlaceId] {
-        &self.transitions[t.0 as usize].pre
-    }
-
-    /// The output places of `t`, in arc order.
-    #[cfg(test)]
-    pub(crate) fn t_post(&self, t: TransId) -> &[PlaceId] {
-        &self.transitions[t.0 as usize].post
-    }
-
-    /// The input transitions of `p`, in arc order.
-    #[cfg(test)]
-    pub(crate) fn p_pre(&self, p: PlaceId) -> &[TransId] {
-        &self.places[p.0 as usize].pre
-    }
-
-    /// The output transitions of `p`, in arc order.
-    #[cfg(test)]
-    pub(crate) fn p_post(&self, p: PlaceId) -> &[TransId] {
-        &self.places[p.0 as usize].post
-    }
-
-    /// The name of `p`.
-    #[cfg(test)]
-    pub(crate) fn place_name(&self, p: PlaceId) -> &str {
-        &self.places[p.0 as usize].name
+            .find(|&p| self.p_post(p).contains(&to))
     }
 
     /// Find an explicit place by name.
     pub fn place_by_name(&self, name: &str) -> Option<PlaceId> {
-        self.places
+        self.place_names
             .iter()
-            .position(|p| p.name == name)
+            .position(|p| p == name)
             .map(|i| PlaceId(i as u32))
     }
 
@@ -361,24 +447,24 @@ impl fmt::Display for Stg {
             }
         }
         writeln!(f, ".graph")?;
-        for (i, t) in self.transitions.iter().enumerate() {
-            let from = self.transition_name(TransId(i as u32));
-            for &p in &t.post {
-                for &succ in &self.places[p.0 as usize].post {
+        for t in (0..self.transitions.len() as u32).map(TransId) {
+            let from = self.transition_name(t);
+            for &p in self.t_post(t) {
+                for &succ in self.p_post(p) {
                     writeln!(f, "{from} {}", self.transition_name(succ))?;
                 }
             }
         }
         let marked: Vec<String> = self
-            .places
+            .place_names
             .iter()
             .zip(&self.initial)
             .filter(|&(_, &tok)| tok > 0)
-            .map(|(p, &tok)| {
+            .map(|(name, &tok)| {
                 if tok == 1 {
-                    p.name.clone()
+                    name.clone()
                 } else {
-                    format!("{}={tok}", p.name)
+                    format!("{name}={tok}")
                 }
             })
             .collect();

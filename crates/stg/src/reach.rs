@@ -83,10 +83,14 @@ impl Stg {
         Ok(b.build_with_initial(state_ids[0])?)
     }
 
-    /// The token game: every marking reachable from the initial one, in
-    /// breadth-first order (the initial marking is 0), and every firing as
-    /// `(from, transition, to)`, grouped by `from` in that same order and
-    /// within a marking in ascending [`TransId`] order.
+    /// The token game: every firing between markings reachable from the
+    /// initial one, as `(from, transition, to)`. Markings are numbered in
+    /// breadth-first discovery order (the initial marking is 0); firings are
+    /// grouped by `from` in that same order and within a marking in
+    /// ascending [`TransId`] order.
+    ///
+    /// Each firing writes one reused successor marking, which is cloned
+    /// only when it is new.
     ///
     /// # Errors
     ///
@@ -100,26 +104,27 @@ impl Stg {
         let m0 = self.initial_marking();
         let mut index: FxHashMap<Marking, usize> = FxHashMap::default();
         index.insert(m0.clone(), 0);
-        let mut graph = MarkingGraph {
-            markings: vec![m0],
-            edges: Vec::new(),
-        };
-        // `markings` doubles as the FIFO queue: index order is discovery
-        // order.
+        // The FIFO queue: index order is discovery order. A marking leaves
+        // the queue when it is expanded; `index` keeps its own copy.
+        let mut queue = vec![m0];
+        let mut graph = MarkingGraph { edges: Vec::new() };
+        let mut enabled = Vec::new();
+        let mut next = Marking(Vec::new());
         let mut mi = 0;
-        while mi < graph.markings.len() {
-            let m = graph.markings[mi].clone();
-            for t in self.enabled(&m) {
-                let next = self.fire(&m, t)?;
+        while mi < queue.len() {
+            let m = std::mem::replace(&mut queue[mi], Marking(Vec::new()));
+            self.enabled_into(&m, &mut enabled);
+            for &t in &enabled {
+                self.fire_into(&m, t, &mut next)?;
                 let ni = match index.get(&next) {
                     Some(&ni) => ni,
                     None => {
-                        let ni = graph.markings.len();
+                        let ni = queue.len();
                         if ni >= cap {
                             return Err(StgError::TooManyStates(cap));
                         }
                         index.insert(next.clone(), ni);
-                        graph.markings.push(next);
+                        queue.push(next.clone());
                         ni
                     }
                 };
@@ -174,8 +179,6 @@ impl Stg {
 
 /// The reachable marking graph, as [`Stg::explore`] returns it.
 pub(crate) struct MarkingGraph {
-    /// Reachable markings in discovery order; the initial marking is 0.
-    pub markings: Vec<Marking>,
     /// Firings `(from, transition, to)` in exploration order.
     pub edges: Vec<(usize, TransId, usize)>,
 }
