@@ -169,6 +169,9 @@ pub(crate) struct ScanOutcome {
     pub truncate_to: Option<u64>,
     /// Bytes of the segment considered valid (header + scanned frames).
     pub valid_len: u64,
+    /// The segment as read: each entry's frame is
+    /// `bytes[loc.offset..][..loc.frame_len]`, already CRC-checked.
+    pub bytes: Vec<u8>,
 }
 
 /// Scan a segment file, applying the module's recovery rules. Records
@@ -241,6 +244,7 @@ pub(crate) fn scan(
         }
     }
     out.valid_len = out.truncate_to.unwrap_or(buf.len() as u64);
+    out.bytes = buf;
     Ok(Some(out))
 }
 

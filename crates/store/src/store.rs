@@ -625,6 +625,9 @@ pub fn read_entries(dir: &Path, value_version: u32) -> io::Result<Vec<(String, V
 /// the right payload decoder. Versions not listed are skipped exactly as
 /// [`Store::open`] would drop them as stale.
 ///
+/// Each segment is read and checksummed once: values come from the bytes
+/// the scan verified.
+///
 /// # Errors
 ///
 /// Real I/O failures only; corruption and a missing directory are not
@@ -633,20 +636,24 @@ pub fn read_entries_with(
     dir: &Path,
     versions: &[u32],
 ) -> io::Result<Vec<(String, u32, Vec<u8>)>> {
-    let mut index: FxHashMap<String, RecordLocation> = FxHashMap::default();
+    let mut index: FxHashMap<String, (u32, Vec<u8>)> = FxHashMap::default();
     for (id, path) in segment_files(dir)? {
         let Some(outcome) = segment::scan(&path, id, versions)? else {
             continue; // not one of our segments
         };
-        index.extend(outcome.entries); // last writer wins across id order
+        for (key, loc) in outcome.entries {
+            let frame = &outcome.bytes[loc.offset as usize..][..loc.frame_len as usize];
+            // Last writer wins across id order.
+            index.insert(key, (loc.version, frame[loc.value_range()].to_vec()));
+        }
     }
 
-    let mut entries: Vec<(String, RecordLocation)> = index.into_iter().collect();
-    entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    Ok(entries
+    let mut entries: Vec<(String, u32, Vec<u8>)> = index
         .into_iter()
-        .filter_map(|(key, loc)| Some((key, loc.version, read_record(dir, &loc)?)))
-        .collect())
+        .map(|(key, (version, value))| (key, version, value))
+        .collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    Ok(entries)
 }
 
 #[cfg(test)]
