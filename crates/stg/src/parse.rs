@@ -2,8 +2,8 @@
 //!
 //! One pass over the lines sorts the header from the graph lines. The graph
 //! pass then streams each line's tokens through one intern map keyed by the
-//! token text, one lookup per token, and appends nodes and arcs to flat
-//! vectors in text order. The net takes those vectors as its arc lists.
+//! token text, one lookup per token, and appends nodes and arcs to the net's
+//! flat lists in text order.
 
 use crate::error::StgError;
 use crate::petri::{PlaceId, Stg, TransId, TransitionDecl};
@@ -145,7 +145,7 @@ pub fn parse_stg(text: &str) -> Result<Stg, StgError> {
                 message: "graph line needs a source and at least one target".into(),
             });
         };
-        let src = net.resolve(src_tok, line)?;
+        let src = net.resolve(&mut stg, src_tok, line)?;
         // The `.g` format has no arc weights: a repeated arc is always an
         // authoring mistake (and a silent one — the duplicate implicit
         // place never receives a token, so the target quietly dies). A
@@ -163,7 +163,7 @@ pub fn parse_stg(text: &str) -> Result<Stg, StgError> {
             }
         }
         for tok in std::iter::once(first).chain(toks) {
-            let dst = net.resolve(tok, line)?;
+            let dst = net.resolve(&mut stg, tok, line)?;
             let duplicate = if repeated {
                 !net.repeated.insert(src.code() << 32 | dst.code())
             } else {
@@ -177,14 +177,13 @@ pub fn parse_stg(text: &str) -> Result<Stg, StgError> {
             }
             match (src, dst) {
                 (Node::Trans(a), Node::Trans(b)) => {
-                    let p = PlaceId(net.places.len() as u32);
-                    net.places.push(PlaceName::Between(a, b));
-                    net.p_seen.push(Seen::NOWHERE);
-                    net.tp.push((a, p));
-                    net.pt.push((p, b));
+                    let name = stg.implicit_place_name(a, b);
+                    let p = new_place(&mut stg, &mut net.p_seen, name);
+                    stg.tp.push((a, p));
+                    stg.pt.push((p, b));
                 }
-                (Node::Trans(a), Node::Place(p)) => net.tp.push((a, p)),
-                (Node::Place(p), Node::Trans(b)) => net.pt.push((p, b)),
+                (Node::Trans(a), Node::Place(p)) => stg.tp.push((a, p)),
+                (Node::Place(p), Node::Trans(b)) => stg.pt.push((p, b)),
                 (Node::Place(_), Node::Place(_)) => {
                     return Err(StgError::Parse {
                         line,
@@ -194,7 +193,6 @@ pub fn parse_stg(text: &str) -> Result<Stg, StgError> {
             }
         }
     }
-    net.build_into(&mut stg);
 
     // Apply the marking. `<a,b>` names transitions by their canonical
     // names (`Stg::transition_name`, the first transition wins a shared
@@ -281,24 +279,12 @@ impl Seen {
     };
 }
 
-/// Where a place's name comes from.
-enum PlaceName<'t> {
-    /// An explicit place: its token.
-    Token(&'t str),
-    /// The implicit place of the arc between two transitions.
-    Between(TransId, TransId),
-}
-
-/// The graph section as flat vectors in text order, keyed by the tokens of
-/// the text itself.
+/// The graph section's names, keyed by the tokens of the text itself, and
+/// where each node has appeared.
 struct Net<'t, 's> {
     signals: &'s FxHashMap<&'t str, usize>,
     /// Every graph token, resolved once.
     nodes: FxHashMap<&'t str, Node>,
-    trans: Vec<TransitionDecl>,
-    places: Vec<PlaceName<'t>>,
-    tp: Vec<(TransId, PlaceId)>,
-    pt: Vec<(PlaceId, TransId)>,
     /// Per transition and per place, the graph lines it appeared on.
     t_seen: Vec<Seen>,
     p_seen: Vec<Seen>,
@@ -317,10 +303,6 @@ impl<'t, 's> Net<'t, 's> {
         Net {
             signals,
             nodes: FxHashMap::with_capacity_and_hasher(lines, Default::default()),
-            trans: Vec::new(),
-            places: Vec::new(),
-            tp: Vec::new(),
-            pt: Vec::new(),
             t_seen: Vec::new(),
             p_seen: Vec::new(),
             repeated: FxHashSet::default(),
@@ -328,17 +310,16 @@ impl<'t, 's> Net<'t, 's> {
         }
     }
 
-    /// The transition or explicit place `tok` names, created on first use.
-    fn resolve(&mut self, tok: &'t str, line: usize) -> Result<Node, StgError> {
+    /// The transition or explicit place `tok` names, created in `stg` on
+    /// first use.
+    fn resolve(&mut self, stg: &mut Stg, tok: &'t str, line: usize) -> Result<Node, StgError> {
         let slot = match self.nodes.entry(tok) {
             Entry::Occupied(e) => return Ok(*e.get()),
             Entry::Vacant(slot) => slot,
         };
         // Not a signal edge → explicit place.
         let Some((sig, dir, occurrence)) = split_edge_token(tok) else {
-            let p = PlaceId(self.places.len() as u32);
-            self.places.push(PlaceName::Token(tok));
-            self.p_seen.push(Seen::NOWHERE);
+            let p = new_place(stg, &mut self.p_seen, tok.to_owned());
             return Ok(*slot.insert(Node::Place(p)));
         };
         let Some(&signal) = self.signals.get(sig) else {
@@ -347,8 +328,8 @@ impl<'t, 's> Net<'t, 's> {
                 message: format!("transition '{tok}' references undeclared signal '{sig}'"),
             });
         };
-        let t = TransId(self.trans.len() as u32);
-        self.trans.push(TransitionDecl {
+        let t = TransId(stg.transitions.len() as u32);
+        stg.transitions.push(TransitionDecl {
             signal,
             dir,
             occurrence,
@@ -384,19 +365,15 @@ impl<'t, 's> Net<'t, 's> {
             .copied();
         spelled.into_iter().chain(alias).min()
     }
+}
 
-    /// Move the nodes and arcs into `stg`, naming every place.
-    fn build_into(&mut self, stg: &mut Stg) {
-        stg.transitions = std::mem::take(&mut self.trans);
-        let names = self.places.iter().map(|name| match *name {
-            PlaceName::Token(tok) => tok.to_owned(),
-            PlaceName::Between(a, b) => stg.implicit_place_name(a, b),
-        });
-        stg.place_names = names.collect();
-        stg.initial = vec![0; self.places.len()];
-        stg.tp = std::mem::take(&mut self.tp);
-        stg.pt = std::mem::take(&mut self.pt);
-    }
+/// A new place of `stg`, with no tokens yet and not yet seen.
+fn new_place(stg: &mut Stg, p_seen: &mut Vec<Seen>, name: String) -> PlaceId {
+    let p = PlaceId(stg.place_names.len() as u32);
+    stg.place_names.push(name);
+    stg.initial.push(0);
+    p_seen.push(Seen::NOWHERE);
+    p
 }
 
 /// Split a signal-edge token like `req+`, `ack-/2` into (signal, dir, occ).
