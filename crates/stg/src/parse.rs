@@ -519,4 +519,29 @@ mod tests {
         assert_eq!(stg.transition_name(first[0]), "b+");
         assert!(matches!(ring(g, "<a+,a->"), Err(StgError::Parse { .. })));
     }
+
+    #[test]
+    fn duplicate_arcs_are_found_on_any_line_of_their_source() {
+        let net = |graph: &str| {
+            parse_stg(&format!(
+                ".inputs a\n.outputs b c\n.graph\n{graph}\n.marking {{ p }}\n.end"
+            ))
+        };
+        let dup = |line: usize, arc: &str| {
+            Err(StgError::Parse {
+                line,
+                message: format!("duplicate arc '{arc}'"),
+            })
+        };
+        // `p` is the source of three lines; the third repeats the first.
+        let g = "p a+\na+ b+\np b-\nb+ p\np a+";
+        assert_eq!(net(g).map(|_| ()), dup(8, "p a+"));
+        // The third repeats the second, and `b+` is a target of other
+        // sources in between.
+        let g = "p a+\na+ b+\nb- b+\np b-\nc+ b+\np b-";
+        assert_eq!(net(g).map(|_| ()), dup(9, "p b-"));
+        // The same target from two sources is two arcs.
+        let g = "p a+\na+ b+\nb+ c+\nc+ p\np b+";
+        assert!(net(g).is_ok());
+    }
 }

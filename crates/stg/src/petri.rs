@@ -319,8 +319,10 @@ impl Stg {
     /// [`Stg::enabled`] into a reused buffer.
     pub(crate) fn enabled_into(&self, m: &Marking, out: &mut Vec<TransId>) {
         out.clear();
-        let post = &self.adjacency().p_post;
-        out.extend(m.marked().flat_map(|p| post.row(p).iter().copied()));
+        out.extend(
+            m.marked()
+                .flat_map(|p| self.p_post(PlaceId(p)).iter().copied()),
+        );
         out.sort_unstable();
         out.dedup();
         out.retain(|&t| self.is_enabled(m, t));
@@ -378,20 +380,19 @@ impl Stg {
     ///
     /// [`StgError::Structural`] describing the offending element.
     pub fn check_structure(&self) -> Result<(), StgError> {
-        let adj = self.adjacency();
-        for t in 0..self.transitions.len() as u32 {
-            if adj.t_pre.row(t).is_empty() {
+        for t in (0..self.transitions.len() as u32).map(TransId) {
+            if self.t_pre(t).is_empty() {
                 return Err(StgError::Structural(format!(
                     "transition {} has no input place",
-                    self.transition_name(TransId(t))
+                    self.transition_name(t)
                 )));
             }
         }
-        for p in 0..self.num_places() as u32 {
-            if adj.p_pre.row(p).is_empty() && adj.p_post.row(p).is_empty() {
+        for p in (0..self.num_places() as u32).map(PlaceId) {
+            if self.p_pre(p).is_empty() && self.p_post(p).is_empty() {
                 return Err(StgError::Structural(format!(
                     "place {} is disconnected",
-                    self.place_name(PlaceId(p))
+                    self.place_name(p)
                 )));
             }
         }
